@@ -67,6 +67,13 @@ def _int_list(text: str):
     return values
 
 
+def _zero_mode(text: str) -> str:
+    # the flag is held to this value by argparse; a config file is not
+    if text != "exclude":
+        raise ValidationError(f"zero_mode {text!r}: only 'exclude' is implemented")
+    return text
+
+
 _CONVERTERS = {
     "d": int,
     "ell": int,
@@ -79,7 +86,7 @@ _CONVERTERS = {
     "n_max": int,
     "cutoffs": str,
     "force": _parse_bool,
-    "zero_mode": str,
+    "zero_mode": _zero_mode,
     "seed": int,
     "k3_samples": int,
     "threads": int,
@@ -385,11 +392,6 @@ def _cmd_wick_verify(args) -> int:
 def _cmd_diagrams(args) -> int:
     _apply_config(args)
     _require(args, "ell", "beta_tilde")
-    zero_mode = args.zero_mode or "exclude"
-    if zero_mode != "exclude":
-        raise ValidationError(
-            "only the zero-mode policy 'exclude' is implemented; 'include' is rejected"
-        )
     two_s = args.two_s if args.two_s is not None else 2
     bts = _float_list(args.beta_tilde)
     scan = diagrams.cancellation_scan(
@@ -620,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--two-s", dest="two_s", type=int)
     p.add_argument("--beta-tilde", dest="beta_tilde", help="value or comma list")
     p.add_argument("--force", action="store_const", const=True, help="override the ell cap")
-    p.add_argument("--zero-mode", dest="zero_mode", choices=("exclude", "include"))
+    p.add_argument("--zero-mode", dest="zero_mode", choices=("exclude",))
     p.add_argument("--seed", type=int)
     p.add_argument("--k3-samples", dest="k3_samples", type=int)
     p.add_argument("--format", choices=("csv", "json"))
@@ -643,7 +645,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error: return it like every other one
+        if exc.code == 0:
+            raise
+        return exc.code
     try:
         return args.func(args)
     except (ValidationError, CapacityError) as exc:

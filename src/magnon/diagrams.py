@@ -12,7 +12,11 @@ The objects computed:
 * its leading piece (the "biggest error term"), carrying the slowest decay;
 * the left second-order diagram as a full Duhamel double sum, numerically
   stable for any ``beta_tilde`` via a three-branch evaluation of
-  ``(e^x - 1 - x)/x^2``;
+  ``(e^x - 1 - x)/x^2``; its summand is invariant under the 48-element
+  cubic group (axis permutations and per-axis sign flips) acting on all
+  momenta at once, so the outer ``k1`` sum runs over one representative per
+  orbit, weighted by the orbit size (34 orbits for the 511 nonzero modes at
+  ``ell = 8``);
 * the right second-order diagram via its separable inner sum;
 * the scan that adds the leading piece to the reduced left diagram and
   measures how the sum decays, including the exact lattice identity that
@@ -75,6 +79,11 @@ class PeriodicGrid:
         lb = labels[None, :, :]
         self.sum_idx = flat((la + lb) % ell).astype(np.int32)
         self.diff_idx = flat((la - lb) % ell).astype(np.int32)
+        # Orbits of the nonzero modes under the cubic group (axis permutations
+        # and per-axis sign flips): folding n -> min(n, ell-n) and sorting the
+        # axes gives a canonical label, itself a member of the orbit.
+        canon = flat(np.sort(np.minimum(labels, ell - labels), axis=1))
+        self.orbit_reps, self.orbit_weights = np.unique(canon[1:], return_counts=True)
 
     def nonzero(self) -> np.ndarray:
         return np.arange(1, self.n_modes, dtype=np.int64)
@@ -85,7 +94,7 @@ def occupations(grid: PeriodicGrid, beta_tilde: float) -> np.ndarray:
     if not beta_tilde > 0.0:
         raise ValidationError("beta_tilde must be positive")
     f = np.zeros(grid.n_modes)
-    f[1:] = 1.0 / np.expm1(beta_tilde * grid.eps[1:])
+    f[1:] = dispersion.bose_from_energy(grid.eps[1:], beta_tilde)
     return f
 
 
@@ -192,6 +201,12 @@ def left_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramVa
     supported on the nondegenerate set ``delta != 0`` (the ``f1 f2`` part is
     the one that cancels the biggest error term) and the degenerate-shell
     contribution, so the split can be audited.
+
+    The dispersion, and with it every factor of the summand, is invariant
+    under the 48-element cubic group acting on all four momenta at once, so
+    the inner sum over ``k2, k3`` depends only on the orbit of ``k1``.  The
+    outer sum therefore runs over one representative per orbit
+    (``grid.orbit_reps``), each weighted by its orbit size.
     """
     s = two_s / 2.0
     f = occupations(grid, beta_tilde)
@@ -199,35 +214,39 @@ def left_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramVa
     g[grid.zero_index] = 0.0
     eps = grid.eps
     nz = grid.nonzero()
+    e2 = eps[nz][:, None]
+    e3 = eps[nz][None, :]
+    e23 = eps[grid.diff_idx[nz[:, None], nz[None, :]]]
+    f2 = f[nz][:, None]
+    f3 = f[nz][None, :]
+    g2 = g[nz][:, None]
+    g3 = g[nz][None, :]
     full = 0.0
     red_f1f2 = 0.0
     red_f1f2f3 = 0.0
     degenerate = 0.0
-    for i1 in nz:
+    for i1, weight in zip(grid.orbit_reps.tolist(), grid.orbit_weights.tolist()):
         i4 = grid.diff_idx[grid.sum_idx[i1, nz][:, None], nz[None, :]]
         ok = i4 != grid.zero_index
         e1 = eps[i1]
-        e2 = eps[nz][:, None]
-        e3 = eps[nz][None, :]
         e4 = eps[i4]
         e13 = eps[grid.diff_idx[i1, nz]][None, :]
-        e23 = eps[grid.diff_idx[nz[:, None], nz[None, :]]]
         nu = 2.0 * e13 + 2.0 * e23 - e1 - e2 - e3 - e4
         delta = e1 + e2 - e3 - e4
-        f12 = f[i1] * f[nz][:, None]
-        p12 = f12 * g[nz][None, :] * g[i4]
-        q = (1.0 + f[i1]) * g[nz][:, None] * f[nz][None, :] * f[i4]
+        f12 = f[i1] * f2
+        p12 = f12 * g3 * g[i4]
+        q = (1.0 + f[i1]) * g2 * f3 * f[i4]
         p12 = np.where(ok, p12, 0.0)
         q = np.where(ok, q, 0.0)
         nu2 = nu * nu
-        full += float(np.sum(nu2 * duhamel_kernel(delta, beta_tilde, p12, q)))
+        full += weight * float(np.sum(nu2 * duhamel_kernel(delta, beta_tilde, p12, q)))
         nondeg = ok & (np.abs(delta) > _DEGENERACY_TOL)
         ratio = np.where(nondeg, nu2 / np.where(nondeg, delta, 1.0), 0.0)
-        red_f1f2 += float(np.sum(ratio * np.where(nondeg, f12, 0.0)))
-        f123 = f12 * f[nz][None, :]
-        red_f1f2f3 += float(np.sum(ratio * 2.0 * np.where(nondeg, f123, 0.0)))
+        red_f1f2 += weight * float(np.sum(ratio * np.where(nondeg, f12, 0.0)))
+        f123 = f12 * f3
+        red_f1f2f3 += weight * float(np.sum(ratio * 2.0 * np.where(nondeg, f123, 0.0)))
         deg = ok & ~nondeg
-        degenerate += float(np.sum(np.where(deg, nu2 * p12, 0.0)))
+        degenerate += weight * float(np.sum(np.where(deg, nu2 * p12, 0.0)))
     norm = 16.0 * s * s * grid.ell**9
     value = -full / (beta_tilde * norm)
     extras = {

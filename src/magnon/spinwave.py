@@ -49,9 +49,6 @@ __all__ = [
     "interaction_correction_bulk",
     "interaction_correction_continuum",
     "dirichlet_box_bound",
-    "preliminary_bound",
-    "discrete_correction_exact",
-    "discrete_correction_bulk",
     "theorem_upper_bound",
 ]
 
@@ -462,9 +459,3 @@ def theorem_upper_bound(
         spec, two_s, beta_tilde, "asymptotic", lead.value, corr, budget,
         hypothesis_ok, warnings=warn, info=info,
     )
-
-
-# Synonyms matching the historical operation names of the bound pipeline.
-preliminary_bound = dirichlet_box_bound
-discrete_correction_exact = interaction_correction_lattice
-discrete_correction_bulk = interaction_correction_bulk

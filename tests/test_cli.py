@@ -244,6 +244,13 @@ def test_diagrams_rejects_zero_mode_include(capsys):
     assert code == 2
 
 
+def test_diagrams_config_rejects_zero_mode_include(tmp_path, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("ell = 4\nbeta_tilde = 1.0\nzero_mode = include\n")
+    code, _, err = run(capsys, ["diagrams", "--config", str(cfg)])
+    assert code == 2
+    assert "zero_mode" in err
+
 def test_diagrams_capacity_needs_force(capsys):
     code, _, err = run(
         capsys, ["diagrams", "--ell", "12", "--beta-tilde", "1.0"]

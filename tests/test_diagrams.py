@@ -212,6 +212,94 @@ def test_left_diagram_matches_brute():
     assert got.value < 0.0
 
 
+def left_all_k1(grid, beta_tilde, two_s):
+    """The left diagram with the outer sum over every nonzero ``k1``."""
+    s = two_s / 2.0
+    f = diagrams.occupations(grid, beta_tilde)
+    g = 1.0 + f
+    g[grid.zero_index] = 0.0
+    eps = grid.eps
+    nz = grid.nonzero()
+    full = 0.0
+    red_f1f2 = 0.0
+    red_f1f2f3 = 0.0
+    degenerate = 0.0
+    for i1 in nz:
+        i4 = grid.diff_idx[grid.sum_idx[i1, nz][:, None], nz[None, :]]
+        ok = i4 != grid.zero_index
+        e1 = eps[i1]
+        e2 = eps[nz][:, None]
+        e3 = eps[nz][None, :]
+        e4 = eps[i4]
+        e13 = eps[grid.diff_idx[i1, nz]][None, :]
+        e23 = eps[grid.diff_idx[nz[:, None], nz[None, :]]]
+        nu = 2.0 * e13 + 2.0 * e23 - e1 - e2 - e3 - e4
+        delta = e1 + e2 - e3 - e4
+        f12 = f[i1] * f[nz][:, None]
+        p12 = f12 * g[nz][None, :] * g[i4]
+        q = (1.0 + f[i1]) * g[nz][:, None] * f[nz][None, :] * f[i4]
+        p12 = np.where(ok, p12, 0.0)
+        q = np.where(ok, q, 0.0)
+        nu2 = nu * nu
+        full += float(np.sum(nu2 * diagrams.duhamel_kernel(delta, beta_tilde, p12, q)))
+        nondeg = ok & (np.abs(delta) > 1e-12)
+        ratio = np.where(nondeg, nu2 / np.where(nondeg, delta, 1.0), 0.0)
+        red_f1f2 += float(np.sum(ratio * np.where(nondeg, f12, 0.0)))
+        f123 = f12 * f[nz][None, :]
+        red_f1f2f3 += float(np.sum(ratio * 2.0 * np.where(nondeg, f123, 0.0)))
+        deg = ok & ~nondeg
+        degenerate += float(np.sum(np.where(deg, nu2 * p12, 0.0)))
+    norm = 16.0 * s * s * grid.ell**9
+    extras = {
+        "reduced_f1f2": red_f1f2 / norm,
+        "reduced_f1f2f3": red_f1f2f3 / norm,
+        "degenerate_delta0": -beta_tilde * degenerate / (2.0 * norm),
+    }
+    return -full / (beta_tilde * norm), extras
+
+
+@pytest.mark.parametrize("beta_tilde", [1.0, 4.0, 16.0])
+@pytest.mark.parametrize("ell", [4, 5, 6, 7])
+def test_left_diagram_orbit_sum_matches_all_k1(ell, beta_tilde):
+    # odd and even ell: for even ell the label n = ell/2 folds onto itself
+    grid = diagrams.PeriodicGrid(ell)
+    got = diagrams.left_diagram(grid, beta_tilde, 2)
+    want_value, want_extras = left_all_k1(grid, beta_tilde, 2)
+    assert got.value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+    assert set(got.extras) == set(want_extras)
+    for key, want in want_extras.items():
+        assert got.extras[key] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("ell", [4, 5, 6, 7])
+def test_grid_orbits(ell):
+    # orbits rebuilt from the 6 axis permutations times the 8 sign flips
+    grid = diagrams.PeriodicGrid(ell)
+    group = [
+        (perm, signs)
+        for perm in itertools.permutations(range(3))
+        for signs in itertools.product((1, -1), repeat=3)
+    ]
+    assert len(group) == 48
+
+    def image(label, element):
+        perm, signs = element
+        return flat_label(*((signs[m] * label[perm[m]]) % ell for m in range(3)), ell)
+
+    reps = grid.orbit_reps.tolist()
+    weights = grid.orbit_weights.tolist()
+    seen = set()
+    for rep, weight in zip(reps, weights):
+        orbit = {image(grid.labels[rep], el) for el in group}
+        for member in orbit:
+            assert {image(grid.labels[member], el) for el in group} == orbit
+        assert len(orbit) == weight
+        assert not orbit & seen  # one representative per orbit
+        seen |= orbit
+    assert 0 not in seen
+    assert len(seen) == sum(weights) == ell**3 - 1
+
+
 def test_right_diagram_matches_brute():
     grid = diagrams.PeriodicGrid(3)
     bt, two_s = 2.0, 2

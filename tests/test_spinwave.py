@@ -260,9 +260,3 @@ def test_theorem_small_beta_preset():
     assert rep.info["preset"] == "small-beta"
     assert rep.ell == max(2, round(3.0**2))
     assert np.isfinite(rep.total_upper_bound)
-
-
-def test_operation_synonyms():
-    assert spinwave.preliminary_bound is spinwave.dirichlet_box_bound
-    assert spinwave.discrete_correction_exact is spinwave.interaction_correction_lattice
-    assert spinwave.discrete_correction_bulk is spinwave.interaction_correction_bulk
