@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -67,11 +66,20 @@ def _int_list(text: str):
     return values
 
 
-def _zero_mode(text: str) -> str:
-    # the flag is held to this value by argparse; a config file is not
-    if text != "exclude":
-        raise ValidationError(f"zero_mode {text!r}: only 'exclude' is implemented")
-    return text
+# Choices shared by argparse and the config-file converters.
+_FORMATS = ("json", "csv")
+_MODES = ("auto", "exact", "analytic")
+_PRESETS = ("small-beta",)
+_ZERO_MODES = ("exclude",)
+
+
+def _one_of(choices):
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise ValidationError(f"{text!r} is not one of {', '.join(choices)}")
+        return text
+
+    return convert
 
 
 _CONVERTERS = {
@@ -79,19 +87,17 @@ _CONVERTERS = {
     "ell": int,
     "two_s": int,
     "beta_tilde": str,
-    "boundary": str,
-    "mode": str,
-    "preset": str,
+    "mode": _one_of(_MODES),
+    "preset": _one_of(_PRESETS),
     "remainder_constant": float,
     "n_max": int,
     "cutoffs": str,
     "force": _parse_bool,
-    "zero_mode": _zero_mode,
+    "zero_mode": _one_of(_ZERO_MODES),
     "seed": int,
     "k3_samples": int,
-    "threads": int,
     "output": str,
-    "format": str,
+    "format": _one_of(_FORMATS),
     "slopes": str,
     "only": str,
     "perturb_epsilon": float,
@@ -127,7 +133,10 @@ def _apply_config(args: argparse.Namespace) -> None:
         if not hasattr(args, key):
             raise ValidationError(f"config key {key!r} does not apply to this subcommand")
         if getattr(args, key) is None:
-            setattr(args, key, _CONVERTERS[key](text))
+            try:
+                setattr(args, key, _CONVERTERS[key](text))
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"config key {key!r}: {exc}") from exc
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -142,7 +151,6 @@ def _resolved_config(args: argparse.Namespace, keys) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             out[key] = val
-    out["threads"] = args.threads if args.threads is not None else (os.cpu_count() or 1)
     return out
 
 
@@ -355,7 +363,7 @@ def _cmd_wick_verify(args) -> int:
         errors = []
         for cut in cutoffs:
             (value,), _ = fock.gibbs_expectation_truncated(
-                spec, cut, bt, [lambda sb: fock.quartic(sb, args.two_s)]
+                spec, cut, bt, lambda sb, h: [fock.quartic(sb, args.two_s)]
             )
             fock_values[str(cut)] = value
             errors.append(abs(value - position) / scale)
@@ -471,7 +479,7 @@ def _check_wick() -> tuple:
             worst = max(worst, abs(mode - pos) / max(abs(pos), 1e-300))
     spec = lattice.LatticeSpec(2, 2, lattice.Boundary.DIRICHLET)
     pos = wick.expectation_I_position(spec, 1, 2.0)
-    (val,), _ = fock.gibbs_expectation_truncated(spec, 8, 2.0, [lambda sb: fock.quartic(sb, 1)])
+    (val,), _ = fock.gibbs_expectation_truncated(spec, 8, 2.0, lambda sb, h: [fock.quartic(sb, 1)])
     worst = max(worst, abs(val - pos) / max(abs(pos), 1e-300))
     return worst, 1e-10
 
@@ -564,7 +572,6 @@ def _cmd_verify(args) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value config file; flags override")
     sub.add_argument("--output", help="output path ('-' or omit for stdout)")
-    sub.add_argument("--threads", type=int, help="thread count to record (default: cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -580,10 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, help="explicit box side (default: matched to beta, S)")
     p.add_argument("--two-s", dest="two_s", type=int)
     p.add_argument("--beta-tilde", dest="beta_tilde", help="value or comma list")
-    p.add_argument("--mode", choices=("auto", "exact", "analytic"))
-    p.add_argument("--preset", choices=("small-beta",))
+    p.add_argument("--mode", choices=_MODES)
+    p.add_argument("--preset", choices=_PRESETS)
     p.add_argument("--remainder-constant", dest="remainder_constant", type=float)
-    p.add_argument("--format", choices=("json", "csv"))
+    p.add_argument("--format", choices=_FORMATS)
     _add_common(p)
     p.set_defaults(func=_cmd_free_energy)
 
@@ -592,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int)
     p.add_argument("--two-s", dest="two_s", type=int)
     p.add_argument("--beta-tilde", dest="beta_tilde", help="value or comma list")
-    p.add_argument("--format", choices=("json", "csv"))
+    p.add_argument("--format", choices=_FORMATS)
     _add_common(p)
     p.set_defaults(func=_cmd_correction)
 
@@ -601,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int)
     p.add_argument("--two-s", dest="two_s", type=int)
     p.add_argument("--beta-tilde", dest="beta_tilde", help="value or comma list")
-    p.add_argument("--mode", choices=("auto", "exact", "analytic"))
-    p.add_argument("--format", choices=("json", "csv"))
+    p.add_argument("--mode", choices=_MODES)
+    p.add_argument("--format", choices=_FORMATS)
     _add_common(p)
     p.set_defaults(func=_cmd_ed_compare)
 
@@ -622,10 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--two-s", dest="two_s", type=int)
     p.add_argument("--beta-tilde", dest="beta_tilde", help="value or comma list")
     p.add_argument("--force", action="store_const", const=True, help="override the ell cap")
-    p.add_argument("--zero-mode", dest="zero_mode", choices=("exclude",))
+    p.add_argument("--zero-mode", dest="zero_mode", choices=_ZERO_MODES)
     p.add_argument("--seed", type=int)
     p.add_argument("--k3-samples", dest="k3_samples", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("--slopes", help="also write the JSON summary here (csv format only)")
     _add_common(p)
     p.set_defaults(func=_cmd_diagrams)

@@ -12,12 +12,16 @@ correction of order ``1/S``, a sextic correction of order ``1/S^2``, and
 remainders defined by subtraction, so that the pieces resum exactly on the
 capped space.
 
-All dense matrices respect the global dimension cap; thermal oracles on
-larger capped spaces go through conserved-total-number sector blocking.
+All dense matrices respect the global dimension cap.  Every thermal trace in
+the package is sector-blocked: the Hamiltonians it traces conserve the total
+number, so ``gibbs_expectation_truncated`` diagonalizes one fixed-total
+sector (``SectorBasis``) at a time, which also reaches capped spaces far
+beyond the cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -38,6 +42,7 @@ __all__ = [
     "quartic",
     "sextic",
     "hp_hamiltonian",
+    "remainder_after_quartic",
     "ExpansionTerms",
     "expansion_terms",
     "projector_mask",
@@ -81,7 +86,12 @@ class FockBasis:
 
 
 class SectorBasis:
-    """Occupation basis restricted to a fixed total particle number."""
+    """Occupation basis restricted to a fixed total particle number.
+
+    Rows are in lexicographic order with site 0 most significant, so a row's
+    index is its combinatorial rank: the number of capped compositions of
+    ``n_total`` that precede it.
+    """
 
     def __init__(self, spec: lattice.LatticeSpec, n_max: int, n_total: int):
         if n_max < 1 or n_total < 0:
@@ -90,32 +100,50 @@ class SectorBasis:
         self.n_max = n_max
         self.n_sites = spec.n_sites
         self.n_total = n_total
-        rows = []
-        occ = np.zeros(self.n_sites, dtype=np.int64)
-
-        def fill(site: int, left: int):
-            if site == self.n_sites - 1:
-                if left <= n_max:
-                    occ[site] = left
-                    rows.append(occ.copy())
-                return
-            lo = max(0, left - n_max * (self.n_sites - 1 - site))
-            for v in range(lo, min(n_max, left) + 1):
-                occ[site] = v
-                fill(site + 1, left - v)
-            occ[site] = 0
-
-        fill(0, n_total)
-        self.occupations = (
-            np.array(rows, dtype=np.int64) if rows else np.zeros((0, self.n_sites), np.int64)
+        # counts[m, t]: compositions of t into m parts in [0, n_max]
+        counts = np.zeros((self.n_sites + 1, n_total + 1), dtype=np.int64)
+        counts[0, 0] = 1
+        ones = np.ones(n_max + 1, dtype=np.int64)
+        for m in range(1, self.n_sites + 1):
+            counts[m] = np.convolve(counts[m - 1], ones)[: n_total + 1]
+        # cum[m, t + 1] = sum of counts[m, :t + 1], so cum[m, 0] = 0
+        self._cum = np.concatenate(
+            [np.zeros((self.n_sites + 1, 1), np.int64), np.cumsum(counts, axis=1)], axis=1
         )
-        self.dim = len(rows)
-        self._lookup = {r.tobytes(): i for i, r in enumerate(self.occupations)}
+        rows = np.zeros((1, 0), dtype=np.int64)
+        left = np.array([n_total], dtype=np.int64)
+        for site in range(self.n_sites):
+            lo = np.maximum(0, left - n_max * (self.n_sites - 1 - site))
+            width = np.maximum(np.minimum(n_max, left) - lo + 1, 0)
+            parent = np.repeat(np.arange(left.size), width)
+            v = lo[parent] + np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
+            rows = np.column_stack([rows[parent], v])
+            left = left[parent] - v
+        self.occupations = rows
+        self.dim = int(counts[self.n_sites, n_total])
 
     def _locate(self, occs: np.ndarray) -> np.ndarray:
+        """Indices of occupation rows.
+
+        -1 marks a row with the wrong total, a negative entry or an entry
+        above ``n_max``.
+        """
+        occs = np.asarray(occs, dtype=np.int64)
+        ok = (
+            (occs >= 0).all(axis=1)
+            & (occs <= self.n_max).all(axis=1)
+            & (occs.sum(axis=1) == self.n_total)
+        )
+        valid = occs[ok]
+        left = np.full(valid.shape[0], self.n_total, dtype=np.int64)
+        rank = np.zeros(valid.shape[0], dtype=np.int64)
+        for site in range(self.n_sites - 1):
+            # rows with a smaller entry here and the same prefix come first
+            cum = self._cum[self.n_sites - 1 - site]
+            rank += cum[left + 1] - cum[left - valid[:, site] + 1]
+            left -= valid[:, site]
         out = np.full(occs.shape[0], -1, dtype=np.int64)
-        for i, row in enumerate(np.ascontiguousarray(occs, dtype=np.int64)):
-            out[i] = self._lookup.get(row.tobytes(), -1)
+        out[ok] = rank
         return out
 
 
@@ -144,11 +172,21 @@ def monomial_matrix(basis, creators: Sequence[int], annihilators: Sequence[int])
     compressed operator on the truncated basis).
     """
     _check_dense(basis.dim)
+    m = np.zeros((basis.dim, basis.dim))
+    _add_monomial(m, basis, creators, annihilators)
+    return m
+
+
+def _add_monomial(m, basis, creators, annihilators, coef: float = 1.0) -> None:
+    """Add ``coef`` times the monomial of ``monomial_matrix`` to ``m`` in place.
+
+    The monomial shifts occupations by a fixed vector, so it has at most one
+    entry per column and the scatter needs no accumulation.
+    """
     occ = basis.occupations
-    dim = basis.dim
     ann = _site_counts(annihilators, basis.n_sites)
     cre = _site_counts(creators, basis.n_sites)
-    amp2 = np.ones(dim)
+    amp2 = np.ones(basis.dim)
     new = occ.copy()
     for s in np.nonzero(ann)[0]:
         for r in range(ann[s]):
@@ -163,9 +201,7 @@ def monomial_matrix(basis, creators: Sequence[int], annihilators: Sequence[int])
     valid &= tgt >= 0
     valid &= amp2 > 0
     src = np.nonzero(valid)[0]
-    m = np.zeros((dim, dim))
-    np.add.at(m, (tgt[src], src), np.sqrt(amp2[src]))
-    return m
+    m[tgt[src], src] += coef * np.sqrt(amp2[src])
 
 
 def ladder_matrices(basis, site: int):
@@ -189,8 +225,8 @@ def kinetic(basis) -> np.ndarray:
     _check_dense(basis.dim)
     m = np.zeros((basis.dim, basis.dim))
     for i, j in lattice.nn_pairs(basis.spec):
-        m -= monomial_matrix(basis, [i], [j])
-        m -= monomial_matrix(basis, [j], [i])
+        _add_monomial(m, basis, [i], [j], -1.0)
+        _add_monomial(m, basis, [j], [i], -1.0)
     m[np.diag_indices(basis.dim)] += _bond_diagonal(basis, lambda ni, nj: ni + nj)
     return m
 
@@ -214,10 +250,10 @@ def quartic(basis, two_s: int) -> np.ndarray:
     s = two_s / 2.0
     m = np.zeros((basis.dim, basis.dim))
     for x, y in lattice.nn_pairs(basis.spec):
-        m += monomial_matrix(basis, [x, x], [x, y])
-        m += monomial_matrix(basis, [x, y], [y, y])
-        m += monomial_matrix(basis, [y, x], [x, x])
-        m += monomial_matrix(basis, [y, y], [y, x])
+        _add_monomial(m, basis, [x, x], [x, y])
+        _add_monomial(m, basis, [x, y], [y, y])
+        _add_monomial(m, basis, [y, x], [x, x])
+        _add_monomial(m, basis, [y, y], [y, x])
     m /= 4.0 * s
     diag = _bond_diagonal(basis, lambda ni, nj: (ni * nj).astype(np.float64))
     m[np.diag_indices(basis.dim)] -= diag / s
@@ -237,11 +273,11 @@ def sextic(basis, two_s: int) -> np.ndarray:
     m = np.zeros((basis.dim, basis.dim))
     for i, j in lattice.nn_pairs(basis.spec):
         for x, y in ((i, j), (j, i)):
-            m += monomial_matrix(basis, [x, y, y], [y, y, y])
-            m += monomial_matrix(basis, [x, y], [y, y])
-            m -= 2.0 * monomial_matrix(basis, [x, x, y], [x, y, y])
-            m += monomial_matrix(basis, [x, x, x], [x, x, y])
-            m += monomial_matrix(basis, [x, x], [x, y])
+            _add_monomial(m, basis, [x, y, y], [y, y, y])
+            _add_monomial(m, basis, [x, y], [y, y])
+            _add_monomial(m, basis, [x, x, y], [x, y, y], -2.0)
+            _add_monomial(m, basis, [x, x, x], [x, x, y])
+            _add_monomial(m, basis, [x, x], [x, y])
     return m / (32.0 * s * s)
 
 
@@ -286,6 +322,14 @@ def hp_hamiltonian(basis, two_s: int) -> np.ndarray:
     return m
 
 
+def remainder_after_quartic(basis, two_s: int, kin: np.ndarray, quart: np.ndarray) -> np.ndarray:
+    """Remainder ``H/S - T - I`` given the kinetic form ``T`` and quartic ``I`` on ``basis``.
+
+    Exact by subtraction; needs ``n_max <= 2S`` like ``hp_hamiltonian``.
+    """
+    return hp_hamiltonian(basis, two_s) / (two_s / 2.0) - kin - quart
+
+
 @dataclass(frozen=True)
 class ExpansionTerms:
     """Pieces of ``H/S = kinetic + quartic + sextic + remainder`` on the capped basis."""
@@ -300,7 +344,6 @@ class ExpansionTerms:
 
 def expansion_terms(basis, two_s: int) -> ExpansionTerms:
     """All expansion pieces at once; remainders are exact subtractions."""
-    s = two_s / 2.0
     t = kinetic(basis)
     td = (
         kinetic_dirichlet(basis)
@@ -309,8 +352,7 @@ def expansion_terms(basis, two_s: int) -> ExpansionTerms:
     )
     q = quartic(basis, two_s)
     j6 = sextic(basis, two_s)
-    full = hp_hamiltonian(basis, two_s) / s
-    r2 = full - t - q
+    r2 = remainder_after_quartic(basis, two_s, t, q)
     return ExpansionTerms(t, td, q, j6, r2, r2 - j6)
 
 
@@ -348,19 +390,27 @@ def gibbs_expectation_truncated(
     spec: lattice.LatticeSpec,
     n_max: int,
     beta_tilde: float,
-    observables: Sequence[Callable],
+    observables: Callable,
     hamiltonian: Optional[Callable] = None,
     max_total: Optional[int] = None,
 ):
     """Thermal expectations on the capped space via total-number sectors.
 
-    The kinetic Hamiltonians and all expansion pieces conserve total particle
-    number, so ``tr(A e^{-beta H})`` splits over sectors; each sector is
-    diagonalized densely.  ``observables`` and ``hamiltonian`` are callables
-    taking a sector basis and returning a dense matrix on it (default
-    Hamiltonian: the Dirichlet kinetic form).  ``max_total`` optionally caps
-    the total number; with ground energies growing linearly in the sector
-    number the neglected weight decays geometrically.
+    The kinetic Hamiltonians, all expansion pieces and the spin Hamiltonian
+    conserve total particle number, so ``tr(A e^{-beta H})`` splits over
+    sectors; each sector is diagonalized densely.  ``hamiltonian(sb)``
+    returns the dense Hamiltonian on a sector basis (default: the Dirichlet
+    kinetic form), at inverse temperature ``beta_tilde`` in its own energy
+    unit.  ``observables(sb, h)`` returns the list of observables on that
+    sector, given its Hamiltonian: each a dense matrix or, for a diagonal
+    observable, the vector of its diagonal.  Both are called once per sector,
+    so pieces shared between observables are built once.  ``max_total``
+    optionally caps the total number; with ground energies growing linearly
+    in the sector number the neglected weight decays geometrically.
+
+    Boltzmann weights are taken relative to the lowest eigenvalue seen so
+    far, and earlier sums are rescaled when it drops, so nothing overflows
+    however large ``beta_tilde`` is.
 
     Returns ``(values, log_z)``.
     """
@@ -368,22 +418,33 @@ def gibbs_expectation_truncated(
         raise ValidationError("beta_tilde must be positive")
     ham = hamiltonian if hamiltonian is not None else kinetic_dirichlet
     top = spec.n_sites * n_max if max_total is None else min(max_total, spec.n_sites * n_max)
+    shift = math.inf
     z = 0.0
-    acc = np.zeros(len(observables))
+    acc = 0.0  # becomes one sum per observable at the first sector
     for n_total in range(top + 1):
         sb = SectorBasis(spec, n_max, n_total)
         if sb.dim == 0:
             continue
         h = ham(sb)
         w, v = linalg.eigh(h)
-        boltz = np.exp(-beta_tilde * w)
+        if w[0] < shift:
+            rescale = math.exp(-beta_tilde * (shift - w[0]))
+            z *= rescale
+            acc = acc * rescale
+            shift = float(w[0])
+        boltz = np.exp(-beta_tilde * (w - shift))
         z += float(boltz.sum())
-        for a_i, builder in enumerate(observables):
-            a = np.asarray(builder(sb), dtype=np.float64)
-            if a.shape != (sb.dim, sb.dim):
+        sums = []
+        for a in observables(sb, h):
+            a = np.asarray(a, dtype=np.float64)
+            if a.shape == (sb.dim,):
+                diag = a @ (v * v)
+            elif a.shape == (sb.dim, sb.dim):
+                diag = np.einsum("ij,ji->i", v.T @ a, v)
+            else:
                 raise ValidationError("observable has wrong sector dimension")
-            diag = np.einsum("ij,ji->i", v.T @ a, v)
-            acc[a_i] += float(np.dot(boltz, diag))
+            sums.append(float(np.dot(boltz, diag)))
+        acc = acc + np.array(sums)
     if not z > 0.0:
         raise ValidationError("partition function vanished")
-    return [float(x) / z for x in acc], float(np.log(z))
+    return [float(x) / z for x in acc], float(np.log(z)) - beta_tilde * shift

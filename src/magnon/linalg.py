@@ -1,10 +1,12 @@
-"""Dense symmetric eigensolves and Gibbs-state functionals.
+"""Dense symmetric eigensolves.
 
-Thin, validated wrappers around LAPACK's symmetric eigensolver.  All thermal
-traces are computed in the eigenbasis with the spectrum shifted by its
-minimum, so nothing here overflows no matter how large ``beta`` is.  A hard
+A thin, validated wrapper around LAPACK's symmetric eigensolver.  A hard
 dimension cap keeps accidental exponential-size requests from thrashing the
-machine.
+machine.  Thermal traces are sector-blocked: every Hamiltonian traced in
+this package conserves the total boson number (total ``S^3``), so
+``fock.gibbs_expectation_truncated`` calls ``eigh`` once per sector and
+shifts the spectra by their running minimum, so nothing overflows no matter
+how large ``beta`` is.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ from ._errors import CapacityError, NumericalError, ValidationError
 __all__ = [
     "DENSE_DIM_CAP",
     "eigh",
-    "gibbs_log_trace",
-    "gibbs_expectation",
-    "gibbs_density",
-    "gibbs_functional",
 ]
 
 DENSE_DIM_CAP = 4096
@@ -49,70 +47,3 @@ def eigh(m: np.ndarray):
     """
     w, v = np.linalg.eigh(_check_symmetric(m))
     return w, v
-
-
-def gibbs_log_trace(h: np.ndarray, beta: float) -> float:
-    """``log tr e^{-beta*h}``, overflow-safe via spectral shift."""
-    if not beta > 0.0:
-        raise ValidationError("beta must be positive")
-    w, _ = eigh(h)
-    w0 = float(w[0])
-    return -beta * w0 + float(np.log(np.sum(np.exp(-beta * (w - w0)))))
-
-
-def gibbs_expectation(h: np.ndarray, beta: float, obs) -> float:
-    """Thermal expectation ``tr(A e^{-beta*h}) / tr(e^{-beta*h})``.
-
-    ``obs`` may be a single square matrix or a sequence of them (symmetry is
-    not required of observables); the eigendecomposition of ``h`` is done
-    once either way.
-    """
-    if not beta > 0.0:
-        raise ValidationError("beta must be positive")
-    w, v = eigh(h)
-    p = np.exp(-beta * (w - w[0]))
-    p /= p.sum()
-    single = isinstance(obs, np.ndarray)
-    mats = [obs] if single else list(obs)
-    out = []
-    for a in mats:
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != (w.size, w.size) or not np.isfinite(a).all():
-            raise ValidationError("observable must be square, finite, same dim as h")
-        diag = np.einsum("ij,ji->i", v.T @ a, v)
-        out.append(float(np.dot(p, diag)))
-    return out[0] if single else out
-
-
-def gibbs_density(h: np.ndarray, beta: float) -> np.ndarray:
-    """Normalized Gibbs state ``e^{-beta*h} / tr e^{-beta*h}`` as a matrix."""
-    if not beta > 0.0:
-        raise ValidationError("beta must be positive")
-    w, v = eigh(h)
-    p = np.exp(-beta * (w - w[0]))
-    p /= p.sum()
-    return (v * p) @ v.T
-
-
-def gibbs_functional(h: np.ndarray, beta: float, gamma: np.ndarray) -> float:
-    """Free-energy functional ``tr(h @ gamma) + (1/beta) tr(gamma log gamma)``.
-
-    ``gamma`` must be a state: symmetric, positive semidefinite, unit trace
-    (checked to 1e-10).  Zero eigenvalues contribute no entropy.  The Gibbs
-    state minimizes this functional, with minimum ``-log tr e^{-beta h}/beta``.
-    """
-    if not beta > 0.0:
-        raise ValidationError("beta must be positive")
-    h = _check_symmetric(h)
-    gamma = _check_symmetric(gamma, "state")
-    tr = float(np.trace(gamma))
-    if abs(tr - 1.0) > 1e-10:
-        raise ValidationError(f"state must have unit trace, got {tr!r}")
-    lam, u = np.linalg.eigh(gamma)
-    if lam[0] < -1e-10:
-        raise ValidationError(f"state has negative eigenvalue {lam[0]:.3e}")
-    lam = np.clip(lam, 0.0, None)
-    nz = lam > 0.0
-    entropy_term = float(np.sum(lam[nz] * np.log(lam[nz])))
-    energy = float(np.einsum("ij,ji->", h, gamma))
-    return energy + entropy_term / beta

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dispersion
 from ._errors import ValidationError
 
 __all__ = [
@@ -132,13 +133,6 @@ def tensor_integral(fn, dim: int, n_gl: int = 16, depth: int = 24):
     return total, evals
 
 
-def _epsilon_of(points: np.ndarray) -> np.ndarray:
-    # 2 - 2cos(x) written as 4 sin^2(x/2): no cancellation for tiny x,
-    # which the innermost dyadic shells reach.
-    s = np.sin(0.5 * points)
-    return 4.0 * np.sum(s * s, axis=-1)
-
-
 def leading_free_energy(d: int, beta_tilde: float) -> QuadratureResult:
     """Leading spin-wave free energy per site, in units of the spin.
 
@@ -154,7 +148,7 @@ def leading_free_energy(d: int, beta_tilde: float) -> QuadratureResult:
 
     def integrand(pts):
         # log(1 - e^-x) = log(-expm1(-x)), stable for all x > 0
-        return np.log(-np.expm1(-bt * _epsilon_of(pts)))
+        return np.log(-np.expm1(-bt * dispersion.epsilon(pts)))
 
     coarse, n1 = tensor_integral(integrand, d, n_gl=16, depth=24)
     fine, n2 = tensor_integral(integrand, d, n_gl=24, depth=30)
@@ -175,7 +169,7 @@ def correction_integral(d: int, beta_tilde: float) -> QuadratureResult:
         raise ValidationError("beta_tilde must be positive")
 
     def integrand(pts):
-        eps = _epsilon_of(pts)
+        eps = dispersion.epsilon(pts)
         x = bt * eps
         # eps/(e^x - 1) = eps e^-x / (1 - e^-x), overflow-free for large x
         return eps * np.exp(-x) / (-np.expm1(-x))

@@ -5,9 +5,16 @@ The spin basis on each site is ``|n>`` with ``n = S^3 + S`` running from 0 to
 the capped boson basis, so the boson image of the Hamiltonian can be compared
 entry by entry.
 
-Dense Hamiltonians respect the global dimension cap (spin 1/2 up to 12 sites,
-spin 1 up to 7 sites).  The single-magnon check instead applies the
-Hamiltonian matrix-free, which reaches millions of states.
+The free energy is sector-blocked: H conserves total ``S^3``, so the trace
+runs over the fixed-total sectors of ``fock.SectorBasis`` (``n_max = 2S``)
+through ``fock.gibbs_expectation_truncated``.  Each sector Hamiltonian is
+built from the spin amplitudes, with the formula ``apply_hamiltonian`` uses,
+so ED stays independent of the boson expansion it checks.  The whole space
+still respects the global dimension cap (spin 1/2 up to 12 sites, spin 1 up
+to 7 sites).  The dense Kronecker builders ``heisenberg_hamiltonian`` and
+``dirichlet_hamiltonian`` are the independent check of the boson image.  The
+single-magnon check applies the Hamiltonian matrix-free, which reaches
+millions of states.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ __all__ = [
     "spin_matrices",
     "heisenberg_hamiltonian",
     "dirichlet_hamiltonian",
-    "exact_free_energy",
     "free_energy_per_spin",
     "apply_hamiltonian",
     "magnon_check",
@@ -123,9 +129,44 @@ def dirichlet_hamiltonian(spec: lattice.LatticeSpec, two_s: int) -> np.ndarray:
     return h
 
 
-def exact_free_energy(h: np.ndarray, beta: float, n_sites: int) -> float:
-    """Free energy per site ``-log tr e^{-beta h} / (beta n_sites)``."""
-    return -linalg.gibbs_log_trace(h, beta) / (beta * n_sites)
+def _diagonal(spec: lattice.LatticeSpec, two_s: int, occ: np.ndarray, dirichlet: bool):
+    """Diagonal of H on occupation rows ``occ``: ``S^2 - S^3_x S^3_y`` per bond,
+    plus ``S^2 + S*S^3_x`` per frozen bond on Dirichlet boxes."""
+    s = two_s / 2.0
+    diag = np.zeros(occ.shape[0])
+    for i, j in lattice.nn_pairs(spec):
+        diag += s * s - (occ[:, i] - s) * (occ[:, j] - s)
+    if dirichlet:
+        mult = lattice.boundary_multiplicity(spec)
+        for x in np.nonzero(mult)[0]:
+            diag += mult[x] * (s * s + s * (occ[:, x] - s))
+    return diag
+
+
+def _hops(spec: lattice.LatticeSpec, two_s: int, occ: np.ndarray):
+    """Off-diagonal terms ``-(1/2) S^+_x S^-_y`` of H on occupation rows ``occ``.
+
+    Yields ``(x, y, rows, amp)``: on each of ``rows`` the term moves one unit
+    from site ``y`` to site ``x`` with amplitude ``amp``.
+    """
+    for i, j in lattice.nn_pairs(spec):
+        for x, y in ((i, j), (j, i)):
+            nx, ny = occ[:, x], occ[:, y]
+            rows = np.nonzero((nx < two_s) & (ny > 0))[0]
+            amp = -0.5 * np.sqrt(
+                (two_s - nx[rows]) * (nx[rows] + 1.0) * ny[rows] * (two_s - ny[rows] + 1.0)
+            )
+            yield x, y, rows, amp
+
+
+def _sector_hamiltonian(sb, two_s: int, dirichlet: bool) -> np.ndarray:
+    """Dense H on one fixed-total-``S^3`` sector (a ``fock.SectorBasis`` with ``n_max = 2S``)."""
+    occ = sb.occupations
+    h = np.diag(_diagonal(sb.spec, two_s, occ, dirichlet))
+    unit = np.eye(sb.n_sites, dtype=np.int64)
+    for x, y, rows, amp in _hops(sb.spec, two_s, occ):
+        h[sb._locate(occ[rows] + unit[x] - unit[y]), rows] += amp
+    return h
 
 
 def free_energy_per_spin(
@@ -133,11 +174,20 @@ def free_energy_per_spin(
 ) -> float:
     """Exact ``f/S`` of the box at spin-wave inverse temperature ``beta_tilde``.
 
-    The physical inverse temperature is ``beta_tilde / S``.
+    The physical inverse temperature is ``beta_tilde / S``.  The trace is
+    taken sector by sector in total ``S^3``, which H conserves.
     """
+    _check_dim(spec, two_s)
     s = two_s / 2.0
-    h = dirichlet_hamiltonian(spec, two_s) if dirichlet else heisenberg_hamiltonian(spec, two_s)
-    return exact_free_energy(h, beta_tilde / s, spec.n_sites) / s
+    beta = beta_tilde / s
+    _, log_z = fock.gibbs_expectation_truncated(
+        spec,
+        two_s,
+        beta,
+        lambda sb, h: [],
+        hamiltonian=lambda sb: _sector_hamiltonian(sb, two_s, dirichlet),
+    )
+    return -log_z / (beta * spec.n_sites) / s
 
 
 def apply_hamiltonian(
@@ -145,34 +195,20 @@ def apply_hamiltonian(
 ) -> np.ndarray:
     """Matrix-free ``H @ vec`` in the mixed-radix spin basis.
 
-    Memory stays at a few copies of the state vector, so boxes far beyond the
-    dense cap are reachable.
+    Memory stays at a few copies of the state vector per site, so boxes far
+    beyond the dense cap are reachable.
     """
     r = two_s + 1
     dim = r**spec.n_sites
     vec = np.asarray(vec, dtype=np.float64)
     if vec.shape != (dim,):
         raise ValidationError(f"state vector must have length {dim}")
-    s = two_s / 2.0
     idx = np.arange(dim, dtype=np.int64)
-    occ = [(idx // r**site) % r for site in range(spec.n_sites)]
-    strides = [r**site for site in range(spec.n_sites)]
-    out = np.zeros(dim)
-    for i, j in lattice.nn_pairs(spec):
-        ni, nj = occ[i], occ[j]
-        out += (s * s - (ni - s) * (nj - s)) * vec
-        for x, y in ((i, j), (j, i)):
-            # -(1/2) S^+_x S^-_y moves one unit from y to x
-            nx, ny = occ[x], occ[y]
-            ok = (nx < two_s) & (ny > 0)
-            amp = -0.5 * np.sqrt(
-                (two_s - nx[ok]) * (nx[ok] + 1.0) * ny[ok] * (two_s - ny[ok] + 1.0)
-            )
-            np.add.at(out, idx[ok] + strides[x] - strides[y], amp * vec[ok])
-    if dirichlet:
-        mult = lattice.boundary_multiplicity(spec)
-        for x in np.nonzero(mult)[0]:
-            out += mult[x] * (s * s + s * (occ[x] - s)) * vec
+    strides = r ** np.arange(spec.n_sites, dtype=np.int64)
+    occ = ((idx // strides[:, None]) % r).T
+    out = _diagonal(spec, two_s, occ, dirichlet) * vec
+    for x, y, rows, amp in _hops(spec, two_s, occ):
+        np.add.at(out, rows + strides[x] - strides[y], amp * vec[rows])
     return out
 
 

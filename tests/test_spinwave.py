@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import dense_oracles
 from conftest import dense_expectation, dense_log_z
 
 from magnon import dispersion, fock, lattice, spin_ed, spinwave, wick
@@ -260,3 +261,18 @@ def test_theorem_small_beta_preset():
     assert rep.info["preset"] == "small-beta"
     assert rep.ell == max(2, round(3.0**2))
     assert np.isfinite(rep.total_upper_bound)
+
+
+@pytest.mark.parametrize("beta_tilde", [0.5, 2.0, 8.0])
+@pytest.mark.parametrize("d, ell, two_s", [(1, 4, 1), (1, 6, 2), (2, 2, 3), (2, 3, 1)])
+def test_exact_bound_matches_dense_oracle(d, ell, two_s, beta_tilde):
+    # sector-blocked traces against one eigendecomposition of the full basis
+    spec = lattice.LatticeSpec(d, ell)
+    got = spinwave.dirichlet_box_bound(spec, two_s, beta_tilde, projector_stats="exact")
+    want = dense_oracles.box_bound_exact(spec, two_s, beta_tilde)
+    for name in ("leading", "correction", "total_upper_bound"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13, name
+    for name in ("raw_correction", "raw_remainder"):
+        assert abs(got.info[name] - want.info[name]) <= 1e-13, name
+    assert got.info["basis_dim"] == want.info["basis_dim"] == (two_s + 1) ** spec.n_sites
+    assert set(got.error_terms.components) == set(want.error_terms.components)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import dense_oracles
 from conftest import dense_gibbs
 
 from magnon import dispersion, fock, lattice, wick
@@ -191,3 +192,24 @@ def test_remainder_inequality(beta_tilde):
     assert 0.0 <= lhs <= rhs
     with pytest.raises(ValidationError):
         wick.remainder_check(spec, 2, beta_tilde, n_max=1)
+
+
+@pytest.mark.parametrize(
+    "d, ell, two_s, beta_tilde, n_max",
+    [(1, 2, 1, 2.0, 8), (1, 3, 2, 3.0, 6), (1, 4, 3, 1.0, 4), (2, 2, 1, 2.0, 5)],
+)
+def test_checks_match_dense_oracles(d, ell, two_s, beta_tilde, n_max):
+    # sector-blocked checks against one eigendecomposition of the full space
+    spec = lattice.LatticeSpec(d, ell)
+    for got, want in (
+        (
+            wick.cross_term_check(spec, two_s, beta_tilde, n_max),
+            dense_oracles.cross_term_check(spec, two_s, beta_tilde, n_max),
+        ),
+        (
+            wick.remainder_check(spec, two_s, beta_tilde, n_max),
+            dense_oracles.remainder_check(spec, two_s, beta_tilde, n_max),
+        ),
+    ):
+        assert abs(got[0] - want[0]) <= 1e-13
+        assert abs(got[1] - want[1]) <= 1e-13
