@@ -1,11 +1,16 @@
 """Batch front end: subcommands for every computation, with reproducible output.
 
 Six subcommands: ``free-energy``, ``correction``, ``ed-compare``,
-``wick-verify``, ``diagrams``, ``verify``.  Options may come from a flat
-``key=value`` config file (``--config``); command-line flags win.  Output is
-deterministic: JSON with sorted keys and no timestamps, CSV in scientific
-notation with 17 significant digits and ``\\n`` line endings, so identical
-configs produce identical bytes.
+``wick-verify``, ``diagrams``, ``verify``.  One table, ``_COMMANDS``, drives
+the parser, the ``--config`` file, the echoed ``config`` and the output.  A
+config file holds flat ``key=value`` lines whose keys are the flag names with
+``_`` for ``-`` (``two_s = 2``, ``force = true``); flags win, and values are
+held to the flags' types and choices.  Options a run would ignore exit 2:
+``free-energy --mode`` without ``--ell``, ``--preset`` or
+``--remainder-constant`` with ``--ell``, and ``diagrams --slopes`` with
+``--format json``.  Output is deterministic: JSON with sorted keys and no
+timestamps, CSV in scientific notation with 17 significant digits and ``\\n``
+line endings, so identical configs produce identical bytes.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or validation
 error (including capacity refusals), 3 numerical failure.
@@ -31,6 +36,9 @@ from ._errors import (
 __all__ = ["main", "build_parser"]
 
 _FLOAT_FMT = "%.16e"
+
+# Left out of the echoed config: the subcommand and the options that only steer output.
+_NOT_ECHOED = ("command", "config", "output", "format", "slopes")
 
 
 # ---------------------------------------------------------------------------
@@ -66,46 +74,6 @@ def _int_list(text: str):
     return values
 
 
-# Choices shared by argparse and the config-file converters.
-_FORMATS = ("json", "csv")
-_MODES = ("auto", "exact", "analytic")
-_PRESETS = ("small-beta",)
-_ZERO_MODES = ("exclude",)
-
-
-def _one_of(choices):
-    def convert(text: str) -> str:
-        if text not in choices:
-            raise ValidationError(f"{text!r} is not one of {', '.join(choices)}")
-        return text
-
-    return convert
-
-
-_CONVERTERS = {
-    "d": int,
-    "ell": int,
-    "two_s": int,
-    "beta_tilde": str,
-    "mode": _one_of(_MODES),
-    "preset": _one_of(_PRESETS),
-    "remainder_constant": float,
-    "n_max": int,
-    "cutoffs": str,
-    "force": _parse_bool,
-    "zero_mode": _one_of(_ZERO_MODES),
-    "seed": int,
-    "k3_samples": int,
-    "output": str,
-    "format": _one_of(_FORMATS),
-    "slopes": str,
-    "only": str,
-    "perturb_epsilon": float,
-    "rel_tol": float,
-    "fock_rel_tol": float,
-}
-
-
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
@@ -123,35 +91,41 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file; flags keep priority."""
-    if not getattr(args, "config", None):
+def _apply_config(args: argparse.Namespace, options) -> None:
+    """Fill unset options from the config file through their table entries; flags win."""
+    if args.config is None:
         return
+    entries = {entry[0]: entry for entry in options + (_OUTPUT,)}
     for key, text in _read_config_file(args.config).items():
-        if key not in _CONVERTERS:
-            raise ValidationError(f"unknown config key {key!r}")
-        if not hasattr(args, key):
-            raise ValidationError(f"config key {key!r} does not apply to this subcommand")
-        if getattr(args, key) is None:
-            try:
-                setattr(args, key, _CONVERTERS[key](text))
-            except (ValueError, ValidationError) as exc:
-                raise ValidationError(f"config key {key!r}: {exc}") from exc
+        if key not in entries:
+            raise ValidationError(f"config key {key!r} is not an option of {args.command}")
+        if getattr(args, key) is not None:
+            continue
+        _, type_, choices, _ = entries[key]
+        try:
+            value = (_parse_bool if type_ is bool else type_)(text)
+            if choices is not None and value not in choices:
+                raise ValidationError(f"{value!r} is not one of {', '.join(choices)}")
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"config key {key!r}: {exc}") from exc
+        setattr(args, key, value)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name, None) is None:
-            raise ValidationError(f"missing required option --{name.replace('_', '-')}")
+            raise ValidationError(f"missing required option {_flag(name)}")
 
 
-def _resolved_config(args: argparse.Namespace, keys) -> dict:
-    out = {}
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
+def _refuse(args: argparse.Namespace, reason: str, *names: str) -> None:
+    """Refuse options this run would ignore."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValidationError(f"{_flag(name)} {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,28 +140,29 @@ def _write_text(text: str, path) -> None:
             fh.write(text)
 
 
-def _emit_json(payload: dict, path) -> None:
-    _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
-
-
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if value is None:
+        return _FLOAT_FMT % float("nan")
+    if isinstance(value, (bool, int, np.integer)):
         return str(int(value))
     return _FLOAT_FMT % float(value)
 
 
-def _emit_csv(header, rows, path) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    _write_text("\n".join(lines) + "\n", path)
-
-
-def _payload(command: str, config: dict, **body) -> dict:
-    out = {"command": command, "version": __version__, "config": config}
-    out.update(body)
-    return out
+def _emit(args: argparse.Namespace, columns, table, **body) -> None:
+    """Write the payload (command, version, options set, ``body``) as JSON, or
+    the ``columns`` of the dict rows ``table`` as CSV (``None`` as ``nan``) plus
+    the payload to ``--slopes`` if set."""
+    config = {k: v for k, v in vars(args).items() if v is not None and k not in _NOT_ECHOED}
+    payload = {"command": args.command, "version": __version__, "config": config, **body}
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if getattr(args, "format", None) != "csv":
+        _write_text(text, args.output)
+        return
+    lines = [",".join(columns)]
+    lines.extend(",".join(_csv_cell(row[c]) for c in columns) for row in table)
+    _write_text("\n".join(lines) + "\n", args.output)
+    if getattr(args, "slopes", None):
+        _write_text(text, args.slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +170,14 @@ def _payload(command: str, config: dict, **body) -> dict:
 
 
 def _cmd_free_energy(args) -> int:
-    _apply_config(args)
     _require(args, "d", "two_s", "beta_tilde")
-    bts = _float_list(args.beta_tilde)
     mode = args.mode or "auto"
+    if args.ell is None:
+        _refuse(args, "applies only with --ell", "mode")
+    else:
+        _refuse(args, "does not apply with --ell", "preset", "remainder_constant")
     reports = []
-    for bt in bts:
+    for bt in _float_list(args.beta_tilde):
         if args.ell is not None:
             spec = lattice.LatticeSpec(args.d, args.ell, lattice.Boundary.DIRICHLET)
             rep = spinwave.dirichlet_box_bound(spec, args.two_s, bt, projector_stats=mode)
@@ -214,57 +191,25 @@ def _cmd_free_energy(args) -> int:
                 ),
                 preset=args.preset,
             )
-        reports.append(rep)
-    config = _resolved_config(
-        args, ("d", "ell", "two_s", "beta_tilde", "mode", "preset", "remainder_constant")
-    )
-    if (args.format or "json") == "csv":
-        header = (
-            "beta_tilde",
-            "leading",
-            "correction",
-            "error_total",
-            "total_upper_bound",
-            "hypothesis_ok",
-        )
-        rows = [
-            (
-                r.beta_tilde,
-                r.leading,
-                r.correction,
-                r.error_terms.total,
-                r.total_upper_bound,
-                r.hypothesis_ok,
-            )
-            for r in reports
-        ]
-        _emit_csv(header, rows, args.output)
-    else:
-        _emit_json(
-            _payload("free-energy", config, reports=[r.as_dict() for r in reports]),
-            args.output,
-        )
+        reports.append(rep.as_dict())
+    columns = ("beta_tilde", "leading", "correction", "error_total", "total_upper_bound",
+               "hypothesis_ok")
+    table = [dict(r, error_total=r["error_terms"]["total"]) for r in reports]
+    _emit(args, columns, table, reports=reports)
     return 0
 
 
 def _cmd_correction(args) -> int:
-    _apply_config(args)
     _require(args, "d", "ell", "two_s", "beta_tilde")
     bts = _float_list(args.beta_tilde)
     spec = lattice.LatticeSpec(args.d, args.ell, lattice.Boundary.DIRICHLET)
     rows = []
     for bt in bts:
         lattice_val = spinwave.interaction_correction_lattice(spec, args.two_s, bt)
-        bulk = (
-            spinwave.interaction_correction_bulk(spec, args.two_s, bt)
-            if args.d in (2, 3)
-            else None
-        )
-        continuum = (
-            spinwave.interaction_correction_continuum(args.d, args.two_s, bt)
-            if args.d in (2, 3)
-            else None
-        )
+        bulk = continuum = None
+        if args.d in (2, 3):
+            bulk = spinwave.interaction_correction_bulk(spec, args.two_s, bt)
+            continuum = spinwave.interaction_correction_continuum(args.d, args.two_s, bt)
         rows.append(
             {
                 "beta_tilde": bt,
@@ -273,26 +218,11 @@ def _cmd_correction(args) -> int:
                 "continuum": continuum,
             }
         )
-    config = _resolved_config(args, ("d", "ell", "two_s", "beta_tilde"))
-    if (args.format or "json") == "csv":
-        header = ("beta_tilde", "lattice", "bulk", "continuum")
-        csv_rows = [
-            (
-                r["beta_tilde"],
-                r["lattice"],
-                r["bulk"] if r["bulk"] is not None else float("nan"),
-                r["continuum"] if r["continuum"] is not None else float("nan"),
-            )
-            for r in rows
-        ]
-        _emit_csv(header, csv_rows, args.output)
-    else:
-        _emit_json(_payload("correction", config, rows=rows), args.output)
+    _emit(args, ("beta_tilde", "lattice", "bulk", "continuum"), rows, rows=rows)
     return 0
 
 
 def _cmd_ed_compare(args) -> int:
-    _apply_config(args)
     _require(args, "d", "ell", "two_s", "beta_tilde")
     bts = _float_list(args.beta_tilde)
     spec = lattice.LatticeSpec(args.d, args.ell, lattice.Boundary.DIRICHLET)
@@ -314,18 +244,8 @@ def _cmd_ed_compare(args) -> int:
                 "ok": ok,
             }
         )
-    config = _resolved_config(args, ("d", "ell", "two_s", "beta_tilde", "mode"))
-    if (args.format or "json") == "csv":
-        header = ("beta_tilde", "exact_free_energy", "upper_bound", "margin", "ok")
-        csv_rows = [
-            (r["beta_tilde"], r["exact_free_energy"], r["upper_bound"], r["margin"], r["ok"])
-            for r in rows
-        ]
-        _emit_csv(header, csv_rows, args.output)
-    else:
-        _emit_json(
-            _payload("ed-compare", config, rows=rows, all_ok=failures == 0), args.output
-        )
+    columns = ("beta_tilde", "exact_free_energy", "upper_bound", "margin", "ok")
+    _emit(args, columns, rows, rows=rows, all_ok=failures == 0)
     if failures:
         print(f"ed-compare: {failures} of {len(rows)} margins negative", file=sys.stderr)
         return 1
@@ -333,9 +253,11 @@ def _cmd_ed_compare(args) -> int:
 
 
 def _cmd_wick_verify(args) -> int:
-    _apply_config(args)
     _require(args, "d", "ell", "two_s", "beta_tilde")
-    bt = float(args.beta_tilde)
+    bts = _float_list(args.beta_tilde)
+    if len(bts) != 1:
+        raise ValidationError(f"--beta-tilde takes one value, got {args.beta_tilde!r}")
+    (bt,) = bts
     rel_tol = args.rel_tol if args.rel_tol is not None else 1e-10
     fock_rel_tol = args.fock_rel_tol if args.fock_rel_tol is not None else 1e-5
     spec = lattice.LatticeSpec(args.d, args.ell, lattice.Boundary.DIRICHLET)
@@ -373,23 +295,18 @@ def _cmd_wick_verify(args) -> int:
             )
         checks.append({"name": "fock_vs_position", "error": errors[-1], "tol": fock_rel_tol})
     ok = all(c["error"] <= c["tol"] for c in checks)
-    config = _resolved_config(
-        args, ("d", "ell", "two_s", "beta_tilde", "cutoffs", "rel_tol", "fock_rel_tol")
-    )
-    _emit_json(
-        _payload(
-            "wick-verify",
-            config,
-            values={
-                "position": position,
-                "mode_space": mode_space,
-                "monomials": monomials,
-                "fock": fock_values,
-            },
-            checks=checks,
-            all_ok=ok,
-        ),
-        args.output,
+    _emit(
+        args,
+        None,
+        None,
+        values={
+            "position": position,
+            "mode_space": mode_space,
+            "monomials": monomials,
+            "fock": fock_values,
+        },
+        checks=checks,
+        all_ok=ok,
     )
     if not ok:
         print("wick-verify: route disagreement beyond tolerance", file=sys.stderr)
@@ -398,8 +315,10 @@ def _cmd_wick_verify(args) -> int:
 
 
 def _cmd_diagrams(args) -> int:
-    _apply_config(args)
     _require(args, "ell", "beta_tilde")
+    args.format = args.format or "csv"  # a scan is plot-ready CSV by default
+    if args.format == "json":
+        _refuse(args, "applies only to --format csv", "slopes")
     two_s = args.two_s if args.two_s is not None else 2
     bts = _float_list(args.beta_tilde)
     scan = diagrams.cancellation_scan(
@@ -410,28 +329,9 @@ def _cmd_diagrams(args) -> int:
         k3_samples=args.k3_samples if args.k3_samples is not None else 100,
         seed=args.seed if args.seed is not None else 0,
     )
-    config = _resolved_config(
-        args, ("ell", "two_s", "beta_tilde", "zero_mode", "seed", "k3_samples", "force")
-    )
-    summary = _payload(
-        "diagrams",
-        config,
-        rows=list(scan.rows),
-        slopes=scan.slopes,
-        k3_residual_max=scan.k3_residual_max,
-        zero_mode_policy=scan.zero_mode_policy,
-    )
-    if (args.format or "csv") == "csv":
-        header = ("beta_tilde", "biggest_error", "left_f1f2", "combined")
-        rows = [
-            (r["beta_tilde"], r["biggest_error"], r["left_f1f2"], r["combined"])
-            for r in scan.rows
-        ]
-        _emit_csv(header, rows, args.output)
-        if args.slopes:
-            _emit_json(summary, args.slopes)
-    else:
-        _emit_json(summary, args.output)
+    columns = ("beta_tilde", "biggest_error", "left_f1f2", "combined")
+    _emit(args, columns, scan.rows, rows=list(scan.rows), slopes=scan.slopes,
+          k3_residual_max=scan.k3_residual_max, zero_mode_policy=scan.zero_mode_policy)
     return 0
 
 
@@ -532,7 +432,6 @@ _VERIFY_CHECKS = (
 
 
 def _cmd_verify(args) -> int:
-    _apply_config(args)
     tags = [t for t, _, _ in _VERIFY_CHECKS]
     if args.only is not None and args.only not in tags:
         raise ValidationError(f"unknown check tag {args.only!r}; choose from {tags}")
@@ -566,12 +465,55 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the option table: (name, help, handler, options) per subcommand.  An option
+# is (dest, type, choices, help); ``bool`` marks the one on/off flag, which
+# takes no value as a flag and a boolean word in a config file.
 
+_D = ("d", int, None, None)
+_ELL = ("ell", int, None, None)
+_TWO_S = ("two_s", int, None, None)
+_BETA_TILDES = ("beta_tilde", str, None, "value or comma list")
+_MODE = ("mode", str, ("auto", "exact", "analytic"), None)
+_FORMAT = ("format", str, ("json", "csv"), None)
+_CONFIG = ("config", str, None, "flat key=value config file; flags override")
+_OUTPUT = ("output", str, None, "output path ('-' or omit for stdout)")
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file; flags override")
-    sub.add_argument("--output", help="output path ('-' or omit for stdout)")
+_COMMANDS = (
+    ("free-energy", "certified upper bound on f/S", _cmd_free_energy, (
+        _D,
+        ("ell", int, None, "explicit box side (default: matched to beta, S)"),
+        _TWO_S, _BETA_TILDES, _MODE,
+        ("preset", str, ("small-beta",), None),
+        ("remainder_constant", float, None, None),
+        _FORMAT,
+    )),
+    ("correction", "quartic correction: lattice, bulk, continuum", _cmd_correction, (
+        _D, _ELL, _TWO_S, _BETA_TILDES, _FORMAT,
+    )),
+    ("ed-compare", "exact diagonalization vs the box bound", _cmd_ed_compare, (
+        _D, _ELL, _TWO_S, _BETA_TILDES, _MODE, _FORMAT,
+    )),
+    ("wick-verify", "quartic expectation by three routes", _cmd_wick_verify, (
+        _D, _ELL, _TWO_S,
+        ("beta_tilde", str, None, "single value"),
+        ("cutoffs", str, None, "comma list of Fock cutoffs (optional brute-force route)"),
+        ("rel_tol", float, None, None),
+        ("fock_rel_tol", float, None, None),
+    )),
+    ("diagrams", "second-order diagram cancellation scan", _cmd_diagrams, (
+        _ELL, _TWO_S, _BETA_TILDES,
+        ("force", bool, None, "override the ell cap"),
+        ("seed", int, None, None),
+        ("k3_samples", int, None, None),
+        _FORMAT,
+        ("slopes", str, None, "also write the JSON summary here (csv format only)"),
+    )),
+    ("verify", "desk-scale self-verification suite", _cmd_verify, (
+        ("only", str, None, "run a single check: trig|hp|magnon|wick|rho|riemann|variational"),
+        ("perturb_epsilon", float, None,
+         "tilt the dispersion by a relative factor to confirm checks catch it"),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -581,86 +523,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"magnon {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("free-energy", help="certified upper bound on f/S")
-    p.add_argument("--d", type=int)
-    p.add_argument("--ell", type=int, help="explicit box side (default: matched to beta, S)")
-    p.add_argument("--two-s", dest="two_s", type=int)
-    p.add_argument("--beta-tilde", dest="beta_tilde", help="value or comma list")
-    p.add_argument("--mode", choices=_MODES)
-    p.add_argument("--preset", choices=_PRESETS)
-    p.add_argument("--remainder-constant", dest="remainder_constant", type=float)
-    p.add_argument("--format", choices=_FORMATS)
-    _add_common(p)
-    p.set_defaults(func=_cmd_free_energy)
-
-    p = subs.add_parser("correction", help="quartic correction: lattice, bulk, continuum")
-    p.add_argument("--d", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--two-s", dest="two_s", type=int)
-    p.add_argument("--beta-tilde", dest="beta_tilde", help="value or comma list")
-    p.add_argument("--format", choices=_FORMATS)
-    _add_common(p)
-    p.set_defaults(func=_cmd_correction)
-
-    p = subs.add_parser("ed-compare", help="exact diagonalization vs the box bound")
-    p.add_argument("--d", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--two-s", dest="two_s", type=int)
-    p.add_argument("--beta-tilde", dest="beta_tilde", help="value or comma list")
-    p.add_argument("--mode", choices=_MODES)
-    p.add_argument("--format", choices=_FORMATS)
-    _add_common(p)
-    p.set_defaults(func=_cmd_ed_compare)
-
-    p = subs.add_parser("wick-verify", help="quartic expectation by three routes")
-    p.add_argument("--d", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--two-s", dest="two_s", type=int)
-    p.add_argument("--beta-tilde", dest="beta_tilde", help="single value")
-    p.add_argument("--cutoffs", help="comma list of Fock cutoffs (optional brute-force route)")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p.add_argument("--fock-rel-tol", dest="fock_rel_tol", type=float)
-    _add_common(p)
-    p.set_defaults(func=_cmd_wick_verify)
-
-    p = subs.add_parser("diagrams", help="second-order diagram cancellation scan")
-    p.add_argument("--ell", type=int)
-    p.add_argument("--two-s", dest="two_s", type=int)
-    p.add_argument("--beta-tilde", dest="beta_tilde", help="value or comma list")
-    p.add_argument("--force", action="store_const", const=True, help="override the ell cap")
-    p.add_argument("--zero-mode", dest="zero_mode", choices=_ZERO_MODES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k3-samples", dest="k3_samples", type=int)
-    p.add_argument("--format", choices=_FORMATS)
-    p.add_argument("--slopes", help="also write the JSON summary here (csv format only)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_diagrams)
-
-    p = subs.add_parser("verify", help="desk-scale self-verification suite")
-    p.add_argument("--only", help="run a single check: trig|hp|magnon|wick|rho|riemann|variational")
-    p.add_argument(
-        "--perturb-epsilon",
-        dest="perturb_epsilon",
-        type=float,
-        help="tilt the dispersion by a relative factor to confirm checks catch it",
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
+    for name, help_, _, options in _COMMANDS:
+        p = subs.add_parser(name, help=help_)
+        for dest, type_, choices, opt_help in options + (_CONFIG, _OUTPUT):
+            if type_ is bool:
+                p.add_argument(_flag(dest), action="store_const", const=True, help=opt_help)
+            else:
+                p.add_argument(_flag(dest), type=type_, choices=choices, help=opt_help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error: return it like every other one
         if exc.code == 0:
             raise
         return exc.code
+    _, _, handler, options = next(c for c in _COMMANDS if c[0] == args.command)
     try:
-        return args.func(args)
+        _apply_config(args, options)
+        return handler(args)
     except (ValidationError, CapacityError) as exc:
         print(f"magnon: {exc}", file=sys.stderr)
         return 2

@@ -23,10 +23,8 @@ from . import lattice, quadrature
 from ._errors import CapacityError, HypothesisError, ValidationError
 
 __all__ = [
-    "ThermalParams",
     "TwoPointTable",
     "epsilon",
-    "bose_factor",
     "bose_from_energy",
     "two_point",
     "two_point_diagonal",
@@ -39,24 +37,6 @@ __all__ = [
 ]
 
 TABLE_SITE_CAP = 2048
-
-
-@dataclass(frozen=True)
-class ThermalParams:
-    """Inverse temperature in spin-wave units and twice the spin."""
-
-    beta_tilde: float
-    two_s: int
-
-    def __post_init__(self):
-        if not float(self.beta_tilde) > 0.0:
-            raise ValidationError("beta_tilde must be positive")
-        if not isinstance(self.two_s, int) or self.two_s < 1:
-            raise ValidationError("two_s must be a positive integer")
-
-    @property
-    def spin(self) -> float:
-        return self.two_s / 2.0
 
 
 def epsilon(k) -> np.ndarray:
@@ -81,11 +61,6 @@ def bose_from_energy(eps, beta_tilde: float):
     return np.exp(-x) / (-np.expm1(-x))
 
 
-def bose_factor(k, beta_tilde: float):
-    """Bose occupation of momentum ``k``; raises on the zero mode."""
-    return bose_from_energy(epsilon(k), beta_tilde)
-
-
 @dataclass(frozen=True)
 class TwoPointTable:
     """Dense two-point function ``rho[x, y]`` of the quasi-free state."""
@@ -96,10 +71,6 @@ class TwoPointTable:
 
     def diagonal(self) -> np.ndarray:
         return np.ascontiguousarray(np.diag(self.values))
-
-    def to_csv(self, path: str) -> None:
-        """Plain matrix CSV, one row per site, 17 significant digits."""
-        np.savetxt(path, self.values, fmt="%.16e", delimiter=",", newline="\n")
 
 
 def _mode_occupations(spec: lattice.LatticeSpec, beta_tilde: float) -> np.ndarray:

@@ -34,7 +34,6 @@ __all__ = [
     "BASIS_CAP",
     "FockBasis",
     "SectorBasis",
-    "build_basis",
     "monomial_matrix",
     "ladder_matrices",
     "kinetic",
@@ -145,10 +144,6 @@ class SectorBasis:
         out = np.full(occs.shape[0], -1, dtype=np.int64)
         out[ok] = rank
         return out
-
-
-def build_basis(spec: lattice.LatticeSpec, n_max: int) -> FockBasis:
-    return FockBasis(spec, n_max)
 
 
 def _site_counts(site_list: Sequence[int], n_sites: int) -> np.ndarray:

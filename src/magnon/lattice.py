@@ -32,7 +32,6 @@ __all__ = [
     "sites",
     "site_index",
     "nn_pairs",
-    "boundary_sites",
     "boundary_multiplicity",
     "dirichlet_modes",
     "periodic_modes",
@@ -118,13 +117,6 @@ def nn_pairs(spec: LatticeSpec) -> np.ndarray:
             dst = np.where(wrap, src - (spec.ell - 1) * stride[j], src + stride[j])
         pairs.append(np.column_stack([src, dst]))
     return np.concatenate(pairs, axis=0)
-
-
-def boundary_sites(spec: LatticeSpec) -> np.ndarray:
-    """Indices of sites with at least one frozen bond (Dirichlet only)."""
-    if spec.boundary is not Boundary.DIRICHLET:
-        raise ValidationError("boundary sites are only defined for Dirichlet boxes")
-    return np.nonzero(boundary_multiplicity(spec) > 0)[0]
 
 
 def boundary_multiplicity(spec: LatticeSpec) -> np.ndarray:

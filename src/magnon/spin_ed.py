@@ -258,7 +258,7 @@ def hp_equivalence_check(spec: lattice.LatticeSpec, two_s: int) -> float:
     Uses the uncapped identification ``n_max = 2S``; the two matrices agree
     to rounding error.  Dirichlet boxes compare the penalized pair.
     """
-    basis = fock.build_basis(spec, two_s)
+    basis = fock.FockBasis(spec, two_s)
     hp = fock.hp_hamiltonian(basis, two_s)
     s = two_s / 2.0
     if spec.boundary is lattice.Boundary.DIRICHLET:

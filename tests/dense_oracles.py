@@ -88,7 +88,7 @@ def exact_free_energy(h: np.ndarray, beta: float, n_sites: int) -> float:
 
 def box_bound_exact(spec, two_s: int, beta_tilde: float) -> spinwave.BoundReport:
     """The exact box bound from the full capped basis at ``n_max = 2S``."""
-    basis = fock.build_basis(spec, two_s)
+    basis = fock.FockBasis(spec, two_s)
     terms = fock.expansion_terms(basis, two_s)
     td = terms.kinetic_dirichlet
     vol = spec.n_sites
@@ -109,7 +109,7 @@ def box_bound_exact(spec, two_s: int, beta_tilde: float) -> spinwave.BoundReport
 
 def cross_term_check(spec, two_s: int, beta_tilde: float, n_max: int):
     """``wick.cross_term_check`` with one eigendecomposition of the full capped space."""
-    basis = fock.build_basis(spec, n_max)
+    basis = fock.FockBasis(spec, n_max)
     td = fock.kinetic_dirichlet(basis)
     quart = fock.quartic(basis, two_s)
     p = fock.projector_P(basis, two_s)
@@ -124,9 +124,9 @@ def cross_term_check(spec, two_s: int, beta_tilde: float, n_max: int):
 
 def remainder_check(spec, two_s: int, beta_tilde: float, n_max: int):
     """``wick.remainder_check`` with ``R`` embedded into the full capped space."""
-    small = fock.build_basis(spec, two_s)
+    small = fock.FockBasis(spec, two_s)
     r_small = fock.expansion_terms(small, two_s).remainder_after_quartic
-    big = fock.build_basis(spec, n_max)
+    big = fock.FockBasis(spec, n_max)
     idx = big._locate(small.occupations)
     r_big = np.zeros((big.dim, big.dim))
     r_big[np.ix_(idx, idx)] = r_small

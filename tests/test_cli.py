@@ -351,3 +351,170 @@ def test_config_file_values_held_to_choices(tmp_path, capsys, command, line):
     assert code == 2
     assert out == ""
     assert line.split(" = ")[1] in err
+
+
+# Consistent settings that together set every option of each subcommand:
+# (command, fixed flags, options varied).  Each varied option is set once by
+# flag and once by config file, the rest by flag.  free-energy's box and
+# asymptotic routes take different options, and the d=3 preset run is slow, so
+# it varies only the preset.
+FULL_SETTINGS = {
+    "free-energy-box": (
+        "free-energy",
+        "",
+        {"d": "1", "ell": "3", "two_s": "1", "beta_tilde": "1.0,2.0", "mode": "exact",
+         "format": "csv", "output": "out.csv"},
+    ),
+    "free-energy-asymptotic": (
+        "free-energy",
+        "",
+        {"d": "2", "two_s": "1", "beta_tilde": "1.0", "remainder_constant": "2.5",
+         "format": "json", "output": "out.json"},
+    ),
+    "free-energy-preset": (
+        "free-energy",
+        "--d 3 --two-s 4 --beta-tilde 0.5",
+        {"preset": "small-beta"},
+    ),
+    "correction": (
+        "correction",
+        "",
+        {"d": "2", "ell": "3", "two_s": "2", "beta_tilde": "1.0,2.0", "format": "csv",
+         "output": "out.csv"},
+    ),
+    "ed-compare": (
+        "ed-compare",
+        "",
+        {"d": "1", "ell": "3", "two_s": "1", "beta_tilde": "2.0", "mode": "exact",
+         "format": "json", "output": "out.json"},
+    ),
+    "wick-verify": (
+        "wick-verify",
+        "",
+        {"d": "1", "ell": "3", "two_s": "2", "beta_tilde": "2.0", "cutoffs": "4,6",
+         "rel_tol": "1e-9", "fock_rel_tol": "0.5", "output": "out.json"},
+    ),
+    "diagrams": (
+        "diagrams",
+        "",
+        {"ell": "3", "two_s": "2", "beta_tilde": "1.0,2.0", "force": True, "seed": "3",
+         "k3_samples": "5", "format": "csv", "slopes": "slopes.json", "output": "out.csv"},
+    ),
+    "verify": ("verify", "", {"only": "trig", "perturb_epsilon": "1e-6", "output": "out.txt"}),
+}
+
+
+def flag_args(dest, value):
+    flag = "--" + dest.replace("_", "-")
+    return [flag] if value is True else [flag, value]
+
+
+def test_full_settings_cover_every_option():
+    for name, _, _, options in cli._COMMANDS:
+        covered = {
+            dest for cmd, _, values in FULL_SETTINGS.values() if cmd == name for dest in values
+        }
+        assert covered == {dest for dest, _, _, _ in options} | {"output"}, name
+
+
+@pytest.mark.parametrize(
+    "setting, dest",
+    [(setting, dest) for setting, (_, _, values) in FULL_SETTINGS.items() for dest in values],
+)
+def test_option_by_flag_or_config_gives_same_bytes(tmp_path, monkeypatch, capsys, setting, dest):
+    command, fixed, values = FULL_SETTINGS[setting]
+    base = [command] + fixed.split()
+    for name, value in values.items():
+        if name != dest:
+            base += flag_args(name, value)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{dest} = {'true' if values[dest] is True else values[dest]}\n")
+    results = []
+    for source, argv in (("flag", base + flag_args(dest, values[dest])),
+                         ("config", base + ["--config", str(cfg)])):
+        work = tmp_path / source
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        files = {p.name: p.read_bytes() for p in work.iterdir()}
+        assert out or files
+        results.append((out, err, files))
+    assert results[0] == results[1]
+
+
+def test_echoed_config_holds_only_computation_options(tmp_path, capsys):
+    out, slopes = tmp_path / "scan.csv", tmp_path / "slopes.json"
+    code, _, _ = run(
+        capsys,
+        ["diagrams", "--ell", "3", "--beta-tilde", "1.0", "--k3-samples", "2", "--force",
+         "--format", "csv", "--slopes", str(slopes), "--output", str(out)],
+    )
+    assert code == 0
+    assert json.loads(slopes.read_text())["config"] == {
+        "ell": 3, "beta_tilde": "1.0", "k3_samples": 2, "force": True,
+    }
+
+
+def csv_cells(text):
+    header, row = text.splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def test_correction_csv_writes_nan_for_missing_forms(capsys):
+    code, out, _ = run(
+        capsys,
+        ["correction", "--d", "1", "--ell", "3", "--two-s", "2", "--beta-tilde", "1.0",
+         "--format", "csv"],
+    )
+    assert code == 0
+    cells = csv_cells(out)
+    assert cells["bulk"] == cells["continuum"] == "nan"
+    assert FLOAT_RE.match(cells["lattice"])
+
+
+def test_ed_compare_csv_writes_ok_as_integer(capsys):
+    code, out, _ = run(
+        capsys,
+        ["ed-compare", "--d", "1", "--ell", "3", "--two-s", "1", "--beta-tilde", "2.0",
+         "--format", "csv"],
+    )
+    assert code == 0
+    assert csv_cells(out)["ok"] == "1"
+
+
+def test_zero_mode_option_is_gone(capsys):
+    code, out, err = run(
+        capsys, ["diagrams", "--ell", "4", "--beta-tilde", "1.0", "--zero-mode", "exclude"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "--zero-mode" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "base, dest, value",
+    [
+        ("free-energy --d 3 --two-s 4 --beta-tilde 2.0", "mode", "auto"),
+        ("free-energy --d 1 --ell 3 --two-s 1 --beta-tilde 2.0", "preset", "small-beta"),
+        ("free-energy --d 1 --ell 3 --two-s 1 --beta-tilde 2.0", "remainder_constant", "5"),
+        ("diagrams --ell 3 --beta-tilde 1.0 --k3-samples 2 --format json", "slopes", "s.json"),
+        ("wick-verify --d 1 --ell 3 --two-s 2", "beta_tilde", "1,2"),
+    ],
+)
+def test_ignored_or_malformed_options_are_refused(
+    tmp_path, monkeypatch, capsys, base, dest, value, source
+):
+    monkeypatch.chdir(tmp_path)
+    argv = base.split()
+    if source == "flag":
+        argv += flag_args(dest, value)
+    else:
+        (tmp_path / "run.cfg").write_text(f"{dest} = {value}\n")
+        argv += ["--config", "run.cfg"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--" + dest.replace("_", "-") in err
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["run.cfg"])

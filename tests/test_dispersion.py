@@ -20,18 +20,9 @@ def test_epsilon_trivial_values():
 def test_bose_factor():
     assert abs(dispersion.bose_from_energy(1.0, 1.0) - 1.0 / np.expm1(1.0)) < 1e-15
     with pytest.raises(ValidationError):
-        dispersion.bose_factor(np.zeros(2), 1.0)
+        dispersion.bose_from_energy(np.zeros(2), 1.0)
     # high energy, large beta: underflows gracefully to 0
     assert dispersion.bose_from_energy(12.0, 200.0) == pytest.approx(0.0, abs=1e-300)
-
-
-def test_thermal_params_validation():
-    p = dispersion.ThermalParams(2.0, 3)
-    assert p.spin == 1.5
-    with pytest.raises(ValidationError):
-        dispersion.ThermalParams(-1.0, 2)
-    with pytest.raises(ValidationError):
-        dispersion.ThermalParams(1.0, 0)
 
 
 @pytest.mark.parametrize("d,ell", [(1, 5), (2, 3), (3, 2)])
@@ -48,16 +39,6 @@ def test_two_point_against_direct_sum(d, ell):
     assert abs(np.trace(table.values) - f.sum()) < 1e-12
     assert np.min(np.linalg.eigvalsh(table.values)) > -1e-13
     assert np.allclose(table.diagonal(), dispersion.two_point_diagonal(spec, bt), atol=1e-13)
-
-
-def test_two_point_csv_roundtrip(tmp_path):
-    spec = lattice.LatticeSpec(2, 2)
-    table = dispersion.two_point(spec, 2.0)
-    path = tmp_path / "table.csv"
-    table.to_csv(str(path))
-    back = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(back, table.values)  # 17 significant digits round-trip
-    assert "\r" not in path.read_text()
 
 
 def test_site_cap():

@@ -14,7 +14,7 @@ def chain(n, ell=None):
 
 def test_basis_enumeration_and_lookup():
     spec = lattice.LatticeSpec(2, 2)
-    basis = fock.build_basis(spec, 3)
+    basis = fock.FockBasis(spec, 3)
     assert basis.dim == 4**4
     occ = basis.occupations
     assert occ.shape == (256, 4)
@@ -45,12 +45,12 @@ def test_sector_basis():
 
 def test_basis_cap():
     with pytest.raises(CapacityError):
-        fock.build_basis(lattice.LatticeSpec(3, 3), 2)  # 3^27 states
+        fock.FockBasis(lattice.LatticeSpec(3, 3), 2)  # 3^27 states
 
 
 def test_single_site_ladder_oracle():
     spec = chain(1, ell=1)
-    basis = fock.build_basis(spec, 5)
+    basis = fock.FockBasis(spec, 5)
     a_dag, a, n = fock.ladder_matrices(basis, 0)
     for m in range(5):
         assert a_dag[m + 1, m] == pytest.approx(np.sqrt(m + 1))
@@ -70,7 +70,7 @@ def test_single_site_ladder_oracle():
 
 def test_monomial_matrix_two_site_hop():
     spec = chain(2)
-    basis = fock.build_basis(spec, 3)
+    basis = fock.FockBasis(spec, 3)
     hop = fock.monomial_matrix(basis, [0], [1])
     a_dag0, _, _ = fock.ladder_matrices(basis, 0)
     _, a1, _ = fock.ladder_matrices(basis, 1)
@@ -90,7 +90,7 @@ def test_kinetic_one_particle_sector_matches_lattice():
 
 def test_kinetic_positive_and_dirichlet_shift():
     spec = chain(3)
-    basis = fock.build_basis(spec, 2)
+    basis = fock.FockBasis(spec, 2)
     t = fock.kinetic(basis)
     td = fock.kinetic_dirichlet(basis)
     assert np.allclose(t, t.T)
@@ -102,7 +102,7 @@ def test_kinetic_positive_and_dirichlet_shift():
 
 def test_quartic_sextic_symmetry():
     spec = chain(2)
-    basis = fock.build_basis(spec, 4)
+    basis = fock.FockBasis(spec, 4)
     for op in (fock.quartic(basis, 2), fock.sextic(basis, 2)):
         assert np.allclose(op, op.T, atol=1e-13)
     # quartic and sextic annihilate the vacuum and one-particle states
@@ -114,12 +114,12 @@ def test_quartic_sextic_symmetry():
 def test_hp_rejects_cutoff_above_two_s():
     spec = chain(2)
     with pytest.raises(ValidationError):
-        fock.hp_hamiltonian(fock.build_basis(spec, 5), 4)
+        fock.hp_hamiltonian(fock.FockBasis(spec, 5), 4)
 
 
 def test_hp_positive_and_vacuum_ground():
     spec = chain(3)
-    basis = fock.build_basis(spec, 2)
+    basis = fock.FockBasis(spec, 2)
     h = fock.hp_hamiltonian(basis, 2)
     w = np.linalg.eigvalsh(h)
     assert w.min() > -1e-12
@@ -130,7 +130,7 @@ def test_hp_positive_and_vacuum_ground():
 def test_expansion_terms_exact_remainders():
     spec = chain(2)
     for two_s in (1, 2, 3):
-        basis = fock.build_basis(spec, two_s)
+        basis = fock.FockBasis(spec, two_s)
         terms = fock.expansion_terms(basis, two_s)
         s = two_s / 2.0
         lhs = fock.hp_hamiltonian(basis, two_s) / s
@@ -150,7 +150,7 @@ def test_expansion_terms_exact_remainders():
 
 def test_projector_and_trial_state():
     spec = chain(2)
-    basis = fock.build_basis(spec, 4)
+    basis = fock.FockBasis(spec, 4)
     mask = fock.projector_mask(basis, 2)
     assert mask.sum() == 3**2  # occupations capped at 2S on both sites
     gamma = fock.trial_state(basis, 2, beta_tilde=2.0)
@@ -164,7 +164,7 @@ def test_gibbs_expectation_truncated_matches_dense():
     spec = lattice.LatticeSpec(2, 2)
     bt = 2.5
     n_max = 4
-    basis = fock.build_basis(spec, n_max)
+    basis = fock.FockBasis(spec, n_max)
     h = fock.kinetic_dirichlet(basis)
     quart = fock.quartic(basis, 1)
     want_q = dense_expectation(h, bt, quart)
@@ -236,7 +236,7 @@ def test_gibbs_expectation_truncated_shifts_spectra():
     # each earlier sum gets rescaled
     spec = chain(3)
     n_max, bt = 4, 3.0
-    basis = fock.build_basis(spec, n_max)
+    basis = fock.FockBasis(spec, n_max)
     number = basis.occupations.sum(axis=1).astype(np.float64)
     h = fock.kinetic_dirichlet(basis) - np.diag(500.0 + number)
     quart = fock.quartic(basis, 1)

@@ -63,8 +63,6 @@ def test_boundary_multiplicity_and_degree_sum():
             deg[a] += 1
             deg[b] += 1
         assert np.all(deg + mult == 2 * spec.d)
-        boundary = lattice.boundary_sites(spec)
-        assert set(boundary) == set(np.nonzero(mult)[0])
 
 
 def test_single_site_box_multiplicity():

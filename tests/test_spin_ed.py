@@ -142,7 +142,7 @@ def test_spin_vs_boson_free_energy():
     two_s = 2
     bt = 2.0
     s = two_s / 2.0
-    basis = fock.build_basis(spec, two_s)
+    basis = fock.FockBasis(spec, two_s)
     mult = lattice.boundary_multiplicity(spec).astype(np.float64)
     hb = fock.hp_hamiltonian(basis, two_s) + np.diag(
         s * (basis.occupations @ mult)

@@ -73,7 +73,7 @@ def test_t_squared_bounded_uniformly():
 def test_t_squared_matches_dense():
     spec = lattice.LatticeSpec(1, 2)
     bt = 3.0
-    basis = fock.build_basis(spec, 20)
+    basis = fock.FockBasis(spec, 20)
     td = fock.kinetic_dirichlet(basis)
     want = dense_expectation(td, bt, td @ td) / spec.n_sites**2
     got = spinwave.t_squared_expectation(spec, bt)
@@ -83,7 +83,7 @@ def test_t_squared_matches_dense():
 def test_leading_discrete_matches_dense():
     spec = lattice.LatticeSpec(1, 2)
     bt = 3.0
-    basis = fock.build_basis(spec, 30)
+    basis = fock.FockBasis(spec, 30)
     td = fock.kinetic_dirichlet(basis)
     want = -dense_log_z(td, bt) / (bt * spec.n_sites)
     got = spinwave.free_energy_leading_discrete(spec, bt)

@@ -14,7 +14,7 @@ def two_site_state(beta_tilde, n_max=20):
     an exact oracle for the quasi-free pairing rules.
     """
     spec = lattice.LatticeSpec(1, 2)
-    basis = fock.build_basis(spec, n_max)
+    basis = fock.FockBasis(spec, n_max)
     td = fock.kinetic_dirichlet(basis)
     gibbs = dense_gibbs(td, beta_tilde)
     table = dispersion.two_point(spec, beta_tilde)
