@@ -443,6 +443,7 @@ def _cmd_verify(args) -> int:
 
         dispersion.epsilon = tilted
     failures = 0
+    lines = []
     try:
         for tag, label, fn in _VERIFY_CHECKS:
             if args.only is not None and tag != args.only:
@@ -455,12 +456,13 @@ def _cmd_verify(args) -> int:
                 label = f"{label} [{exc}]"
             failures += 0 if ok else 1
             status = "PASS" if ok else "FAIL"
-            print(f"{status} {tag:12s} {label}: worst={err:.3e} tol={tol:.3e}")
+            lines.append(f"{status} {tag:12s} {label}: worst={err:.3e} tol={tol:.3e}")
     finally:
         if perturb:
             dispersion.epsilon = original
     if perturb:
-        print(f"(dispersion perturbed by relative {perturb:g} for harness sanity check)")
+        lines.append(f"(dispersion perturbed by relative {perturb:g} for harness sanity check)")
+    _write_text("\n".join(lines) + "\n", args.output)
     return 1 if failures else 0
 
 

@@ -8,22 +8,24 @@ Hamiltonian can be compared entry by entry.
 The physical Hamiltonian maps to bosons with hopping amplitudes dressed by
 ``sqrt(1 - n/2S)`` factors.  Expanding those square roots in ``1/S`` yields
 the hierarchy implemented here: a quadratic kinetic form, a quartic
-correction of order ``1/S``, a sextic correction of order ``1/S^2``, and
-remainders defined by subtraction, so that the pieces resum exactly on the
-capped space.
+correction of order ``1/S``, and the remainder defined by subtraction, so
+that the pieces resum exactly on the capped space.
 
-All dense matrices respect the global dimension cap.  Every thermal trace in
-the package is sector-blocked: the Hamiltonians it traces conserve the total
-number, so ``gibbs_expectation_truncated`` diagonalizes one fixed-total
-sector (``SectorBasis``) at a time, which also reaches capped spaces far
-beyond the cap.
+Every off-diagonal term of these operators moves one boson along a bond, and
+so does the spin Hamiltonian's ``S^+_x S^-_y``.  A basis therefore carries
+one cached hop table (``_hop_table``) of all such moves, and each operator
+is its diagonal plus one scatter of an amplitude ``amp(n_x, n_y)`` over the
+table.  All dense matrices respect the global dimension cap.  Every thermal
+trace in the package is sector-blocked: the Hamiltonians it traces conserve
+the total number, so ``gibbs_expectation_truncated`` diagonalizes one
+fixed-total sector (``SectorBasis``) at a time, which also reaches capped
+spaces far beyond the cap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,19 +36,12 @@ __all__ = [
     "BASIS_CAP",
     "FockBasis",
     "SectorBasis",
-    "monomial_matrix",
-    "ladder_matrices",
     "kinetic",
     "kinetic_dirichlet",
     "quartic",
-    "sextic",
     "hp_hamiltonian",
     "remainder_after_quartic",
-    "ExpansionTerms",
-    "expansion_terms",
     "projector_mask",
-    "projector_P",
-    "trial_state",
     "gibbs_expectation_truncated",
 ]
 
@@ -146,64 +141,45 @@ class SectorBasis:
         return out
 
 
-def _site_counts(site_list: Sequence[int], n_sites: int) -> np.ndarray:
-    counts = np.zeros(n_sites, dtype=np.int64)
-    for s in site_list:
-        if not 0 <= s < n_sites:
-            raise ValidationError(f"site index {s} out of range")
-        counts[s] += 1
-    return counts
-
-
 def _check_dense(dim: int):
     if dim > linalg.DENSE_DIM_CAP:
         raise CapacityError(f"dense operator of dimension {dim} exceeds cap")
 
 
-def monomial_matrix(basis, creators: Sequence[int], annihilators: Sequence[int]) -> np.ndarray:
-    """Dense matrix of the normal-ordered monomial ``a*_{c1}..a*_{cp} a_{a1}..a_{aq}``.
+def _hop_table(basis):
+    """Every move of one boson along a bond, ``y -> x``, that stays in ``basis``.
 
-    Moves leaving the capped space are dropped (that is the definition of the
-    compressed operator on the truncated basis).
+    Returns ``(src, tgt, n_x, n_y)``: the move takes row ``src`` to row
+    ``tgt``, and ``n_x``, ``n_y`` are the occupations of the receiving and
+    the giving site in row ``src``.  Each ordered bond shifts a row by its own
+    vector, so the ``(tgt, src)`` pairs are distinct and off the diagonal.
+    All moves are located in one batched ``_locate``, and the table is cached
+    on the basis, so every operator of a basis shares it.
     """
+    table = getattr(basis, "_hops", None)
+    if table is None:
+        occ = basis.occupations
+        bonds = lattice.nn_pairs(basis.spec)
+        ordered = np.concatenate([bonds, bonds[:, ::-1]])
+        xs, ys = ordered[:, 0], ordered[:, 1]
+        src, b = np.nonzero((occ[:, xs] < basis.n_max) & (occ[:, ys] > 0))
+        x, y = xs[b], ys[b]
+        moved = occ[src]
+        k = np.arange(src.size)
+        moved[k, x] += 1
+        moved[k, y] -= 1
+        table = (src, basis._locate(moved), occ[src, x], occ[src, y])
+        basis._hops = table
+    return table
+
+
+def _hop_operator(basis, diag: np.ndarray, amplitude: Callable) -> np.ndarray:
+    """Dense ``diag(diag)`` plus ``amplitude(n_x, n_y)`` on every move of the hop table."""
     _check_dense(basis.dim)
-    m = np.zeros((basis.dim, basis.dim))
-    _add_monomial(m, basis, creators, annihilators)
+    src, tgt, n_x, n_y = _hop_table(basis)
+    m = np.diag(diag)
+    m[tgt, src] = amplitude(n_x, n_y)
     return m
-
-
-def _add_monomial(m, basis, creators, annihilators, coef: float = 1.0) -> None:
-    """Add ``coef`` times the monomial of ``monomial_matrix`` to ``m`` in place.
-
-    The monomial shifts occupations by a fixed vector, so it has at most one
-    entry per column and the scatter needs no accumulation.
-    """
-    occ = basis.occupations
-    ann = _site_counts(annihilators, basis.n_sites)
-    cre = _site_counts(creators, basis.n_sites)
-    amp2 = np.ones(basis.dim)
-    new = occ.copy()
-    for s in np.nonzero(ann)[0]:
-        for r in range(ann[s]):
-            amp2 = amp2 * (new[:, s] - r)
-        new[:, s] -= ann[s]
-    valid = (new >= 0).all(axis=1)
-    for s in np.nonzero(cre)[0]:
-        for r in range(1, cre[s] + 1):
-            amp2 = amp2 * (new[:, s] + r)
-        new[:, s] += cre[s]
-    tgt = basis._locate(new)
-    valid &= tgt >= 0
-    valid &= amp2 > 0
-    src = np.nonzero(valid)[0]
-    m[tgt[src], src] += coef * np.sqrt(amp2[src])
-
-
-def ladder_matrices(basis, site: int):
-    """Dense ``(a_dagger, a, n)`` for one site on the capped basis."""
-    adag = monomial_matrix(basis, [site], [])
-    num = np.diag(basis.occupations[:, site].astype(np.float64))
-    return adag, adag.T.copy(), num
 
 
 def _bond_diagonal(basis, weights_fn) -> np.ndarray:
@@ -217,13 +193,11 @@ def _bond_diagonal(basis, weights_fn) -> np.ndarray:
 
 def kinetic(basis) -> np.ndarray:
     """Quadratic hopping form: per bond ``-a*_x a_y - a*_y a_x + n_x + n_y``."""
-    _check_dense(basis.dim)
-    m = np.zeros((basis.dim, basis.dim))
-    for i, j in lattice.nn_pairs(basis.spec):
-        _add_monomial(m, basis, [i], [j], -1.0)
-        _add_monomial(m, basis, [j], [i], -1.0)
-    m[np.diag_indices(basis.dim)] += _bond_diagonal(basis, lambda ni, nj: ni + nj)
-    return m
+    return _hop_operator(
+        basis,
+        _bond_diagonal(basis, lambda ni, nj: ni + nj),
+        lambda nx, ny: -np.sqrt((nx + 1) * ny),
+    )
 
 
 def kinetic_dirichlet(basis) -> np.ndarray:
@@ -239,41 +213,17 @@ def quartic(basis, two_s: int) -> np.ndarray:
 
     Per unordered bond ``{x, y}``:
     ``(a*_x a*_x a_x a_y + a*_x a*_y a_y a_y + a*_y a*_x a_x a_x
-    + a*_y a*_y a_y a_x - 4 a*_x a*_y a_x a_y) / (4S)``.
+    + a*_y a*_y a_y a_x - 4 a*_x a*_y a_x a_y) / (4S)``.  The first two
+    monomials move a boson ``y -> x`` with amplitudes ``n_x sqrt((n_x+1) n_y)``
+    and ``(n_y-1) sqrt((n_x+1) n_y)``, the next two ``x -> y``; the last one
+    is diagonal.
     """
-    _check_dense(basis.dim)
     s = two_s / 2.0
-    m = np.zeros((basis.dim, basis.dim))
-    for x, y in lattice.nn_pairs(basis.spec):
-        _add_monomial(m, basis, [x, x], [x, y])
-        _add_monomial(m, basis, [x, y], [y, y])
-        _add_monomial(m, basis, [y, x], [x, x])
-        _add_monomial(m, basis, [y, y], [y, x])
-    m /= 4.0 * s
-    diag = _bond_diagonal(basis, lambda ni, nj: (ni * nj).astype(np.float64))
-    m[np.diag_indices(basis.dim)] -= diag / s
-    return m
-
-
-def sextic(basis, two_s: int) -> np.ndarray:
-    """Order-``1/S^2`` sextic correction, normal ordered.
-
-    Per ordered pair ``(x, y)`` (each bond in both orientations):
-    ``(a*_x a*_y a*_y a_y a_y a_y + a*_x a*_y a_y a_y
-    - 2 a*_x a*_x a*_y a_x a_y a_y + a*_x a*_x a*_x a_x a_x a_y
-    + a*_x a*_x a_x a_y) / (32 S^2)``.
-    """
-    _check_dense(basis.dim)
-    s = two_s / 2.0
-    m = np.zeros((basis.dim, basis.dim))
-    for i, j in lattice.nn_pairs(basis.spec):
-        for x, y in ((i, j), (j, i)):
-            _add_monomial(m, basis, [x, y, y], [y, y, y])
-            _add_monomial(m, basis, [x, y], [y, y])
-            _add_monomial(m, basis, [x, x, y], [x, y, y], -2.0)
-            _add_monomial(m, basis, [x, x, x], [x, x, y])
-            _add_monomial(m, basis, [x, x], [x, y])
-    return m / (32.0 * s * s)
+    return _hop_operator(
+        basis,
+        -_bond_diagonal(basis, lambda ni, nj: (ni * nj).astype(np.float64)) / s,
+        lambda nx, ny: np.sqrt((nx + 1) * ny) * (nx + ny - 1) / (4.0 * s),
+    )
 
 
 def hp_hamiltonian(basis, two_s: int) -> np.ndarray:
@@ -286,35 +236,13 @@ def hp_hamiltonian(basis, two_s: int) -> np.ndarray:
     """
     if basis.n_max > two_s:
         raise ValidationError("hp_hamiltonian needs n_max <= two_s for real amplitudes")
-    _check_dense(basis.dim)
     s = two_s / 2.0
-    occ = basis.occupations
-    dim = basis.dim
-    m = np.zeros((dim, dim))
-    idx = np.arange(dim, dtype=np.int64)
-    for i, j in lattice.nn_pairs(basis.spec):
-        for x, y in ((i, j), (j, i)):
-            nx, ny = occ[:, x], occ[:, y]
-            ok = (ny >= 1) & (nx < basis.n_max)
-            src = idx[ok]
-            amp = -s * np.sqrt(
-                (nx[ok] + 1.0)
-                * ny[ok]
-                * (1.0 - nx[ok] / two_s)
-                * (1.0 - (ny[ok] - 1.0) / two_s)
-            )
-            tgt = basis._locate(
-                occ[ok]
-                + np.eye(basis.n_sites, dtype=np.int64)[x]
-                - np.eye(basis.n_sites, dtype=np.int64)[y]
-            )
-            keep = tgt >= 0
-            np.add.at(m, (tgt[keep], src[keep]), amp[keep])
-    diag = _bond_diagonal(
-        basis, lambda ni, nj: s * (ni + nj) - (ni * nj).astype(np.float64)
+    return _hop_operator(
+        basis,
+        _bond_diagonal(basis, lambda ni, nj: s * (ni + nj) - (ni * nj).astype(np.float64)),
+        lambda nx, ny: -s
+        * np.sqrt((nx + 1.0) * ny * (1.0 - nx / two_s) * (1.0 - (ny - 1.0) / two_s)),
     )
-    m[np.diag_indices(dim)] += diag
-    return m
 
 
 def remainder_after_quartic(basis, two_s: int, kin: np.ndarray, quart: np.ndarray) -> np.ndarray:
@@ -325,67 +253,16 @@ def remainder_after_quartic(basis, two_s: int, kin: np.ndarray, quart: np.ndarra
     return hp_hamiltonian(basis, two_s) / (two_s / 2.0) - kin - quart
 
 
-@dataclass(frozen=True)
-class ExpansionTerms:
-    """Pieces of ``H/S = kinetic + quartic + sextic + remainder`` on the capped basis."""
-
-    kinetic: np.ndarray
-    kinetic_dirichlet: Optional[np.ndarray]
-    quartic: np.ndarray
-    sextic: np.ndarray
-    remainder_after_quartic: np.ndarray
-    remainder_after_sextic: np.ndarray
-
-
-def expansion_terms(basis, two_s: int) -> ExpansionTerms:
-    """All expansion pieces at once; remainders are exact subtractions."""
-    t = kinetic(basis)
-    td = (
-        kinetic_dirichlet(basis)
-        if basis.spec.boundary is lattice.Boundary.DIRICHLET
-        else None
-    )
-    q = quartic(basis, two_s)
-    j6 = sextic(basis, two_s)
-    r2 = remainder_after_quartic(basis, two_s, t, q)
-    return ExpansionTerms(t, td, q, j6, r2, r2 - j6)
-
-
 def projector_mask(basis, two_s: int) -> np.ndarray:
     """Boolean mask of states with every site occupation at most ``2S``."""
     return (basis.occupations <= two_s).all(axis=1)
-
-
-def projector_P(basis, two_s: int) -> np.ndarray:
-    _check_dense(basis.dim)
-    return np.diag(projector_mask(basis, two_s).astype(np.float64))
-
-
-def trial_state(basis, two_s: int, beta_tilde: float) -> np.ndarray:
-    """Low-occupation trial state ``P e^{-beta T^D} P / tr(e^{-beta T^D} P)``.
-
-    ``T^D`` is the Dirichlet kinetic form compressed to the capped basis; the
-    projector keeps at most ``2S`` bosons per site.  On a basis capped at
-    ``n_max == 2S`` this is simply the Gibbs state of the compressed ``T^D``.
-    """
-    if not beta_tilde > 0.0:
-        raise ValidationError("beta_tilde must be positive")
-    td = kinetic_dirichlet(basis)
-    w, v = linalg.eigh(td)
-    mask = projector_mask(basis, two_s).astype(np.float64)
-    boltz = np.exp(-beta_tilde * w)  # T^D >= 0, no overflow
-    e_mat = (v * boltz) @ v.T
-    norm = float(np.dot(mask, np.diag(e_mat)))
-    if not norm > 0.0:
-        raise ValidationError("projected trace vanished; trial state undefined")
-    return (e_mat * mask[None, :]) * mask[:, None] / norm
 
 
 def gibbs_expectation_truncated(
     spec: lattice.LatticeSpec,
     n_max: int,
     beta_tilde: float,
-    observables: Callable,
+    observables: Optional[Callable],
     hamiltonian: Optional[Callable] = None,
     max_total: Optional[int] = None,
 ):
@@ -399,7 +276,9 @@ def gibbs_expectation_truncated(
     unit.  ``observables(sb, h)`` returns the list of observables on that
     sector, given its Hamiltonian: each a dense matrix or, for a diagonal
     observable, the vector of its diagonal.  Both are called once per sector,
-    so pieces shared between observables are built once.  ``max_total``
+    so pieces shared between observables are built once.  With
+    ``observables=None`` only ``log Z`` is wanted, and each sector needs
+    its eigenvalues alone (``linalg.eigvalsh``).  ``max_total``
     optionally caps the total number; with ground energies growing linearly
     in the sector number the neglected weight decays geometrically.
 
@@ -421,7 +300,10 @@ def gibbs_expectation_truncated(
         if sb.dim == 0:
             continue
         h = ham(sb)
-        w, v = linalg.eigh(h)
+        if observables is None:
+            w = linalg.eigvalsh(h)
+        else:
+            w, v = linalg.eigh(h)
         if w[0] < shift:
             rescale = math.exp(-beta_tilde * (shift - w[0]))
             z *= rescale
@@ -429,6 +311,8 @@ def gibbs_expectation_truncated(
             shift = float(w[0])
         boltz = np.exp(-beta_tilde * (w - shift))
         z += float(boltz.sum())
+        if observables is None:
+            continue
         sums = []
         for a in observables(sb, h):
             a = np.asarray(a, dtype=np.float64)
@@ -442,4 +326,5 @@ def gibbs_expectation_truncated(
         acc = acc + np.array(sums)
     if not z > 0.0:
         raise ValidationError("partition function vanished")
-    return [float(x) / z for x in acc], float(np.log(z)) - beta_tilde * shift
+    values = [] if observables is None else [float(x) / z for x in acc]
+    return values, float(np.log(z)) - beta_tilde * shift

@@ -6,7 +6,9 @@ machine.  Thermal traces are sector-blocked: every Hamiltonian traced in
 this package conserves the total boson number (total ``S^3``), so
 ``fock.gibbs_expectation_truncated`` calls ``eigh`` once per sector and
 shifts the spectra by their running minimum, so nothing overflows no matter
-how large ``beta`` is.
+how large ``beta`` is.  A trace that needs only ``log Z`` (the spin free
+energy) calls ``eigvalsh`` instead, which runs the same checks and skips the
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from ._errors import CapacityError, NumericalError, ValidationError
 __all__ = [
     "DENSE_DIM_CAP",
     "eigh",
+    "eigvalsh",
 ]
 
 DENSE_DIM_CAP = 4096
@@ -47,3 +50,8 @@ def eigh(m: np.ndarray):
     """
     w, v = np.linalg.eigh(_check_symmetric(m))
     return w, v
+
+
+def eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric matrix, checked like ``eigh``."""
+    return np.linalg.eigvalsh(_check_symmetric(m))

@@ -7,14 +7,17 @@ entry by entry.
 
 The free energy is sector-blocked: H conserves total ``S^3``, so the trace
 runs over the fixed-total sectors of ``fock.SectorBasis`` (``n_max = 2S``)
-through ``fock.gibbs_expectation_truncated``.  Each sector Hamiltonian is
-built from the spin amplitudes, with the formula ``apply_hamiltonian`` uses,
-so ED stays independent of the boson expansion it checks.  The whole space
-still respects the global dimension cap (spin 1/2 up to 12 sites, spin 1 up
-to 7 sites).  The dense Kronecker builders ``heisenberg_hamiltonian`` and
-``dirichlet_hamiltonian`` are the independent check of the boson image.  The
-single-magnon check applies the Hamiltonian matrix-free, which reaches
-millions of states.
+through ``fock.gibbs_expectation_truncated``, which needs only each sector's
+eigenvalues.  ED shares the move geometry with the boson operators: each
+``S^+_x S^-_y`` moves one unit along a bond, so a sector Hamiltonian is its
+diagonal plus the spin amplitude ``_hop_amplitude`` scattered over the
+sector's cached ``fock`` hop table.  It shares nothing of the boson
+expansion: the amplitude is the spin one, written once and also used by
+``apply_hamiltonian``.  The whole space still respects the global dimension
+cap (spin 1/2 up to 12 sites, spin 1 up to 7 sites).  The dense Kronecker
+builders ``heisenberg_hamiltonian`` and ``dirichlet_hamiltonian`` are the
+independent check of the boson image.  The single-magnon check applies the
+Hamiltonian matrix-free, which reaches millions of states.
 """
 
 from __future__ import annotations
@@ -143,30 +146,22 @@ def _diagonal(spec: lattice.LatticeSpec, two_s: int, occ: np.ndarray, dirichlet:
     return diag
 
 
-def _hops(spec: lattice.LatticeSpec, two_s: int, occ: np.ndarray):
-    """Off-diagonal terms ``-(1/2) S^+_x S^-_y`` of H on occupation rows ``occ``.
+def _hop_amplitude(two_s: int, n_x, n_y):
+    """Amplitude of ``-(1/2) S^+_x S^-_y`` on a row holding ``n_x`` at ``x`` and ``n_y`` at ``y``.
 
-    Yields ``(x, y, rows, amp)``: on each of ``rows`` the term moves one unit
-    from site ``y`` to site ``x`` with amplitude ``amp``.
+    The term moves one unit from ``y`` to ``x``; the amplitude vanishes when
+    ``n_x = 2S`` or ``n_y = 0``.
     """
-    for i, j in lattice.nn_pairs(spec):
-        for x, y in ((i, j), (j, i)):
-            nx, ny = occ[:, x], occ[:, y]
-            rows = np.nonzero((nx < two_s) & (ny > 0))[0]
-            amp = -0.5 * np.sqrt(
-                (two_s - nx[rows]) * (nx[rows] + 1.0) * ny[rows] * (two_s - ny[rows] + 1.0)
-            )
-            yield x, y, rows, amp
+    return -0.5 * np.sqrt((two_s - n_x) * (n_x + 1.0) * n_y * (two_s - n_y + 1.0))
 
 
 def _sector_hamiltonian(sb, two_s: int, dirichlet: bool) -> np.ndarray:
     """Dense H on one fixed-total-``S^3`` sector (a ``fock.SectorBasis`` with ``n_max = 2S``)."""
-    occ = sb.occupations
-    h = np.diag(_diagonal(sb.spec, two_s, occ, dirichlet))
-    unit = np.eye(sb.n_sites, dtype=np.int64)
-    for x, y, rows, amp in _hops(sb.spec, two_s, occ):
-        h[sb._locate(occ[rows] + unit[x] - unit[y]), rows] += amp
-    return h
+    return fock._hop_operator(
+        sb,
+        _diagonal(sb.spec, two_s, sb.occupations, dirichlet),
+        lambda nx, ny: _hop_amplitude(two_s, nx, ny),
+    )
 
 
 def free_energy_per_spin(
@@ -184,7 +179,7 @@ def free_energy_per_spin(
         spec,
         two_s,
         beta,
-        lambda sb, h: [],
+        None,
         hamiltonian=lambda sb: _sector_hamiltonian(sb, two_s, dirichlet),
     )
     return -log_z / (beta * spec.n_sites) / s
@@ -207,8 +202,13 @@ def apply_hamiltonian(
     strides = r ** np.arange(spec.n_sites, dtype=np.int64)
     occ = ((idx // strides[:, None]) % r).T
     out = _diagonal(spec, two_s, occ, dirichlet) * vec
-    for x, y, rows, amp in _hops(spec, two_s, occ):
-        np.add.at(out, rows + strides[x] - strides[y], amp * vec[rows])
+    for i, j in lattice.nn_pairs(spec):
+        for x, y in ((i, j), (j, i)):
+            nx, ny = occ[:, x], occ[:, y]
+            rows = np.nonzero((nx < two_s) & (ny > 0))[0]
+            # one ordered bond moves distinct rows to distinct rows
+            amp = _hop_amplitude(two_s, nx[rows], ny[rows])
+            out[rows + strides[x] - strides[y]] += amp * vec[rows]
     return out
 
 

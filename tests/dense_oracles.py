@@ -1,17 +1,206 @@
-"""Full-space dense oracles for the sector-blocked Gibbs engine.
+"""Dense oracles for the sector-blocked Gibbs engine and the hop-table operators.
 
 The package takes every thermal trace sector by sector in the conserved
 total boson number (``fock.gibbs_expectation_truncated``).  The helpers here
 take the same traces on the whole capped space, one dense eigendecomposition
 each: the Gibbs functionals, the spin free energy, the exact box bound and
 the two Wick brute-force checks, in the form they had before the sector
-engine.  Tests compare the two routes.
+engine.
+
+The package builds every boson operator from one table of one-boson moves
+(``fock._hop_table``).  The builders here scatter one normal-ordered
+monomial at a time instead (``monomial_matrix``), with the sextic
+correction, the ladder matrices, the projector and the trial state that only
+tests use.  Tests compare the two routes.
 """
+
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from magnon import fock, linalg, spinwave, wick
+from magnon import fock, lattice, linalg, spinwave, wick
 from magnon._errors import ValidationError
+
+
+def _site_counts(site_list: Sequence[int], n_sites: int) -> np.ndarray:
+    counts = np.zeros(n_sites, dtype=np.int64)
+    for s in site_list:
+        if not 0 <= s < n_sites:
+            raise ValidationError(f"site index {s} out of range")
+        counts[s] += 1
+    return counts
+
+
+def monomial_matrix(basis, creators: Sequence[int], annihilators: Sequence[int]) -> np.ndarray:
+    """Dense matrix of the normal-ordered monomial ``a*_{c1}..a*_{cp} a_{a1}..a_{aq}``.
+
+    Moves leaving the capped space are dropped (that is the definition of the
+    compressed operator on the truncated basis).
+    """
+    fock._check_dense(basis.dim)
+    m = np.zeros((basis.dim, basis.dim))
+    _add_monomial(m, basis, creators, annihilators)
+    return m
+
+
+def _add_monomial(m, basis, creators, annihilators, coef: float = 1.0) -> None:
+    """Add ``coef`` times the monomial of ``monomial_matrix`` to ``m`` in place.
+
+    The monomial shifts occupations by a fixed vector, so it has at most one
+    entry per column and the scatter needs no accumulation.
+    """
+    occ = basis.occupations
+    ann = _site_counts(annihilators, basis.n_sites)
+    cre = _site_counts(creators, basis.n_sites)
+    amp2 = np.ones(basis.dim)
+    new = occ.copy()
+    for s in np.nonzero(ann)[0]:
+        for r in range(ann[s]):
+            amp2 = amp2 * (new[:, s] - r)
+        new[:, s] -= ann[s]
+    valid = (new >= 0).all(axis=1)
+    for s in np.nonzero(cre)[0]:
+        for r in range(1, cre[s] + 1):
+            amp2 = amp2 * (new[:, s] + r)
+        new[:, s] += cre[s]
+    tgt = basis._locate(new)
+    valid &= tgt >= 0
+    valid &= amp2 > 0
+    src = np.nonzero(valid)[0]
+    m[tgt[src], src] += coef * np.sqrt(amp2[src])
+
+
+def ladder_matrices(basis, site: int):
+    """Dense ``(a_dagger, a, n)`` for one site on the capped basis."""
+    adag = monomial_matrix(basis, [site], [])
+    num = np.diag(basis.occupations[:, site].astype(np.float64))
+    return adag, adag.T.copy(), num
+
+
+def kinetic(basis) -> np.ndarray:
+    """``fock.kinetic`` summed monomial by monomial: per bond
+    ``-a*_x a_y - a*_y a_x + a*_x a_x + a*_y a_y``."""
+    fock._check_dense(basis.dim)
+    m = np.zeros((basis.dim, basis.dim))
+    for x, y in lattice.nn_pairs(basis.spec):
+        _add_monomial(m, basis, [x], [y], -1.0)
+        _add_monomial(m, basis, [y], [x], -1.0)
+        _add_monomial(m, basis, [x], [x])
+        _add_monomial(m, basis, [y], [y])
+    return m
+
+
+def kinetic_dirichlet(basis) -> np.ndarray:
+    """``fock.kinetic_dirichlet``: the kinetic oracle plus ``m(x) a*_x a_x`` per site."""
+    m = kinetic(basis)
+    for x, mult in enumerate(lattice.boundary_multiplicity(basis.spec)):
+        _add_monomial(m, basis, [x], [x], float(mult))
+    return m
+
+
+def quartic(basis, two_s: int) -> np.ndarray:
+    """``fock.quartic`` summed monomial by monomial, the five of its docstring per bond."""
+    fock._check_dense(basis.dim)
+    s = two_s / 2.0
+    m = np.zeros((basis.dim, basis.dim))
+    for x, y in lattice.nn_pairs(basis.spec):
+        _add_monomial(m, basis, [x, x], [x, y])
+        _add_monomial(m, basis, [x, y], [y, y])
+        _add_monomial(m, basis, [y, x], [x, x])
+        _add_monomial(m, basis, [y, y], [y, x])
+        _add_monomial(m, basis, [x, y], [x, y], -4.0)
+    return m / (4.0 * s)
+
+
+def hp_hamiltonian(basis, two_s: int) -> np.ndarray:
+    """``fock.hp_hamiltonian`` from monomials: per bond ``S (a*_x a_x + a*_y a_y)
+    - a*_x a*_y a_x a_y`` and, per orientation, ``-S a*_x a_y`` with each
+    column dressed by ``g(n_x) g(n_y - 1)`` of its source row."""
+    fock._check_dense(basis.dim)
+    s = two_s / 2.0
+    occ = basis.occupations.astype(np.float64)
+    m = np.zeros((basis.dim, basis.dim))
+    for i, j in lattice.nn_pairs(basis.spec):
+        _add_monomial(m, basis, [i], [i], s)
+        _add_monomial(m, basis, [j], [j], s)
+        _add_monomial(m, basis, [i, j], [i, j], -1.0)
+        for x, y in ((i, j), (j, i)):
+            dress = np.sqrt((1.0 - occ[:, x] / two_s) * (1.0 - (occ[:, y] - 1.0) / two_s))
+            m -= s * monomial_matrix(basis, [x], [y]) * dress[None, :]
+    return m
+
+
+def sextic(basis, two_s: int) -> np.ndarray:
+    """Order-``1/S^2`` sextic correction, normal ordered.
+
+    Per ordered pair ``(x, y)`` (each bond in both orientations):
+    ``(a*_x a*_y a*_y a_y a_y a_y + a*_x a*_y a_y a_y
+    - 2 a*_x a*_x a*_y a_x a_y a_y + a*_x a*_x a*_x a_x a_x a_y
+    + a*_x a*_x a_x a_y) / (32 S^2)``.
+    """
+    fock._check_dense(basis.dim)
+    s = two_s / 2.0
+    m = np.zeros((basis.dim, basis.dim))
+    for i, j in lattice.nn_pairs(basis.spec):
+        for x, y in ((i, j), (j, i)):
+            _add_monomial(m, basis, [x, y, y], [y, y, y])
+            _add_monomial(m, basis, [x, y], [y, y])
+            _add_monomial(m, basis, [x, x, y], [x, y, y], -2.0)
+            _add_monomial(m, basis, [x, x, x], [x, x, y])
+            _add_monomial(m, basis, [x, x], [x, y])
+    return m / (32.0 * s * s)
+
+
+@dataclass(frozen=True)
+class ExpansionTerms:
+    """Pieces of ``H/S = kinetic + quartic + sextic + remainder`` on the capped basis."""
+
+    kinetic: np.ndarray
+    kinetic_dirichlet: Optional[np.ndarray]
+    quartic: np.ndarray
+    sextic: np.ndarray
+    remainder_after_quartic: np.ndarray
+    remainder_after_sextic: np.ndarray
+
+
+def expansion_terms(basis, two_s: int) -> ExpansionTerms:
+    """All expansion pieces at once; remainders are exact subtractions."""
+    t = fock.kinetic(basis)
+    td = (
+        fock.kinetic_dirichlet(basis)
+        if basis.spec.boundary is lattice.Boundary.DIRICHLET
+        else None
+    )
+    q = fock.quartic(basis, two_s)
+    j6 = sextic(basis, two_s)
+    r2 = fock.remainder_after_quartic(basis, two_s, t, q)
+    return ExpansionTerms(t, td, q, j6, r2, r2 - j6)
+
+
+def projector_P(basis, two_s: int) -> np.ndarray:
+    fock._check_dense(basis.dim)
+    return np.diag(fock.projector_mask(basis, two_s).astype(np.float64))
+
+
+def trial_state(basis, two_s: int, beta_tilde: float) -> np.ndarray:
+    """Low-occupation trial state ``P e^{-beta T^D} P / tr(e^{-beta T^D} P)``.
+
+    ``T^D`` is the Dirichlet kinetic form compressed to the capped basis; the
+    projector keeps at most ``2S`` bosons per site.  On a basis capped at
+    ``n_max == 2S`` this is simply the Gibbs state of the compressed ``T^D``.
+    """
+    if not beta_tilde > 0.0:
+        raise ValidationError("beta_tilde must be positive")
+    td = fock.kinetic_dirichlet(basis)
+    w, v = linalg.eigh(td)
+    mask = fock.projector_mask(basis, two_s).astype(np.float64)
+    boltz = np.exp(-beta_tilde * w)  # T^D >= 0, no overflow
+    e_mat = (v * boltz) @ v.T
+    norm = float(np.dot(mask, np.diag(e_mat)))
+    if not norm > 0.0:
+        raise ValidationError("projected trace vanished; trial state undefined")
+    return (e_mat * mask[None, :]) * mask[:, None] / norm
 
 
 def gibbs_log_trace(h: np.ndarray, beta: float) -> float:
@@ -89,7 +278,7 @@ def exact_free_energy(h: np.ndarray, beta: float, n_sites: int) -> float:
 def box_bound_exact(spec, two_s: int, beta_tilde: float) -> spinwave.BoundReport:
     """The exact box bound from the full capped basis at ``n_max = 2S``."""
     basis = fock.FockBasis(spec, two_s)
-    terms = fock.expansion_terms(basis, two_s)
+    terms = expansion_terms(basis, two_s)
     td = terms.kinetic_dirichlet
     vol = spec.n_sites
     log_zp = gibbs_log_trace(td, beta_tilde)
@@ -112,7 +301,7 @@ def cross_term_check(spec, two_s: int, beta_tilde: float, n_max: int):
     basis = fock.FockBasis(spec, n_max)
     td = fock.kinetic_dirichlet(basis)
     quart = fock.quartic(basis, two_s)
-    p = fock.projector_P(basis, two_s)
+    p = projector_P(basis, two_s)
     one = np.eye(basis.dim)
     a = td + quart
     obs = [a @ (one - p), (one - p) @ a @ p, td @ (one - p)]
@@ -125,7 +314,7 @@ def cross_term_check(spec, two_s: int, beta_tilde: float, n_max: int):
 def remainder_check(spec, two_s: int, beta_tilde: float, n_max: int):
     """``wick.remainder_check`` with ``R`` embedded into the full capped space."""
     small = fock.FockBasis(spec, two_s)
-    r_small = fock.expansion_terms(small, two_s).remainder_after_quartic
+    r_small = expansion_terms(small, two_s).remainder_after_quartic
     big = fock.FockBasis(spec, n_max)
     idx = big._locate(small.occupations)
     r_big = np.zeros((big.dim, big.dim))

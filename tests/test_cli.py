@@ -267,6 +267,15 @@ def test_verify_single_tag(capsys):
     assert "trig" in out
 
 
+def test_verify_writes_report_to_output(tmp_path, capsys):
+    path = tmp_path / "v.txt"
+    code, out, err = run(capsys, ["verify", "--only", "rho", "--output", str(path)])
+    assert code == 0
+    assert out == "" and err == ""
+    (line,) = path.read_text().splitlines()
+    assert line.startswith("PASS rho ")
+
+
 def test_verify_unknown_tag(capsys):
     code, _, err = run(capsys, ["verify", "--only", "nonsense"])
     assert code == 2

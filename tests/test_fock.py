@@ -1,5 +1,6 @@
 import itertools
 
+import dense_oracles
 import numpy as np
 import pytest
 from conftest import dense_expectation, dense_log_z
@@ -51,7 +52,7 @@ def test_basis_cap():
 def test_single_site_ladder_oracle():
     spec = chain(1, ell=1)
     basis = fock.FockBasis(spec, 5)
-    a_dag, a, n = fock.ladder_matrices(basis, 0)
+    a_dag, a, n = dense_oracles.ladder_matrices(basis, 0)
     for m in range(5):
         assert a_dag[m + 1, m] == pytest.approx(np.sqrt(m + 1))
         assert a[m, m + 1] == pytest.approx(np.sqrt(m + 1))
@@ -63,7 +64,7 @@ def test_single_site_ladder_oracle():
     want[5, 5] = -5.0
     assert np.allclose(comm, want)
     # normal-ordered quartic on one site is n(n-1)
-    quart = fock.monomial_matrix(basis, [0, 0], [0, 0])
+    quart = dense_oracles.monomial_matrix(basis, [0, 0], [0, 0])
     ns = np.arange(6)
     assert np.allclose(quart, np.diag(ns * (ns - 1.0)))
 
@@ -71,9 +72,9 @@ def test_single_site_ladder_oracle():
 def test_monomial_matrix_two_site_hop():
     spec = chain(2)
     basis = fock.FockBasis(spec, 3)
-    hop = fock.monomial_matrix(basis, [0], [1])
-    a_dag0, _, _ = fock.ladder_matrices(basis, 0)
-    _, a1, _ = fock.ladder_matrices(basis, 1)
+    hop = dense_oracles.monomial_matrix(basis, [0], [1])
+    a_dag0, _, _ = dense_oracles.ladder_matrices(basis, 0)
+    _, a1, _ = dense_oracles.ladder_matrices(basis, 1)
     assert np.allclose(hop, a_dag0 @ a1)
 
 
@@ -103,7 +104,7 @@ def test_kinetic_positive_and_dirichlet_shift():
 def test_quartic_sextic_symmetry():
     spec = chain(2)
     basis = fock.FockBasis(spec, 4)
-    for op in (fock.quartic(basis, 2), fock.sextic(basis, 2)):
+    for op in (fock.quartic(basis, 2), dense_oracles.sextic(basis, 2)):
         assert np.allclose(op, op.T, atol=1e-13)
     # quartic and sextic annihilate the vacuum and one-particle states
     sec01 = [basis.index_of([0, 0]), basis.index_of([1, 0]), basis.index_of([0, 1])]
@@ -131,7 +132,7 @@ def test_expansion_terms_exact_remainders():
     spec = chain(2)
     for two_s in (1, 2, 3):
         basis = fock.FockBasis(spec, two_s)
-        terms = fock.expansion_terms(basis, two_s)
+        terms = dense_oracles.expansion_terms(basis, two_s)
         s = two_s / 2.0
         lhs = fock.hp_hamiltonian(basis, two_s) / s
         recon = terms.kinetic + terms.quartic + terms.remainder_after_quartic
@@ -153,7 +154,7 @@ def test_projector_and_trial_state():
     basis = fock.FockBasis(spec, 4)
     mask = fock.projector_mask(basis, 2)
     assert mask.sum() == 3**2  # occupations capped at 2S on both sites
-    gamma = fock.trial_state(basis, 2, beta_tilde=2.0)
+    gamma = dense_oracles.trial_state(basis, 2, beta_tilde=2.0)
     assert abs(np.trace(gamma) - 1.0) < 1e-12
     assert np.min(np.linalg.eigvalsh(gamma)) > -1e-13
     outside = ~mask
@@ -258,3 +259,79 @@ def test_gibbs_expectation_truncated_rejects_bad_observable():
         fock.gibbs_expectation_truncated(
             chain(2), 2, 1.0, lambda sb, h: [np.zeros(sb.dim + 1)]
         )
+
+
+# (d, ell): chains of 3 and 4 sites, the 2x2 and the 3x3 square
+HOP_BOXES = [chain(3), chain(4), lattice.LatticeSpec(2, 2), lattice.LatticeSpec(2, 3)]
+
+
+def _hop_bases(spec, n_max, dim_max=1024):
+    """The whole capped basis and every sector, those of dimension at most ``dim_max``.
+
+    The bound keeps each dense matrix at 8 MB; on the 3x3 box it drops the
+    whole space at ``n_max`` 2 and 3 and the middle sectors (up to 30276 rows).
+    """
+    bases = [fock.FockBasis(spec, n_max)] if (n_max + 1) ** spec.n_sites <= dim_max else []
+    for n_total in range(spec.n_sites * n_max + 1):
+        sb = fock.SectorBasis(spec, n_max, n_total)
+        if sb.dim <= dim_max:
+            bases.append(sb)
+    return bases
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("spec", HOP_BOXES, ids=lambda s: f"d{s.d}-ell{s.ell}")
+def test_hop_table_moves(spec, n_max):
+    for basis in _hop_bases(spec, n_max):
+        src, tgt, n_x, n_y = fock._hop_table(basis)
+        assert fock._hop_table(basis)[0] is src  # cached on the basis
+        rows = [tuple(int(v) for v in r) for r in basis.occupations]
+        index = {r: k for k, r in enumerate(rows)}
+        # brute force: every row, every ordered bond along which it can move a boson
+        want = set()
+        bonds = lattice.nn_pairs(spec).tolist()
+        for k, r in enumerate(rows):
+            for i, j in bonds:
+                for x, y in ((i, j), (j, i)):
+                    if r[x] < n_max and r[y] > 0:
+                        moved = list(r)
+                        moved[x] += 1
+                        moved[y] -= 1
+                        want.add((index[tuple(moved)], k, r[x], r[y]))
+        got = set(zip(tgt.tolist(), src.tolist(), n_x.tolist(), n_y.tolist()))
+        assert got == want
+        assert len(got) == src.size  # (tgt, src) pairs distinct
+        assert np.all(tgt != src)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("spec", HOP_BOXES, ids=lambda s: f"d{s.d}-ell{s.ell}")
+def test_hop_table_operators_match_monomial_oracle(spec, n_max):
+    # 2S below, at and above the cap; hp needs n_max <= 2S
+    for two_s in sorted({1, n_max, 3}):
+        for basis in _hop_bases(spec, n_max):
+            pairs = [
+                (fock.kinetic(basis), dense_oracles.kinetic(basis)),
+                (fock.kinetic_dirichlet(basis), dense_oracles.kinetic_dirichlet(basis)),
+                (fock.quartic(basis, two_s), dense_oracles.quartic(basis, two_s)),
+            ]
+            if n_max <= two_s:
+                pairs.append(
+                    (fock.hp_hamiltonian(basis, two_s), dense_oracles.hp_hamiltonian(basis, two_s))
+                )
+            for got, want in pairs:
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("spec, n_max", [(chain(4), 3), (lattice.LatticeSpec(2, 2), 4)])
+def test_log_z_only_matches_eigh_path(spec, n_max):
+    shifted = lambda sb: fock.kinetic_dirichlet(sb) - (500.0 + sb.n_total) * np.eye(sb.dim)
+    for ham in (None, shifted, lambda sb: fock.hp_hamiltonian(sb, n_max)):
+        # at beta 200 unshifted weights would overflow
+        for bt in (0.3, 2.0, 9.0, 200.0):
+            values, lz = fock.gibbs_expectation_truncated(spec, n_max, bt, None, hamiltonian=ham)
+            _, want = fock.gibbs_expectation_truncated(
+                spec, n_max, bt, lambda sb, h: [], hamiltonian=ham
+            )
+            assert values == []
+            assert abs(lz - want) <= 1e-13 * max(1.0, abs(want))

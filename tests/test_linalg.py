@@ -37,6 +37,22 @@ def test_dense_cap():
         linalg.eigh(big)
 
 
+def test_eigvalsh_matches_eigh_with_same_checks(rng):
+    m = random_symmetric(rng, 40)
+    w, _ = linalg.eigh(m)
+    assert np.max(np.abs(linalg.eigvalsh(m) - w)) < 1e-12
+    with pytest.raises(ValidationError):
+        linalg.eigvalsh(rng.standard_normal((8, 8)))
+    bad = random_symmetric(rng, 4)
+    bad[0, 0] = np.inf
+    with pytest.raises(NumericalError):
+        linalg.eigvalsh(bad)
+    with pytest.raises(ValidationError):
+        linalg.eigvalsh(rng.standard_normal((3, 4)))
+    with pytest.raises(CapacityError):
+        linalg.eigvalsh(np.zeros((linalg.DENSE_DIM_CAP + 1, linalg.DENSE_DIM_CAP + 1)))
+
+
 def test_gibbs_log_trace(rng):
     h = random_symmetric(rng, 30)
     for beta in (0.1, 1.0, 10.0, 200.0):

@@ -102,9 +102,11 @@ def test_exact_free_energy_is_log_trace():
 
 
 @pytest.mark.parametrize("dirichlet", [False, True])
-def test_apply_hamiltonian_matches_dense(dirichlet):
-    spec = lattice.LatticeSpec(2, 2)
-    two_s = 2
+@pytest.mark.parametrize(
+    "d, ell, two_s", [(2, 2, 2), (1, 4, 1), (1, 6, 2), (2, 2, 3), (2, 3, 1)]
+)
+def test_apply_hamiltonian_matches_dense(d, ell, two_s, dirichlet):
+    spec = lattice.LatticeSpec(d, ell)
     if dirichlet:
         h = spin_ed.dirichlet_hamiltonian(spec, two_s)
     else:
@@ -114,6 +116,9 @@ def test_apply_hamiltonian_matches_dense(dirichlet):
         v = rng.standard_normal(h.shape[0])
         got = spin_ed.apply_hamiltonian(spec, two_s, v, dirichlet=dirichlet)
         assert np.allclose(got, h @ v, atol=1e-11)
+    # column by column, the whole Kronecker matrix
+    cols = [spin_ed.apply_hamiltonian(spec, two_s, e, dirichlet=dirichlet) for e in np.eye(len(h))]
+    assert np.max(np.abs(np.column_stack(cols) - h)) <= 1e-13
 
 
 def test_magnon_check_periodic():

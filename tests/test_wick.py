@@ -25,7 +25,7 @@ def monomial_operator(basis, monomial):
     dim = basis.dim
     op = np.eye(dim)
     for site, is_creator in monomial:
-        a_dag, a, _ = fock.ladder_matrices(basis, site)
+        a_dag, a, _ = dense_oracles.ladder_matrices(basis, site)
         op = op @ (a_dag if is_creator else a)
     return op
 
@@ -135,12 +135,12 @@ def test_hop_squared_exact_matches_dense():
     a_mat = np.zeros((dim, dim))
     for i, j in lattice.nn_pairs(spec):
         for x, y in ((i, j), (j, i)):
-            a_mat += fock.monomial_matrix(basis, [x], [y])
+            a_mat += dense_oracles.monomial_matrix(basis, [x], [y])
     want = float(np.trace(a_mat @ a_mat @ gibbs))
     exact, projected = wick.hop_squared_moments(spec, bt)
     assert exact == pytest.approx(want, rel=1e-10)
     # the projected bound dominates <P A^2 P> with P at any spin cap
-    p = fock.projector_P(basis, 1)
+    p = dense_oracles.projector_P(basis, 1)
     pap = float(np.trace(p @ a_mat @ a_mat @ p @ gibbs))
     assert projected >= pap - 1e-13
 
@@ -151,7 +151,7 @@ def test_interaction_squared_bound_dominates_dense():
     spec, basis, gibbs, _ = two_site_state(bt, n_max=14)
     quart = fock.quartic(basis, two_s)
     i2 = float(np.trace(quart @ quart @ gibbs))
-    p = fock.projector_P(basis, two_s)
+    p = dense_oracles.projector_P(basis, two_s)
     pi2p = float(np.trace(p @ quart @ quart @ p @ gibbs))
     bound = wick.interaction_squared_bound(spec, two_s, bt)
     assert bound >= i2 - 1e-13
