@@ -7,6 +7,12 @@ inverse temperature ``beta_tilde``, each sine mode ``k`` is occupied with the
 Bose factor ``f(k) = 1/(e^{beta*eps(k)} - 1)`` and the position two-point
 function is ``rho(x, y) = sum_k phi_k(x) phi_k(y) f(k)``.
 
+Every consumer of ``rho`` reads it on a site or on a bond only, so only those
+values are computed: ``two_point_diagonal`` and ``two_point_bonds``.  Sine
+modes factorize over the axes, so each is one contraction of the Bose factors
+per axis, ``O(d * ell^{d+1})`` per bond direction, at any box size; the dense
+``ell^d x ell^d`` table is never built.
+
 The reduced state of a single site in such a state is exactly geometric with
 mean ``rho(x, x)``, which gives sharp tail bounds for the probability of a
 site carrying more than ``2S`` bosons.
@@ -15,28 +21,22 @@ site carrying more than ``2S`` bosons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import lattice, quadrature
-from ._errors import CapacityError, HypothesisError, ValidationError
+from ._errors import HypothesisError, ValidationError
 
 __all__ = [
-    "TwoPointTable",
     "epsilon",
     "bose_from_energy",
-    "two_point",
     "two_point_diagonal",
+    "two_point_bonds",
     "rho_upper_bound",
     "rho_small_beta_bound",
     "occupation_tail_bound",
     "one_minus_p_bound",
-    "n_p_bounds",
-    "TABLE_SITE_CAP",
 ]
-
-TABLE_SITE_CAP = 2048
 
 
 def epsilon(k) -> np.ndarray:
@@ -61,60 +61,60 @@ def bose_from_energy(eps, beta_tilde: float):
     return np.exp(-x) / (-np.expm1(-x))
 
 
-@dataclass(frozen=True)
-class TwoPointTable:
-    """Dense two-point function ``rho[x, y]`` of the quasi-free state."""
-
-    spec: lattice.LatticeSpec
-    beta_tilde: float
-    values: np.ndarray
-
-    def diagonal(self) -> np.ndarray:
-        return np.ascontiguousarray(np.diag(self.values))
+def _dirichlet_spectrum(spec: lattice.LatticeSpec, beta_tilde: float):
+    """Energies and Bose factors of the sine modes, in ``dirichlet_modes`` order."""
+    eps = epsilon(lattice.dirichlet_modes(spec))
+    return eps, bose_from_energy(eps, beta_tilde)
 
 
-def _mode_occupations(spec: lattice.LatticeSpec, beta_tilde: float) -> np.ndarray:
-    modes = lattice.dirichlet_modes(spec)
-    return bose_from_energy(epsilon(modes), beta_tilde)
+def _contract_axes(modes: np.ndarray, tables) -> np.ndarray:
+    """Contract axis ``i`` of the mode array with ``tables[i]``.
 
-
-def two_point(spec: lattice.LatticeSpec, beta_tilde: float) -> TwoPointTable:
-    """Full two-point table ``rho(x, y) = sum_k phi_k(x) phi_k(y) f(k)``.
-
-    Modes are accumulated in ascending index order in fixed-size chunks with
-    compensated summation, so the result is deterministic.  Symmetric by
-    construction; positive on the diagonal.
+    ``tables[i]`` has shape ``(rows, ell)``; axis ``i`` of the result runs
+    over its rows.  One ``tensordot`` per axis, ``O(rows * ell^d)`` each.
     """
+    out = modes
+    for axis, table in enumerate(tables):
+        out = np.moveaxis(np.tensordot(table, out, axes=(1, axis)), 0, axis)
+    return out
+
+
+def _sine_products(spec: lattice.LatticeSpec, beta_tilde: float):
+    """Bose factors on the ``(ell,)*d`` mode grid and the 1d sine modes ``phi[x, k]``."""
     if spec.boundary is not lattice.Boundary.DIRICHLET:
-        raise ValidationError("the two-point table is defined for Dirichlet boxes")
-    n = spec.n_sites
-    if n > TABLE_SITE_CAP:
-        raise CapacityError(
-            f"{n} sites exceeds the table cap {TABLE_SITE_CAP}; "
-            "use two_point_diagonal for occupations"
-        )
-    phi = lattice.eigenfunction_matrix(spec)
-    f = _mode_occupations(spec, beta_tilde)
-    values = np.zeros((n, n))
-    comp = np.zeros((n, n))
-    for lo in range(0, n, 128):
-        hi = min(lo + 128, n)
-        part = (phi[:, lo:hi] * f[lo:hi]) @ phi[:, lo:hi].T
-        y = part - comp
-        t = values + y
-        comp = (t - values) - y
-        values = t
-    values = 0.5 * (values + values.T)
-    return TwoPointTable(spec, float(beta_tilde), values)
+        raise ValidationError("the two-point function is defined for Dirichlet boxes")
+    _, f = _dirichlet_spectrum(spec, beta_tilde)
+    phi = lattice.eigenfunction_matrix(lattice.LatticeSpec(1, spec.ell))
+    return f.reshape((spec.ell,) * spec.d), phi
 
 
 def two_point_diagonal(spec: lattice.LatticeSpec, beta_tilde: float) -> np.ndarray:
-    """Site occupations ``rho(x, x)`` without building the full table."""
-    if spec.boundary is not lattice.Boundary.DIRICHLET:
-        raise ValidationError("the two-point table is defined for Dirichlet boxes")
-    phi = lattice.eigenfunction_matrix(spec)
-    f = _mode_occupations(spec, beta_tilde)
-    return (phi**2) @ f
+    """Site occupations ``rho(x, x)`` in ``sites`` order.
+
+    The mode product ``phi_k(x)^2`` factorizes over axes, so the sum over
+    modes is one contraction per axis, ``O(d * ell^{d+1})``.
+    """
+    f, phi = _sine_products(spec, beta_tilde)
+    return _contract_axes(f, [phi * phi] * spec.d).ravel()
+
+
+def two_point_bonds(spec: lattice.LatticeSpec, beta_tilde: float) -> np.ndarray:
+    """Bond values ``rho(x, y)`` on every bond of ``lattice.nn_pairs``, in that order.
+
+    On a bond along axis ``j`` the mode product is ``phi(x_j) phi(x_j + 1)``
+    on axis ``j`` and ``phi(x_i)^2`` on every other axis; each direction is
+    one contraction per axis, ``O(d^2 * ell^{d+1})`` in total.  No
+    ``n_sites^2`` array is built, so the cost stays linear in the volume
+    times ``ell``.
+    """
+    f, phi = _sine_products(spec, beta_tilde)
+    square, step = phi * phi, phi[:-1] * phi[1:]
+    return np.concatenate(
+        [
+            _contract_axes(f, [step if i == j else square for i in range(spec.d)]).ravel()
+            for j in range(spec.d)
+        ]
+    )
 
 
 def rho_upper_bound(d: int, beta_tilde: float, ell: int) -> float:
@@ -175,7 +175,8 @@ def one_minus_p_bound(
 ) -> float:
     """Closed-form bound on the weight outside the low-occupation subspace.
 
-    Union bound over sites with the simple per-site tail:
+    Union bound over sites with the simple per-site tail
+    (``occupation_tail_bound(..., form="simple")``):
     ``e * ell^d * (2S+1) * rho_bar^(2S)`` where ``rho_bar`` is the uniform
     occupation bound (``rho_upper_bound`` unless an explicit ``rho_bound`` is
     supplied, e.g. the high-temperature one).
@@ -183,21 +184,4 @@ def one_minus_p_bound(
     if two_s < 1:
         raise ValidationError("two_s must be a positive integer")
     rho_bar = rho_upper_bound(d, beta_tilde, ell) if rho_bound is None else float(rho_bound)
-    return math.e * ell**d * (two_s + 1) * rho_bar**two_s
-
-
-def n_p_bounds(
-    d: int, beta_tilde: float, ell: int, two_s: int, rho_bound: float | None = None
-):
-    """Two-sided bounds on the trace ratio full/projected partition function.
-
-    If ``w`` bounds the weight outside the projected subspace and ``w <= 1/2``
-    then the ratio lies in ``[1, 1 + 2w]``.  When ``w > 1/2`` the estimate
-    carries no information and this raises instead of returning a number.
-    """
-    w = one_minus_p_bound(d, beta_tilde, ell, two_s, rho_bound=rho_bound)
-    if w > 0.5:
-        raise HypothesisError(
-            f"projected-trace bound needs outside weight <= 1/2, got {w:.3e}"
-        )
-    return 1.0, 1.0 + 2.0 * w
+    return ell**d * occupation_tail_bound(rho_bar, two_s, form="simple")

@@ -35,7 +35,6 @@ __all__ = [
     "boundary_multiplicity",
     "dirichlet_modes",
     "periodic_modes",
-    "eigenfunction",
     "eigenfunction_matrix",
     "one_particle_kinetic",
 ]
@@ -152,25 +151,6 @@ def periodic_modes(spec: LatticeSpec) -> np.ndarray:
     k = labels * (2.0 * np.pi / spec.ell)
     k = np.where(k > np.pi, k - 2.0 * np.pi, k)
     return k
-
-
-def eigenfunction(spec: LatticeSpec, k, x) -> float:
-    """Normalized sine mode ``phi_k(x)`` of the Dirichlet box.
-
-    ``phi_k(x) = (2/(ell+1))^(d/2) * prod_j sin(x_j k_j)``, orthonormal over
-    the box.  ``k`` must lie on the mode grid.
-    """
-    if spec.boundary is not Boundary.DIRICHLET:
-        raise ValidationError("sine modes belong to Dirichlet boxes")
-    k = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if k.shape != (spec.d,) or x.shape != (spec.d,):
-        raise ValidationError("k and x must both have one entry per dimension")
-    labels = k * (spec.ell + 1) / np.pi
-    rounded = np.rint(labels)
-    if np.max(np.abs(labels - rounded)) > 1e-9 or np.any(rounded < 1) or np.any(rounded > spec.ell):
-        raise ValidationError(f"momentum {k} is not on the mode grid of ell={spec.ell}")
-    return float((2.0 / (spec.ell + 1)) ** (spec.d / 2.0) * np.prod(np.sin(x * k)))
 
 
 def eigenfunction_matrix(spec: LatticeSpec) -> np.ndarray:

@@ -21,7 +21,10 @@ Three modes produce reports.
 ``analytic``   The rigorous chain at any box size: quasi-free reference
                state, Cauchy-Schwarz cross terms, square-root remainder
                bound, and two-sided trace-ratio control.  Requires the
-               outside-projector weight to be below 1/2.
+               outside-projector weight to be below 1/2.  Every Wick
+               estimate reads the two-point function on sites and bonds
+               only, so the cost is ``O(d^2 ell^{d+1})`` plus the
+               Brillouin-zone quadrature, with no cap on the box.
 
 ``asymptotic`` The thermodynamic-limit statement at box side
                ``round(beta^d S^2)``, with the dimension-dependent
@@ -44,7 +47,6 @@ __all__ = [
     "BoundReport",
     "quartic_sine_sums",
     "quartic_sine_closed_forms",
-    "t_squared_expectation",
     "free_energy_leading_discrete",
     "interaction_correction_lattice",
     "interaction_correction_bulk",
@@ -173,26 +175,9 @@ def quartic_sine_closed_forms(ell: int, k: float, kp: float):
     )
 
 
-def _dirichlet_spectrum(spec: lattice.LatticeSpec, beta_tilde: float):
-    modes = lattice.dirichlet_modes(spec)
-    eps = dispersion.epsilon(modes)
-    return eps, dispersion.bose_from_energy(eps, beta_tilde)
-
-
-def t_squared_expectation(spec: lattice.LatticeSpec, beta_tilde: float) -> float:
-    """``<(T^D)^2> / ell^{2d}`` in the quasi-free state, via mode sums.
-
-    ``(sum eps f / ell^d)^2 + sum eps^2 f (1+f) / ell^{2d}``; bounded by
-    ``2 / beta_tilde^2`` uniformly in the box size.
-    """
-    eps, f = _dirichlet_spectrum(spec, beta_tilde)
-    vol = spec.n_sites
-    return (float(np.sum(eps * f)) / vol) ** 2 + float(np.sum(eps * eps * f * (1 + f))) / vol**2
-
-
 def free_energy_leading_discrete(spec: lattice.LatticeSpec, beta_tilde: float) -> float:
     """Free boson free energy per site ``(1/(beta ell^d)) sum_k log(1 - e^{-beta eps})``."""
-    eps, _ = _dirichlet_spectrum(spec, beta_tilde)
+    eps, _ = dispersion._dirichlet_spectrum(spec, beta_tilde)
     return float(np.sum(np.log(-np.expm1(-beta_tilde * eps)))) / (beta_tilde * spec.n_sites)
 
 
@@ -227,15 +212,12 @@ def interaction_correction_lattice(
         raise ValidationError("the lattice correction is defined on Dirichlet boxes")
     ell, d = spec.ell, spec.d
     s = two_s / 2.0
-    _, f = _dirichlet_spectrum(spec, beta_tilde)
+    _, f = dispersion._dirichlet_spectrum(spec, beta_tilde)
     f_t = f.reshape((ell,) * d)
     g, comb = _axis_tables(ell)
     total = 0.0
     for active in range(d):
-        tmp = f_t
-        for axis in range(d):
-            table = comb if axis == active else g
-            tmp = np.moveaxis(np.tensordot(table, tmp, axes=(1, axis)), 0, axis)
+        tmp = dispersion._contract_axes(f_t, [comb if axis == active else g for axis in range(d)])
         total += float(np.sum(f_t * tmp))
     value = (1.0 / s) * (2.0 / (ell + 1)) ** d * total
     return value / spec.n_sites
@@ -337,8 +319,8 @@ def _box_bound_exact(spec, two_s, beta_tilde) -> BoundReport:
 
 def _box_bound_analytic(spec, two_s, beta_tilde) -> BoundReport:
     vol = spec.n_sites
-    table = dispersion.two_point(spec, beta_tilde)
-    w = wick.projector_deficit(spec, beta_tilde, two_s)
+    ctb = wick.cross_term_bound(spec, two_s, beta_tilde)
+    w = ctb.one_minus_p
     if w > 0.5:
         raise HypothesisError(
             f"outside-projector weight bound {w:.3e} exceeds 1/2; "
@@ -348,8 +330,7 @@ def _box_bound_analytic(spec, two_s, beta_tilde) -> BoundReport:
     disc = free_energy_leading_discrete(spec, beta_tilde)
     cont = quadrature.leading_free_energy(spec.d, beta_tilde)
     i_bar = interaction_correction_lattice(spec, two_s, beta_tilde)
-    ctb = wick.cross_term_bound(spec, two_s, beta_tilde, table=table)
-    rem = wick.remainder_bound(spec, two_s, beta_tilde, table=table)
+    rem = wick.remainder_bound(spec, two_s, beta_tilde)
     budget = {
         "finite_size_leading": max(0.0, disc - cont.value),
         "projector_cross": n_p_upper * ctb.value / vol,
@@ -381,8 +362,9 @@ def dirichlet_box_bound(
 
     ``projector_stats`` picks the route: ``"exact"`` (dense variational,
     needs ``(2S+1)^{ell^d}`` within the dense cap), ``"analytic"`` (the
-    rigorous chain, any size, raises when the low-occupation hypothesis
-    fails), or ``"auto"`` (exact when it fits, else analytic).
+    rigorous chain at any box size, ``O(d^2 ell^{d+1})`` plus quadrature;
+    raises when the low-occupation hypothesis fails), or ``"auto"`` (exact
+    when it fits, else analytic).
     """
     if spec.boundary is not lattice.Boundary.DIRICHLET:
         raise ValidationError("box bounds are defined for Dirichlet boxes")

@@ -7,11 +7,15 @@ creator left of its annihilator contributes ``rho(x, y)``, an annihilator
 left of its creator contributes ``delta_{xy} + rho(x, y)``.
 
 On top of the raw pairing engine this module provides the closed-form quartic
-correction in position space, exponential occupation moments, and the
-composed Cauchy-Schwarz bounds (hopping squared, interaction squared,
-projector cross terms, square-root remainder) that the rigorous box bound
-assembles.  Each bound is paired with a brute-force check against the capped
-boson oracle on small boxes.
+correction in position space and the composed Cauchy-Schwarz bounds (hopping
+squared, interaction squared, projector cross terms, square-root remainder)
+that the rigorous box bound assembles.  Every one of them reads the
+two-point function only on a site or a bond: each is a polynomial in
+``(rho_xx, rho_yy, rho_xy)``, evaluated once over the ``(2, 2, n_bonds)``
+stack of bond blocks built from ``dispersion.two_point_diagonal`` and
+``dispersion.two_point_bonds``, which dominate the cost; no box size is
+capped, and no ``n_sites^2`` array is built.  Each bound is paired with a
+brute-force check against the capped boson oracle on small boxes.
 """
 
 from __future__ import annotations
@@ -28,10 +32,8 @@ from ._errors import ValidationError
 __all__ = [
     "wick_expectation",
     "number_monomial",
-    "occupation_moment",
     "expectation_I_position",
     "expectation_I_monomials",
-    "expectation_exp_lambda_n",
     "projector_deficit",
     "hop_squared_moments",
     "interaction_squared_bound",
@@ -45,16 +47,17 @@ __all__ = [
 _MAX_PAIRS = 6
 
 
-def wick_expectation(monomial, table) -> float:
+def wick_expectation(monomial, rho):
     """Quasi-free expectation of a ladder monomial via pairings.
 
     ``monomial`` is a sequence of ``(site_index, is_creator)`` in operator
-    order; ``table`` is a two-point table or a dense symmetric matrix
-    ``rho[x, y]``.  Monomials with unequal creator and annihilator counts
-    have zero expectation; that case is flagged with a warning since it
-    usually indicates a typo in the caller.
+    order.  ``rho`` is a symmetric two-point matrix ``rho[x, y]``, or a
+    ``(2, 2, n)`` stack of two-point blocks on sites ``{0, 1}``, for which
+    one value per block is returned.  Monomials with unequal creator and
+    annihilator counts have zero expectation; that case is flagged with a
+    warning since it usually indicates a typo in the caller.
     """
-    rho = table.values if hasattr(table, "values") else np.asarray(table, dtype=np.float64)
+    rho = np.asarray(rho, dtype=np.float64)
     ops = [(int(s), bool(c)) for s, c in monomial]
     creators = [(pos, s) for pos, (s, c) in enumerate(ops) if c]
     annihil = [(pos, s) for pos, (s, c) in enumerate(ops) if not c]
@@ -72,27 +75,18 @@ def wick_expectation(monomial, table) -> float:
         for ci, ai in zip(range(n), perm):
             cpos, csite = creators[ci]
             apos, asite = annihil[ai]
+            # on a stack rho[asite, csite] is a view: never add to it in place
             val = rho[asite, csite]
             if apos < cpos and asite == csite:
-                val += 1.0
-            prod *= val
-            if prod == 0.0:
-                break
-        total += prod
+                val = val + 1.0
+            prod = prod * val
+        total = total + prod
     return total
 
 
 def number_monomial(site: int, power: int = 1):
     """Ladder sequence for ``n_site^power``."""
     return [(site, True), (site, False)] * power
-
-
-def occupation_moment(table, powers: dict) -> float:
-    """Mixed occupation moment ``< prod_x n_x^{p_x} >`` via pairings."""
-    mono = []
-    for site in sorted(powers):
-        mono.extend(number_monomial(site, powers[site]))
-    return wick_expectation(mono, table)
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -104,33 +98,43 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _poly_expectation(table, x: int, y: int, poly: dict) -> float:
-    """Expectation of a polynomial in ``(n_x, n_y)`` given as {(a, b): coef}."""
-    total = 0.0
+def _bond_blocks(spec, beta_tilde: float) -> np.ndarray:
+    """Two-point blocks ``[[rho_xx, rho_xy], [rho_yx, rho_yy]]`` of every bond.
+
+    Shape ``(2, 2, n_bonds)`` in ``lattice.nn_pairs`` order, site ``x`` as
+    block index 0 and ``y`` as 1.
+    """
+    pairs = lattice.nn_pairs(spec)
+    diag = dispersion.two_point_diagonal(spec, beta_tilde)
+    rxy = dispersion.two_point_bonds(spec, beta_tilde)
+    return np.array([[diag[pairs[:, 0]], rxy], [rxy, diag[pairs[:, 1]]]])
+
+
+def _both_orders(blocks: np.ndarray) -> np.ndarray:
+    """Blocks of the ordered pairs: every bond ``(x, y)``, then every ``(y, x)``."""
+    return np.concatenate([blocks, blocks[::-1, ::-1]], axis=2)
+
+
+def _moments(blocks: np.ndarray, poly: dict) -> np.ndarray:
+    """Per-block expectation of a polynomial in ``(n_0, n_1)`` given as {(a, b): coef}."""
+    total = np.zeros(blocks.shape[2])
     for (a, b), coef in sorted(poly.items()):
-        if coef == 0.0:
-            continue
-        total += coef * occupation_moment(table, {x: a, y: b} if x != y else {x: a + b})
+        if coef != 0.0:
+            total = total + coef * wick_expectation(
+                number_monomial(0, a) + number_monomial(1, b), blocks
+            )
     return total
 
 
-def _table_for(spec, beta_tilde, table):
-    return dispersion.two_point(spec, beta_tilde) if table is None else table
-
-
-def expectation_I_position(spec, two_s: int, beta_tilde: float, table=None) -> float:
+def expectation_I_position(spec, two_s: int, beta_tilde: float) -> float:
     """Quartic correction ``<I>`` in position space (extensive, not per site).
 
     Per unordered bond, Wick contraction of the quartic term gives
     ``((rho_xx + rho_yy) rho_xy - rho_xx rho_yy - rho_xy^2) / S``.
     """
-    t = _table_for(spec, beta_tilde, table)
-    rho = t.values
+    (rxx, rxy), (_, ryy) = _bond_blocks(spec, beta_tilde)
     s = two_s / 2.0
-    total = 0.0
-    for i, j in lattice.nn_pairs(spec):
-        total += (rho[i, i] + rho[j, j]) * rho[i, j] - rho[i, i] * rho[j, j] - rho[i, j] ** 2
-    return total / s
+    return float(np.sum((rxx + ryy) * rxy - rxx * ryy - rxy**2)) / s
 
 
 def _interaction_monomials(x: int, y: int):
@@ -144,75 +148,43 @@ def _interaction_monomials(x: int, y: int):
     ]
 
 
-def expectation_I_monomials(spec, two_s: int, beta_tilde: float, table=None) -> float:
+def expectation_I_monomials(spec, two_s: int, beta_tilde: float) -> float:
     """``<I>`` summed monomial by monomial through the generic pairing engine.
 
-    Slower than the closed form; used as an independent route in tests.
+    An independent route to ``expectation_I_position``, used by
+    ``wick-verify`` and the tests.
     """
-    t = _table_for(spec, beta_tilde, table)
+    blocks = _bond_blocks(spec, beta_tilde)
     s = two_s / 2.0
-    total = 0.0
-    for i, j in lattice.nn_pairs(spec):
-        for coef, mono in _interaction_monomials(int(i), int(j)):
-            total += coef * wick_expectation(mono, t)
-    return total / (4.0 * s)
+    per_bond = sum(
+        coef * wick_expectation(mono, blocks) for coef, mono in _interaction_monomials(0, 1)
+    )
+    return float(np.sum(per_bond)) / (4.0 * s)
 
 
-def expectation_exp_lambda_n(site: int, lam: float, table) -> float:
-    """``< e^{lambda n_x} > = 1 / (1 - (e^lambda - 1) rho(x, x))``.
-
-    Diverges when ``(e^lambda - 1) rho >= 1``; that case raises.
-    """
-    rho = table.values if hasattr(table, "values") else np.asarray(table)
-    r = float(rho[site, site])
-    g = float(np.expm1(lam))
-    if g * r >= 1.0:
-        raise ValidationError(
-            f"exponential moment diverges: (e^lambda - 1) * rho = {g * r:.3f} >= 1"
-        )
-    return 1.0 / (1.0 - g * r)
-
-
-def projector_deficit(spec, beta_tilde: float, two_s: int, form: str = "exact") -> float:
+def projector_deficit(spec, beta_tilde: float, two_s: int) -> float:
     """Wick-side bound on the weight outside the low-occupation subspace.
 
-    Union bound over sites with the per-site tail at the exact occupation
-    ``rho(x, x)``; see ``dispersion.occupation_tail_bound`` for the forms.
+    Union bound over sites with the exact geometric per-site tail at the
+    occupation ``rho(x, x)``; see ``dispersion.occupation_tail_bound``.
     """
     occ = dispersion.two_point_diagonal(spec, beta_tilde)
-    return float(
-        sum(dispersion.occupation_tail_bound(r, two_s, form=form) for r in np.sort(occ))
-    )
+    return float(sum(dispersion.occupation_tail_bound(r, two_s) for r in np.sort(occ)))
 
 
-def hop_squared_moments(spec, beta_tilde: float, table=None):
-    """Second moment of the pure hopping sum ``A = sum over ordered pairs a*_x a_y``.
+def hop_squared_moments(spec, beta_tilde: float) -> float:
+    """Bound on ``<P A^2 P>`` for the pure hopping sum ``A = sum over ordered pairs a*_x a_y``.
 
-    Returns ``(exact, projected_bound)`` where ``exact = (tr A rho)^2 +
-    tr((A rho)^2) + tr(A^2 rho)`` with ``A`` the adjacency matrix, and
-    ``projected_bound`` dominates ``<P A^2 P>`` via the term-count
-    Cauchy-Schwarz inequality ``M * sum over ordered pairs <(n_x + 1) n_y>``.
+    The term-count Cauchy-Schwarz inequality gives
+    ``M * sum over ordered pairs <(n_x + 1) n_y>`` with ``M`` the number of
+    ordered pairs.
     """
-    t = _table_for(spec, beta_tilde, table)
-    rho = t.values
-    n = spec.n_sites
-    adj = np.zeros((n, n))
-    for i, j in lattice.nn_pairs(spec):
-        adj[i, j] = 1.0
-        adj[j, i] = 1.0
-    arho = adj @ rho
-    exact = float(np.trace(arho)) ** 2 + float(np.sum(arho * arho.T)) + float(
-        np.sum((adj @ adj) * rho.T)
-    )
-    m_terms = int(adj.sum())
-    per_pair = 0.0
-    for i, j in lattice.nn_pairs(spec):
-        for x, y in ((i, j), (j, i)):
-            per_pair += _poly_expectation(t, int(x), int(y), {(0, 1): 1.0, (1, 1): 1.0})
-    return exact, m_terms * per_pair
+    blocks = _both_orders(_bond_blocks(spec, beta_tilde))
+    per_pair = _moments(blocks, {(0, 1): 1.0, (1, 1): 1.0})
+    return blocks.shape[2] * float(np.sum(per_pair))
 
 
-def interaction_squared_bound(spec, two_s: int, beta_tilde: float, table=None) -> float:
+def interaction_squared_bound(spec, two_s: int, beta_tilde: float) -> float:
     """Upper bound for both ``<I^2>`` and ``<P I^2 P>``.
 
     Splits ``S*I`` into a dressed hop ``V`` and a diagonal part ``D`` and
@@ -220,25 +192,18 @@ def interaction_squared_bound(spec, two_s: int, beta_tilde: float, table=None) -
     operators reduce to nonnegative diagonal occupation polynomials, which is
     also why the same number dominates the projected moment.
     """
-    t = _table_for(spec, beta_tilde, table)
+    blocks = _bond_blocks(spec, beta_tilde)
     s = two_s / 2.0
-    pairs = lattice.nn_pairs(spec)
-    n_bonds = len(pairs)
+    n_bonds = blocks.shape[2]
     # V-part: per ordered pair a*_x ((n_x + n_y)/4) a_y; its square reduces to
     # ((n_x + n_y - 1)^2 / 16) (n_x + 1) n_y
     base = {(1, 0): 1.0, (0, 1): 1.0, (0, 0): -1.0}
     poly_v = _poly_mul(_poly_mul(base, base), {(1, 0): 1.0, (0, 0): 1.0})
     poly_v = _poly_mul(poly_v, {(0, 1): 1.0})
-    v_sum = 0.0
-    for i, j in pairs:
-        for x, y in ((i, j), (j, i)):
-            v_sum += _poly_expectation(t, int(x), int(y), poly_v) / 16.0
+    v_sum = float(np.sum(_moments(_both_orders(blocks), poly_v))) / 16.0
     v_bound = 2 * n_bonds * v_sum
     # D-part: per unordered bond n_x n_y / 2
-    d_sum = 0.0
-    for i, j in pairs:
-        d_sum += _poly_expectation(t, int(i), int(j), {(2, 2): 0.25})
-    d_bound = n_bonds * d_sum
+    d_bound = n_bonds * float(np.sum(_moments(blocks, {(2, 2): 0.25})))
     return (2.0 / (s * s)) * (v_bound + d_bound)
 
 
@@ -254,32 +219,22 @@ class CrossTermBound:
     value: float
 
 
-def _t_squared_modes(spec, beta_tilde: float):
-    modes = lattice.dirichlet_modes(spec)
-    eps = dispersion.epsilon(modes)
-    f = dispersion.bose_from_energy(eps, beta_tilde)
-    first = float(np.sum(eps * f))
-    second = first**2 + float(np.sum(eps * eps * f * (1.0 + f)))
-    return first, second
-
-
-def cross_term_bound(spec, two_s: int, beta_tilde: float, table=None) -> CrossTermBound:
+def cross_term_bound(spec, two_s: int, beta_tilde: float) -> CrossTermBound:
     """Rigorous bound on the three projector cross terms of the box estimate.
 
     ``value`` dominates ``|<(T+I)(1-P)>| + |<(1-P)(T+I)P>| + |<T(1-P)>|`` in
     the quasi-free Gibbs state, by Cauchy-Schwarz with the second-moment
     bounds assembled here (``T`` the Dirichlet kinetic form, ``I`` the
-    quartic correction, ``P`` the low-occupation projector).
+    quartic correction, ``P`` the low-occupation projector).  ``t2_exact``
+    is ``<T^2>`` from the mode sums ``(sum eps f)^2 + sum eps^2 f (1+f)``.
     """
-    t = _table_for(spec, beta_tilde, table)
     w = projector_deficit(spec, beta_tilde, two_s)
-    _, t2 = _t_squared_modes(spec, beta_tilde)
-    i2 = interaction_squared_bound(spec, two_s, beta_tilde, table=t)
-    _, hop_proj = hop_squared_moments(spec, beta_tilde, table=t)
+    eps, f = dispersion._dirichlet_spectrum(spec, beta_tilde)
+    t2 = float(np.sum(eps * f)) ** 2 + float(np.sum(eps * eps * f * (1.0 + f)))
+    i2 = interaction_squared_bound(spec, two_s, beta_tilde)
+    hop_proj = hop_squared_moments(spec, beta_tilde)
     # (T^D)^2 <= 2 A^2 + 2 N^2 with N = 2d * total number (degree plus frozen
     # multiplicity is 2d on every site)
-    modes = lattice.dirichlet_modes(spec)
-    f = dispersion.bose_from_energy(dispersion.epsilon(modes), beta_tilde)
     n2 = float(np.sum(f)) ** 2 + float(np.sum(f * (1.0 + f)))
     pt2p = 2.0 * hop_proj + 2.0 * (2.0 * spec.d) ** 2 * n2
     value = np.sqrt(w) * (
@@ -288,7 +243,7 @@ def cross_term_bound(spec, two_s: int, beta_tilde: float, table=None) -> CrossTe
     return CrossTermBound(w, t2, i2, pt2p, i2, float(value))
 
 
-def remainder_bound(spec, two_s: int, beta_tilde: float, table=None) -> float:
+def remainder_bound(spec, two_s: int, beta_tilde: float) -> float:
     """Extensive Wick bound dominating ``|<R>_P| / N_P``.
 
     ``R`` is the square-root remainder beyond the quartic term.  Its dressed
@@ -297,15 +252,12 @@ def remainder_bound(spec, two_s: int, beta_tilde: float, table=None) -> float:
     ``(< n_x (n_x - 1)^2 > + < n_x n_y^2 >) / (8 S^2)``; the projector then
     drops at the price of the (caller-supplied) trace-ratio factor.
     """
-    t = _table_for(spec, beta_tilde, table)
+    blocks = _both_orders(_bond_blocks(spec, beta_tilde))
     s = two_s / 2.0
-    total = 0.0
-    for i, j in lattice.nn_pairs(spec):
-        for x, y in ((i, j), (j, i)):
-            rho = t.values[x, x]
-            total += 6.0 * rho**3 + 2.0 * rho**2  # < n (n-1)^2 >
-            total += _poly_expectation(t, int(x), int(y), {(1, 2): 1.0})
-    return total / (8.0 * s * s)
+    rho = blocks[0, 0]
+    per_pair = 6.0 * rho**3 + 2.0 * rho**2  # < n (n-1)^2 >
+    per_pair = per_pair + _moments(blocks, {(1, 2): 1.0})
+    return float(np.sum(per_pair)) / (8.0 * s * s)
 
 
 def _one_minus_p_oracle(spec, two_s: int, beta_tilde: float, n_max: int):

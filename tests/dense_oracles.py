@@ -12,6 +12,11 @@ The package builds every boson operator from one table of one-boson moves
 monomial at a time instead (``monomial_matrix``), with the sextic
 correction, the ladder matrices, the projector and the trial state that only
 tests use.  Tests compare the two routes.
+
+The package evaluates every Wick bound once over the two-point blocks of all
+bonds (``wick._bond_blocks``).  The ``table_*`` oracles here build the dense
+``ell^d x ell^d`` two-point table (``two_point``) and loop over the bonds one
+by one through ``occupation_moment``, as the bounds did before.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from magnon import fock, lattice, linalg, spinwave, wick
+from magnon import dispersion, fock, lattice, linalg, spinwave, wick
 from magnon._errors import ValidationError
 
 
@@ -330,3 +335,118 @@ def remainder_check(spec, two_s: int, beta_tilde: float, n_max: int):
     n_p_exact = z / zp
     rhs = n_p_exact * wick.remainder_bound(spec, two_s, beta_tilde)
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# sine modes, the dense two-point table and the bond-by-bond Wick bounds
+
+
+def eigenfunction(spec, k, x) -> float:
+    """Normalized sine mode ``phi_k(x) = (2/(ell+1))^(d/2) prod_j sin(x_j k_j)``.
+
+    ``k`` must lie on the mode grid of the Dirichlet box.
+    """
+    k = np.atleast_1d(np.asarray(k, dtype=np.float64))
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if k.shape != (spec.d,) or x.shape != (spec.d,):
+        raise ValidationError("k and x must both have one entry per dimension")
+    labels = k * (spec.ell + 1) / np.pi
+    rounded = np.rint(labels)
+    if np.max(np.abs(labels - rounded)) > 1e-9 or np.any(rounded < 1) or np.any(rounded > spec.ell):
+        raise ValidationError(f"momentum {k} is not on the mode grid of ell={spec.ell}")
+    return float((2.0 / (spec.ell + 1)) ** (spec.d / 2.0) * np.prod(np.sin(x * k)))
+
+
+def two_point(spec, beta_tilde: float) -> np.ndarray:
+    """Dense two-point table ``rho[x, y] = sum_k phi_k(x) phi_k(y) f(k)``."""
+    phi = lattice.eigenfunction_matrix(spec)
+    f = dispersion.bose_from_energy(dispersion.epsilon(lattice.dirichlet_modes(spec)), beta_tilde)
+    rho = (phi * f) @ phi.T
+    return 0.5 * (rho + rho.T)
+
+
+def occupation_moment(rho, powers: dict) -> float:
+    """Mixed occupation moment ``< prod_x n_x^{p_x} >`` via pairings."""
+    mono = []
+    for site in sorted(powers):
+        mono.extend(wick.number_monomial(site, powers[site]))
+    return wick.wick_expectation(mono, rho)
+
+
+def poly_expectation(rho, x: int, y: int, poly: dict) -> float:
+    """Expectation of a polynomial in ``(n_x, n_y)`` given as {(a, b): coef}."""
+    total = 0.0
+    for (a, b), coef in sorted(poly.items()):
+        total += coef * occupation_moment(rho, {x: a, y: b} if x != y else {x: a + b})
+    return total
+
+
+def _ordered_pairs(spec):
+    for i, j in lattice.nn_pairs(spec):
+        yield int(i), int(j)
+        yield int(j), int(i)
+
+
+def table_expectation_I_position(spec, two_s: int, beta_tilde: float) -> float:
+    rho = two_point(spec, beta_tilde)
+    total = 0.0
+    for i, j in lattice.nn_pairs(spec):
+        total += (rho[i, i] + rho[j, j]) * rho[i, j] - rho[i, i] * rho[j, j] - rho[i, j] ** 2
+    return total / (two_s / 2.0)
+
+
+def table_expectation_I_monomials(spec, two_s: int, beta_tilde: float) -> float:
+    rho = two_point(spec, beta_tilde)
+    total = 0.0
+    for i, j in lattice.nn_pairs(spec):
+        for coef, mono in wick._interaction_monomials(int(i), int(j)):
+            total += coef * wick.wick_expectation(mono, rho)
+    return total / (4.0 * (two_s / 2.0))
+
+
+def table_hop_squared_moments(spec, beta_tilde: float) -> float:
+    rho = two_point(spec, beta_tilde)
+    pairs = list(_ordered_pairs(spec))
+    per_pair = sum(poly_expectation(rho, x, y, {(0, 1): 1.0, (1, 1): 1.0}) for x, y in pairs)
+    return len(pairs) * per_pair
+
+
+def table_interaction_squared_bound(spec, two_s: int, beta_tilde: float) -> float:
+    rho = two_point(spec, beta_tilde)
+    s = two_s / 2.0
+    n_bonds = len(lattice.nn_pairs(spec))
+    # ((n_x + n_y - 1)^2 / 16) (n_x + 1) n_y, expanded by hand
+    square = {(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0, (1, 1): 2.0, (1, 0): -2.0, (0, 1): -2.0}
+    poly_v = {}
+    for (a, b), coef in square.items():
+        for key in ((a + 1, b + 1), (a, b + 1)):
+            poly_v[key] = poly_v.get(key, 0.0) + coef
+    v_sum = sum(poly_expectation(rho, x, y, poly_v) / 16.0 for x, y in _ordered_pairs(spec))
+    d_sum = sum(
+        poly_expectation(rho, int(i), int(j), {(2, 2): 0.25}) for i, j in lattice.nn_pairs(spec)
+    )
+    return (2.0 / (s * s)) * (2 * n_bonds * v_sum + n_bonds * d_sum)
+
+
+def table_remainder_bound(spec, two_s: int, beta_tilde: float) -> float:
+    rho = two_point(spec, beta_tilde)
+    total = 0.0
+    for x, y in _ordered_pairs(spec):
+        total += 6.0 * rho[x, x] ** 3 + 2.0 * rho[x, x] ** 2
+        total += poly_expectation(rho, x, y, {(1, 2): 1.0})
+    return total / (8.0 * (two_s / 2.0) ** 2)
+
+
+def table_cross_term_value(spec, two_s: int, beta_tilde: float) -> float:
+    """``wick.cross_term_bound(...).value`` from the dense table and mode loops."""
+    rho = two_point(spec, beta_tilde)
+    w = sum(dispersion.occupation_tail_bound(r, two_s) for r in np.diag(rho))
+    eps = dispersion.epsilon(lattice.dirichlet_modes(spec))
+    f = dispersion.bose_from_energy(eps, beta_tilde)
+    t2 = sum(eps * f) ** 2 + sum(eps * eps * f * (1.0 + f))
+    n2 = sum(f) ** 2 + sum(f * (1.0 + f))
+    i2 = table_interaction_squared_bound(spec, two_s, beta_tilde)
+    pt2p = 2.0 * table_hop_squared_moments(spec, beta_tilde) + 2.0 * (2.0 * spec.d) ** 2 * n2
+    return float(
+        np.sqrt(w) * (np.sqrt(2 * t2 + 2 * i2) + np.sqrt(2 * pt2p + 2 * i2) + np.sqrt(t2))
+    )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from magnon import dispersion, lattice
-from magnon._errors import CapacityError, HypothesisError, ValidationError
+from magnon._errors import HypothesisError, ValidationError
 
 
 def test_epsilon_trivial_values():
@@ -25,25 +25,23 @@ def test_bose_factor():
     assert dispersion.bose_from_energy(12.0, 200.0) == pytest.approx(0.0, abs=1e-300)
 
 
-@pytest.mark.parametrize("d,ell", [(1, 5), (2, 3), (3, 2)])
+@pytest.mark.parametrize("d,ell", [(1, 5), (2, 3), (3, 2), (3, 4), (1, 1), (3, 1)])
 def test_two_point_against_direct_sum(d, ell):
     spec = lattice.LatticeSpec(d, ell)
     bt = 1.7
-    table = dispersion.two_point(spec, bt)
     # naive dense route
     phi = lattice.eigenfunction_matrix(spec)
     f = dispersion.bose_from_energy(dispersion.epsilon(lattice.dirichlet_modes(spec)), bt)
     want = (phi * f) @ phi.T
-    assert np.max(np.abs(table.values - want)) < 1e-14
-    assert np.max(np.abs(table.values - table.values.T)) == 0.0
-    assert abs(np.trace(table.values) - f.sum()) < 1e-12
-    assert np.min(np.linalg.eigvalsh(table.values)) > -1e-13
-    assert np.allclose(table.diagonal(), dispersion.two_point_diagonal(spec, bt), atol=1e-13)
-
-
-def test_site_cap():
-    with pytest.raises(CapacityError):
-        dispersion.two_point(lattice.LatticeSpec(3, 13), 1.0)
+    pairs = lattice.nn_pairs(spec)
+    bonds = dispersion.two_point_bonds(spec, bt)
+    assert bonds.shape == (len(pairs),)
+    assert np.max(np.abs(bonds - want[pairs[:, 0], pairs[:, 1]]), initial=0.0) < 1e-14
+    diag = dispersion.two_point_diagonal(spec, bt)
+    assert np.max(np.abs(diag - np.diag(want))) < 1e-14
+    assert abs(diag.sum() - f.sum()) < 1e-12
+    with pytest.raises(ValidationError):
+        dispersion.two_point_bonds(lattice.LatticeSpec(d, max(ell, 3), "periodic"), bt)
 
 
 def test_rho_bound_d3_value():
@@ -106,12 +104,3 @@ def test_one_minus_p_bound_example():
     # explicit rho_bound override
     got2 = dispersion.one_minus_p_bound(3, 4.0, 2, 2, rho_bound=0.1)
     assert abs(got2 - np.e * 8 * 3 * 0.01) < 1e-12
-
-
-def test_n_p_bounds():
-    lo, hi = dispersion.n_p_bounds(3, 8.0, 4, 6)
-    assert lo == 1.0
-    w = dispersion.one_minus_p_bound(3, 8.0, 4, 6)
-    assert abs(hi - (1.0 + 2.0 * w)) < 1e-12
-    with pytest.raises(HypothesisError):
-        dispersion.n_p_bounds(3, 1.0, 16, 1)  # weight far above 1/2

@@ -67,7 +67,8 @@ def test_t_squared_bounded_uniformly():
     for d, ell in ((1, 9), (2, 6), (3, 4)):
         spec = lattice.LatticeSpec(d, ell)
         for bt in (0.5, 1.0, 2.0, 8.0):
-            assert spinwave.t_squared_expectation(spec, bt) <= 2.0 / bt**2
+            t2 = wick.cross_term_bound(spec, 2, bt).t2_exact / spec.n_sites**2
+            assert t2 <= 2.0 / bt**2
 
 
 def test_t_squared_matches_dense():
@@ -76,7 +77,7 @@ def test_t_squared_matches_dense():
     basis = fock.FockBasis(spec, 20)
     td = fock.kinetic_dirichlet(basis)
     want = dense_expectation(td, bt, td @ td) / spec.n_sites**2
-    got = spinwave.t_squared_expectation(spec, bt)
+    got = wick.cross_term_bound(spec, 2, bt).t2_exact / spec.n_sites**2
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -191,6 +192,26 @@ def test_analytic_route_raises_when_hypothesis_fails():
         spinwave.dirichlet_box_bound(
             lattice.LatticeSpec(1, 40), 1, 0.2, projector_stats="analytic"
         )
+
+
+def test_analytic_route_trace_ratio():
+    # the trace ratio full/projected lies in [1, 1 + 2w] when the outside
+    # weight w is at most 1/2; above that the route refuses
+    spec = lattice.LatticeSpec(3, 4)
+    rep = spinwave.dirichlet_box_bound(spec, 6, 8.0, projector_stats="analytic")
+    assert rep.info["one_minus_p"] == wick.projector_deficit(spec, 8.0, 6)
+    assert rep.info["n_p_upper"] == 1.0 + 2.0 * rep.info["one_minus_p"]
+    with pytest.raises(HypothesisError):
+        spinwave.dirichlet_box_bound(
+            lattice.LatticeSpec(3, 16), 1, 1.0, projector_stats="analytic"
+        )
+
+
+def test_analytic_route_has_no_box_cap():
+    # 2197 sites: beyond the 2048-site cap the dense two-point table had
+    rep = spinwave.dirichlet_box_bound(lattice.LatticeSpec(3, 13), 4, 4.0, "analytic")
+    assert rep.mode == "analytic" and rep.hypothesis_ok
+    assert np.isfinite(rep.total_upper_bound)
 
 
 def test_exact_route_dominates_spin_free_energy():

@@ -17,7 +17,7 @@ def two_site_state(beta_tilde, n_max=20):
     basis = fock.FockBasis(spec, n_max)
     td = fock.kinetic_dirichlet(basis)
     gibbs = dense_gibbs(td, beta_tilde)
-    table = dispersion.two_point(spec, beta_tilde)
+    table = dense_oracles.two_point(spec, beta_tilde)
     return spec, basis, gibbs, table
 
 
@@ -43,12 +43,12 @@ def test_pairing_degree_two():
 def test_pairing_degree_four_closed_forms():
     rho = np.array([[0.4, 0.15], [0.15, 0.25]])
     nx, ny, rxy = rho[0, 0], rho[1, 1], rho[0, 1]
-    got = wick.occupation_moment(rho, {0: 1, 1: 1})
+    got = dense_oracles.occupation_moment(rho, {0: 1, 1: 1})
     assert got == pytest.approx(nx * ny + rxy * rxy, rel=1e-14)
-    assert wick.occupation_moment(rho, {0: 2}) == pytest.approx(
+    assert dense_oracles.occupation_moment(rho, {0: 2}) == pytest.approx(
         2 * nx**2 + nx, rel=1e-14
     )
-    assert wick.occupation_moment(rho, {0: 3}) == pytest.approx(
+    assert dense_oracles.occupation_moment(rho, {0: 3}) == pytest.approx(
         6 * nx**3 + 6 * nx**2 + nx, rel=1e-14
     )
 
@@ -100,35 +100,18 @@ def test_interaction_routes_agree_with_dense():
     assert mono == pytest.approx(pos, rel=1e-12)
 
 
-def test_exponential_moment():
-    rho_val = 0.35
-    table = np.array([[rho_val]])
-    lam = 0.6
-    got = wick.expectation_exp_lambda_n(0, lam, table)
-    # brute-force geometric sum
-    q = rho_val / (1.0 + rho_val)
-    ns = np.arange(4000)
-    want = float(np.sum((1.0 - q) * np.exp(ns * (lam + np.log(q)))))
-    assert got == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValidationError):
-        wick.expectation_exp_lambda_n(0, 5.0, table)
-
-
 def test_projector_deficit_dominates_exact():
     spec = lattice.LatticeSpec(1, 2)
     two_s = 1
     for bt in (2.0, 4.0):
         exact = wick._one_minus_p_oracle(spec, two_s, bt, n_max=12)
-        for form in ("exact", "simple"):
-            bound = wick.projector_deficit(spec, bt, two_s, form=form)
-            assert bound >= exact > 0.0
-        # the exact-tail form is the sharper of the two
-        assert wick.projector_deficit(spec, bt, two_s, form="exact") <= (
-            wick.projector_deficit(spec, bt, two_s, form="simple")
-        )
+        bound = wick.projector_deficit(spec, bt, two_s)
+        occ = dispersion.two_point_diagonal(spec, bt)
+        simple = sum(dispersion.occupation_tail_bound(r, two_s, form="simple") for r in occ)
+        assert simple >= bound >= exact > 0.0
 
 
-def test_hop_squared_exact_matches_dense():
+def test_hop_squared_bound_dominates_dense():
     bt = 3.0
     spec, basis, gibbs, _ = two_site_state(bt)
     dim = basis.dim
@@ -136,13 +119,12 @@ def test_hop_squared_exact_matches_dense():
     for i, j in lattice.nn_pairs(spec):
         for x, y in ((i, j), (j, i)):
             a_mat += dense_oracles.monomial_matrix(basis, [x], [y])
-    want = float(np.trace(a_mat @ a_mat @ gibbs))
-    exact, projected = wick.hop_squared_moments(spec, bt)
-    assert exact == pytest.approx(want, rel=1e-10)
+    projected = wick.hop_squared_moments(spec, bt)
     # the projected bound dominates <P A^2 P> with P at any spin cap
-    p = dense_oracles.projector_P(basis, 1)
-    pap = float(np.trace(p @ a_mat @ a_mat @ p @ gibbs))
-    assert projected >= pap - 1e-13
+    for two_s in (1, 2, 4):
+        p = dense_oracles.projector_P(basis, two_s)
+        pap = float(np.trace(p @ a_mat @ a_mat @ p @ gibbs))
+        assert projected >= pap - 1e-13
 
 
 def test_interaction_squared_bound_dominates_dense():
@@ -213,3 +195,76 @@ def test_checks_match_dense_oracles(d, ell, two_s, beta_tilde, n_max):
     ):
         assert abs(got[0] - want[0]) <= 1e-13
         assert abs(got[1] - want[1]) <= 1e-13
+
+
+def test_bond_stack_matches_single_blocks_and_is_left_unchanged():
+    rng = np.random.default_rng(3)
+    diag = rng.uniform(0.1, 0.6, size=(2, 5))
+    off = rng.uniform(-0.1, 0.1, size=5)
+    stack = np.array([[diag[0], off], [off, diag[1]]])
+    before = stack.copy()
+    # annihilators left of their creators on the same site add the commutator
+    for mono in (
+        [(0, False), (0, True)],
+        [(1, False), (0, True), (1, True), (0, False)],
+        [(0, True), (1, False), (1, True), (0, False), (0, False), (0, True)],
+    ):
+        got = wick.wick_expectation(mono, stack)
+        assert np.array_equal(stack, before)
+        assert got.shape == (5,)
+        for b in range(5):
+            assert got[b] == pytest.approx(wick.wick_expectation(mono, stack[:, :, b]), rel=1e-15)
+
+
+BOXES = [(1, 2), (1, 6), (2, 3), (2, 4), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("d, ell", BOXES)
+@pytest.mark.parametrize("two_s, beta_tilde", [(1, 2.0), (3, 0.7), (4, 5.0)])
+def test_bond_bounds_match_table_oracle(d, ell, two_s, beta_tilde):
+    spec = lattice.LatticeSpec(d, ell)
+    # <I> cancels between bond terms of size n_bonds * rho^2 / S; rounding
+    # is relative to that scale, not to the sum
+    rho_max = float(np.max(dispersion.two_point_diagonal(spec, beta_tilde)))
+    i_scale = len(lattice.nn_pairs(spec)) * rho_max**2 / (two_s / 2.0)
+    for got, want, atol in (
+        (
+            wick.expectation_I_position(spec, two_s, beta_tilde),
+            dense_oracles.table_expectation_I_position(spec, two_s, beta_tilde),
+            1e-13 * i_scale,
+        ),
+        (
+            wick.expectation_I_monomials(spec, two_s, beta_tilde),
+            dense_oracles.table_expectation_I_monomials(spec, two_s, beta_tilde),
+            1e-13 * i_scale,
+        ),
+        (
+            wick.hop_squared_moments(spec, beta_tilde),
+            dense_oracles.table_hop_squared_moments(spec, beta_tilde),
+            0.0,
+        ),
+        (
+            wick.interaction_squared_bound(spec, two_s, beta_tilde),
+            dense_oracles.table_interaction_squared_bound(spec, two_s, beta_tilde),
+            0.0,
+        ),
+        (
+            wick.remainder_bound(spec, two_s, beta_tilde),
+            dense_oracles.table_remainder_bound(spec, two_s, beta_tilde),
+            0.0,
+        ),
+        (
+            wick.cross_term_bound(spec, two_s, beta_tilde).value,
+            dense_oracles.table_cross_term_value(spec, two_s, beta_tilde),
+            0.0,
+        ),
+    ):
+        assert got == pytest.approx(want, rel=1e-13, abs=atol)
+
+
+def test_single_site_box_has_no_bond_terms():
+    spec = lattice.LatticeSpec(3, 1)
+    assert wick.expectation_I_position(spec, 2, 1.0) == 0.0
+    assert wick.hop_squared_moments(spec, 1.0) == 0.0
+    assert wick.interaction_squared_bound(spec, 2, 1.0) == 0.0
+    assert wick.remainder_bound(spec, 2, 1.0) == 0.0
