@@ -25,12 +25,11 @@ The objects computed:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dispersion
+from . import dispersion, lattice
 from ._errors import CapacityError, ValidationError
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "PeriodicGrid",
     "DiagramValue",
     "ScanResult",
-    "vertex_nu",
     "occupations",
     "expectation_J",
     "biggest_error_term",
@@ -68,10 +66,10 @@ class PeriodicGrid:
             )
         self.ell = ell
         self.n_modes = ell**3
-        labels = np.array(list(itertools.product(range(ell), repeat=3)), dtype=np.int64)
+        spec = lattice.LatticeSpec(3, ell, lattice.Boundary.PERIODIC)
+        labels = lattice.sites(spec) - 1
         self.labels = labels
-        k = labels * (2.0 * np.pi / ell)
-        self.kvecs = np.where(k > np.pi, k - 2.0 * np.pi, k)
+        self.kvecs = lattice.periodic_modes(spec)
         self.eps = dispersion.epsilon(self.kvecs)
         self.zero_index = 0
         flat = lambda l: ((l[..., 0] * ell) + l[..., 1]) * ell + l[..., 2]
@@ -107,20 +105,6 @@ class DiagramValue:
     two_s: int
     zero_mode_policy: str = "exclude"
     extras: dict = field(default_factory=dict)
-
-
-def vertex_nu(k1, k2, k3, k4):
-    """Quartic interaction vertex for momenta with ``k1 + k2 = k3 + k4``.
-
-    ``eps(k4-k2) - eps(k4) - eps(k1) + eps(k4-k1) - eps(k2) + eps(k3-k2)
-    + eps(k3-k1) - eps(k3)``; symmetric under ``1 <-> 2``, ``3 <-> 4`` and
-    ``(12) <-> (34)`` on the conservation shell.
-    """
-    e = dispersion.epsilon
-    k1, k2, k3, k4 = (np.asarray(k) for k in (k1, k2, k3, k4))
-    return (
-        e(k4 - k2) - e(k4) - e(k1) + e(k4 - k1) - e(k2) + e(k3 - k2) + e(k3 - k1) - e(k3)
-    )
 
 
 def _mean_occupation(grid, f):

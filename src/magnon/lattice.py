@@ -19,7 +19,6 @@ fixed order.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +29,11 @@ __all__ = [
     "Boundary",
     "LatticeSpec",
     "sites",
-    "site_index",
     "nn_pairs",
     "boundary_multiplicity",
     "dirichlet_modes",
     "periodic_modes",
     "eigenfunction_matrix",
-    "one_particle_kinetic",
 ]
 
 
@@ -79,19 +76,7 @@ def sites(spec: LatticeSpec) -> np.ndarray:
     Coordinates run from 1 to ``ell`` in each direction for both boundary
     conditions.
     """
-    axes = [np.arange(1, spec.ell + 1)] * spec.d
-    grid = np.array(list(itertools.product(*axes)), dtype=np.int64)
-    return grid.reshape(spec.n_sites, spec.d)
-
-
-def site_index(spec: LatticeSpec, x) -> int:
-    """Index of coordinate tuple ``x`` in the ``sites`` ordering."""
-    idx = 0
-    for c in x:
-        if not 1 <= c <= spec.ell:
-            raise ValidationError(f"coordinate {x} outside the box")
-        idx = idx * spec.ell + (int(c) - 1)
-    return idx
+    return np.stack(np.indices((spec.ell,) * spec.d), axis=-1).reshape(-1, spec.d) + 1
 
 
 def nn_pairs(spec: LatticeSpec) -> np.ndarray:
@@ -170,22 +155,3 @@ def eigenfunction_matrix(spec: LatticeSpec) -> np.ndarray:
         out = np.kron(out, phi1)
     return out
 
-
-def one_particle_kinetic(spec: LatticeSpec) -> np.ndarray:
-    """One-particle hopping matrix ``h[x,y]`` of the kinetic form.
-
-    Each bond contributes +1 to both diagonal entries and -1 to the two
-    off-diagonal entries; Dirichlet boxes additionally get the frozen-bond
-    multiplicity on the diagonal.  For Dirichlet boundary conditions the
-    eigenvalues are exactly ``{eps(k) : k on the sine grid}``.
-    """
-    n = spec.n_sites
-    h = np.zeros((n, n))
-    for i, j in nn_pairs(spec):
-        h[i, i] += 1.0
-        h[j, j] += 1.0
-        h[i, j] -= 1.0
-        h[j, i] -= 1.0
-    if spec.boundary is Boundary.DIRICHLET:
-        h[np.diag_indices(n)] += boundary_multiplicity(spec)
-    return h

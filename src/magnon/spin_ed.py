@@ -5,19 +5,17 @@ The spin basis on each site is ``|n>`` with ``n = S^3 + S`` running from 0 to
 the capped boson basis, so the boson image of the Hamiltonian can be compared
 entry by entry.
 
-The free energy is sector-blocked: H conserves total ``S^3``, so the trace
-runs over the fixed-total sectors of ``fock.SectorBasis`` (``n_max = 2S``)
-through ``fock.gibbs_expectation_truncated``, which needs only each sector's
-eigenvalues.  ED shares the move geometry with the boson operators: each
-``S^+_x S^-_y`` moves one unit along a bond, so a sector Hamiltonian is its
-diagonal plus the spin amplitude ``_hop_amplitude`` scattered over the
-sector's cached ``fock`` hop table.  It shares nothing of the boson
-expansion: the amplitude is the spin one, written once and also used by
-``apply_hamiltonian``.  The whole space still respects the global dimension
-cap (spin 1/2 up to 12 sites, spin 1 up to 7 sites).  The dense Kronecker
-builders ``heisenberg_hamiltonian`` and ``dirichlet_hamiltonian`` are the
-independent check of the boson image.  The single-magnon check applies the
-Hamiltonian matrix-free, which reaches millions of states.
+ED is sector-blocked: H conserves total ``S^3``, so it is built on one
+fixed-total sector of ``fock.SectorBasis`` (``n_max = 2S``) at a time, as
+its diagonal (with the frozen-bond penalty on Dirichlet boxes) plus the spin
+amplitude ``_hop_amplitude`` scattered over the sector's cached ``fock`` hop
+table of one-unit moves along bonds.  It shares nothing of the boson
+expansion.  The free energy traces every sector through
+``fock.gibbs_expectation_truncated`` by eigenvalues alone, within the global
+dimension cap on the whole space (spin 1/2 up to 12 sites, spin 1 up to 7
+sites).  The single-magnon check needs only the one-unit sector, of
+dimension ``ell^d``.  The dense Kronecker builders ``heisenberg_hamiltonian``
+and ``dirichlet_hamiltonian`` are the independent check of the boson image.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ __all__ = [
     "heisenberg_hamiltonian",
     "dirichlet_hamiltonian",
     "free_energy_per_spin",
-    "apply_hamiltonian",
     "magnon_check",
     "hp_equivalence_check",
 ]
@@ -132,14 +129,14 @@ def dirichlet_hamiltonian(spec: lattice.LatticeSpec, two_s: int) -> np.ndarray:
     return h
 
 
-def _diagonal(spec: lattice.LatticeSpec, two_s: int, occ: np.ndarray, dirichlet: bool):
+def _diagonal(spec: lattice.LatticeSpec, two_s: int, occ: np.ndarray):
     """Diagonal of H on occupation rows ``occ``: ``S^2 - S^3_x S^3_y`` per bond,
     plus ``S^2 + S*S^3_x`` per frozen bond on Dirichlet boxes."""
     s = two_s / 2.0
     diag = np.zeros(occ.shape[0])
     for i, j in lattice.nn_pairs(spec):
         diag += s * s - (occ[:, i] - s) * (occ[:, j] - s)
-    if dirichlet:
+    if spec.boundary is lattice.Boundary.DIRICHLET:
         mult = lattice.boundary_multiplicity(spec)
         for x in np.nonzero(mult)[0]:
             diag += mult[x] * (s * s + s * (occ[:, x] - s))
@@ -155,22 +152,21 @@ def _hop_amplitude(two_s: int, n_x, n_y):
     return -0.5 * np.sqrt((two_s - n_x) * (n_x + 1.0) * n_y * (two_s - n_y + 1.0))
 
 
-def _sector_hamiltonian(sb, two_s: int, dirichlet: bool) -> np.ndarray:
+def _sector_hamiltonian(sb, two_s: int) -> np.ndarray:
     """Dense H on one fixed-total-``S^3`` sector (a ``fock.SectorBasis`` with ``n_max = 2S``)."""
     return fock._hop_operator(
         sb,
-        _diagonal(sb.spec, two_s, sb.occupations, dirichlet),
+        _diagonal(sb.spec, two_s, sb.occupations),
         lambda nx, ny: _hop_amplitude(two_s, nx, ny),
     )
 
 
-def free_energy_per_spin(
-    spec: lattice.LatticeSpec, two_s: int, beta_tilde: float, dirichlet: bool = True
-) -> float:
+def free_energy_per_spin(spec: lattice.LatticeSpec, two_s: int, beta_tilde: float) -> float:
     """Exact ``f/S`` of the box at spin-wave inverse temperature ``beta_tilde``.
 
     The physical inverse temperature is ``beta_tilde / S``.  The trace is
-    taken sector by sector in total ``S^3``, which H conserves.
+    taken sector by sector in total ``S^3``, which H conserves.  Dirichlet
+    boxes carry the frozen-bond penalty.
     """
     _check_dim(spec, two_s)
     s = two_s / 2.0
@@ -180,45 +176,19 @@ def free_energy_per_spin(
         two_s,
         beta,
         None,
-        hamiltonian=lambda sb: _sector_hamiltonian(sb, two_s, dirichlet),
+        hamiltonian=lambda sb: _sector_hamiltonian(sb, two_s),
     )
     return -log_z / (beta * spec.n_sites) / s
-
-
-def apply_hamiltonian(
-    spec: lattice.LatticeSpec, two_s: int, vec: np.ndarray, dirichlet: bool = False
-) -> np.ndarray:
-    """Matrix-free ``H @ vec`` in the mixed-radix spin basis.
-
-    Memory stays at a few copies of the state vector per site, so boxes far
-    beyond the dense cap are reachable.
-    """
-    r = two_s + 1
-    dim = r**spec.n_sites
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (dim,):
-        raise ValidationError(f"state vector must have length {dim}")
-    idx = np.arange(dim, dtype=np.int64)
-    strides = r ** np.arange(spec.n_sites, dtype=np.int64)
-    occ = ((idx // strides[:, None]) % r).T
-    out = _diagonal(spec, two_s, occ, dirichlet) * vec
-    for i, j in lattice.nn_pairs(spec):
-        for x, y in ((i, j), (j, i)):
-            nx, ny = occ[:, x], occ[:, y]
-            rows = np.nonzero((nx < two_s) & (ny > 0))[0]
-            # one ordered bond moves distinct rows to distinct rows
-            amp = _hop_amplitude(two_s, nx[rows], ny[rows])
-            out[rows + strides[x] - strides[y]] += amp * vec[rows]
-    return out
 
 
 def magnon_check(spec: lattice.LatticeSpec, two_s: int, k) -> float:
     """Residual of the single-magnon eigenvalue equation on the torus.
 
     Builds ``|k> = l^{-d/2} sum_x e^{ikx} S^+_x |ground> / sqrt(2S)`` and
-    returns the relative residual of ``H |k> = S eps(k) |k>``, applying the
-    full many-body Hamiltonian matrix-free (real and imaginary parts
-    separately).
+    returns the relative residual of ``H |k> = S eps(k) |k>`` (real and
+    imaginary parts separately).  H conserves total ``S^3``, so ``H |k>``
+    stays in the one-unit sector and H restricted to that sector, of
+    dimension ``ell^d``, gives the residual exactly.
     """
     if spec.boundary is not lattice.Boundary.PERIODIC:
         raise ValidationError("the magnon check runs on periodic boxes")
@@ -228,24 +198,20 @@ def magnon_check(spec: lattice.LatticeSpec, two_s: int, k) -> float:
     kmat = lattice.periodic_modes(spec)
     if not np.any(np.all(np.abs(kmat - k) < 1e-9, axis=1)):
         raise ValidationError(f"momentum {k} is not on the torus grid")
-    r = two_s + 1
-    dim = r**spec.n_sites
-    xs = lattice.sites(spec)
-    phase = xs @ k
-    s = two_s / 2.0
-    target = s * float(dispersion.epsilon(k))
-    vc = np.zeros(dim)
-    vs = np.zeros(dim)
-    # the state with a single unit on site x sits at index r**x
-    one_boson = r ** np.arange(spec.n_sites, dtype=np.int64)
+    fock._check_dense(spec.n_sites)  # before building the sector, one row per site
+    sb = fock.SectorBasis(spec, two_s, 1)
+    h = _sector_hamiltonian(sb, two_s)
+    # row of the state with its single unit on site x
+    rows = sb._locate(np.eye(spec.n_sites, dtype=np.int64))
+    phase = lattice.sites(spec) @ k
+    target = two_s / 2.0 * float(dispersion.epsilon(k))
     norm = spec.n_sites ** -0.5
-    vc[one_boson] = norm * np.cos(phase)
-    vs[one_boson] = norm * np.sin(phase)
     res2 = 0.0
     nrm2 = 0.0
-    for v in (vc, vs):
-        hv = apply_hamiltonian(spec, two_s, v)
-        res2 += float(np.sum((hv - target * v) ** 2))
+    for part in (np.cos(phase), np.sin(phase)):
+        v = np.zeros(sb.dim)
+        v[rows] = norm * part
+        res2 += float(np.sum((h @ v - target * v) ** 2))
         nrm2 += float(np.sum(v**2))
     if not nrm2 > 0.0:
         raise ValidationError("magnon vector vanished")

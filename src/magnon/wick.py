@@ -260,16 +260,6 @@ def remainder_bound(spec, two_s: int, beta_tilde: float) -> float:
     return float(np.sum(per_pair)) / (8.0 * s * s)
 
 
-def _one_minus_p_oracle(spec, two_s: int, beta_tilde: float, n_max: int):
-    (w,), _ = fock.gibbs_expectation_truncated(
-        spec,
-        n_max,
-        beta_tilde,
-        lambda sb, h: [1.0 - fock.projector_mask(sb, two_s).astype(np.float64)],
-    )
-    return w
-
-
 def cross_term_check(spec, two_s: int, beta_tilde: float, n_max: int):
     """Brute-force lhs vs composed rhs for the projector cross terms.
 

@@ -10,8 +10,9 @@ engine.
 The package builds every boson operator from one table of one-boson moves
 (``fock._hop_table``).  The builders here scatter one normal-ordered
 monomial at a time instead (``monomial_matrix``), with the sextic
-correction, the ladder matrices, the projector and the trial state that only
-tests use.  Tests compare the two routes.
+correction, the ladder matrices, the projector, the trial state and the
+one-particle hopping matrix that only tests use.  Tests compare the two
+routes.
 
 The package evaluates every Wick bound once over the two-point blocks of all
 bonds (``wick._bond_blocks``).  The ``table_*`` oracles here build the dense
@@ -81,6 +82,26 @@ def ladder_matrices(basis, site: int):
     adag = monomial_matrix(basis, [site], [])
     num = np.diag(basis.occupations[:, site].astype(np.float64))
     return adag, adag.T.copy(), num
+
+
+def one_particle_kinetic(spec) -> np.ndarray:
+    """One-particle hopping matrix ``h[x,y]`` of the kinetic form.
+
+    Each bond contributes +1 to both diagonal entries and -1 to the two
+    off-diagonal entries; Dirichlet boxes additionally get the frozen-bond
+    multiplicity on the diagonal.  For Dirichlet boundary conditions the
+    eigenvalues are exactly ``{eps(k) : k on the sine grid}``.
+    """
+    n = spec.n_sites
+    h = np.zeros((n, n))
+    for i, j in lattice.nn_pairs(spec):
+        h[i, i] += 1.0
+        h[j, j] += 1.0
+        h[i, j] -= 1.0
+        h[j, i] -= 1.0
+    if spec.boundary is lattice.Boundary.DIRICHLET:
+        h[np.diag_indices(n)] += lattice.boundary_multiplicity(spec)
+    return h
 
 
 def kinetic(basis) -> np.ndarray:

@@ -86,7 +86,7 @@ def test_kinetic_one_particle_sector_matches_lattice():
         order = np.argmax(sb.occupations, axis=1)
         perm = np.argsort(order)
         t = fock.kinetic_dirichlet(sb)[np.ix_(perm, perm)]
-        assert np.allclose(t, lattice.one_particle_kinetic(spec), atol=1e-13)
+        assert np.allclose(t, dense_oracles.one_particle_kinetic(spec), atol=1e-13)
 
 
 def test_kinetic_positive_and_dirichlet_shift():

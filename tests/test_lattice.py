@@ -28,6 +28,15 @@ def test_spec_validation():
     assert lattice.LatticeSpec(3, 2).n_sites == 8
 
 
+def site_index(spec, x) -> int:
+    """Index of coordinate tuple ``x`` in the ``sites`` ordering."""
+    idx = 0
+    for c in x:
+        assert 1 <= c <= spec.ell
+        idx = idx * spec.ell + (int(c) - 1)
+    return idx
+
+
 def test_sites_lexicographic_and_index_roundtrip():
     spec = lattice.LatticeSpec(2, 3)
     pts = lattice.sites(spec)
@@ -35,7 +44,7 @@ def test_sites_lexicographic_and_index_roundtrip():
     expected = np.array(list(itertools.product([1, 2, 3], repeat=2)))
     assert np.array_equal(pts, expected)
     for i, x in enumerate(pts):
-        assert lattice.site_index(spec, x) == i
+        assert site_index(spec, x) == i
 
 
 def test_nn_pair_counts():
@@ -69,7 +78,7 @@ def test_boundary_multiplicity_and_degree_sum():
 def test_single_site_box_multiplicity():
     spec = lattice.LatticeSpec(2, 1)
     assert np.array_equal(lattice.boundary_multiplicity(spec), [4])
-    t = lattice.one_particle_kinetic(spec)
+    t = dense_oracles.one_particle_kinetic(spec)
     # lone site: pure confinement, matching eps at the only sine momentum
     k = lattice.dirichlet_modes(spec)[0]
     assert t.shape == (1, 1)
@@ -114,7 +123,7 @@ def test_eigenfunction_matches_matrix_and_validates():
 def test_one_particle_kinetic_diagonalized_by_sine_modes():
     # the confining kinetic operator must reproduce the dispersion exactly
     for spec in all_specs(max_sites=216):
-        t = lattice.one_particle_kinetic(spec)
+        t = dense_oracles.one_particle_kinetic(spec)
         v = lattice.eigenfunction_matrix(spec)
         eps = dispersion.epsilon(lattice.dirichlet_modes(spec))
         off = v.T @ t @ v - np.diag(eps)
@@ -123,7 +132,7 @@ def test_one_particle_kinetic_diagonalized_by_sine_modes():
 
 def test_one_particle_kinetic_periodic_spectrum():
     spec = lattice.LatticeSpec(2, 4, lattice.Boundary.PERIODIC)
-    t = lattice.one_particle_kinetic(spec)
+    t = dense_oracles.one_particle_kinetic(spec)
     got = np.sort(np.linalg.eigvalsh(t))
     want = np.sort(dispersion.epsilon(lattice.periodic_modes(spec)))
     assert np.max(np.abs(got - want)) < 1e-12

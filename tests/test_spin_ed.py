@@ -101,31 +101,18 @@ def test_exact_free_energy_is_log_trace():
     )
 
 
-@pytest.mark.parametrize("dirichlet", [False, True])
-@pytest.mark.parametrize(
-    "d, ell, two_s", [(2, 2, 2), (1, 4, 1), (1, 6, 2), (2, 2, 3), (2, 3, 1)]
-)
-def test_apply_hamiltonian_matches_dense(d, ell, two_s, dirichlet):
-    spec = lattice.LatticeSpec(d, ell)
-    if dirichlet:
-        h = spin_ed.dirichlet_hamiltonian(spec, two_s)
-    else:
-        h = spin_ed.heisenberg_hamiltonian(spec, two_s)
-    rng = np.random.default_rng(7)
-    for _ in range(3):
-        v = rng.standard_normal(h.shape[0])
-        got = spin_ed.apply_hamiltonian(spec, two_s, v, dirichlet=dirichlet)
-        assert np.allclose(got, h @ v, atol=1e-11)
-    # column by column, the whole Kronecker matrix
-    cols = [spin_ed.apply_hamiltonian(spec, two_s, e, dirichlet=dirichlet) for e in np.eye(len(h))]
-    assert np.max(np.abs(np.column_stack(cols) - h)) <= 1e-13
-
-
 def test_magnon_check_periodic():
     spec = lattice.LatticeSpec(1, 4, boundary=lattice.Boundary.PERIODIC)
-    for k in lattice.periodic_modes(spec)[1:]:
-        resid = spin_ed.magnon_check(spec, 2, k)
-        assert resid < 1e-12
+    for two_s in (1, 2, 3):
+        for k in lattice.periodic_modes(spec)[1:]:
+            assert spin_ed.magnon_check(spec, two_s, k) < 1e-12
+
+
+def test_magnon_check_far_past_the_dense_cap():
+    # the whole space has 3^36 states; the one-magnon sector has 36
+    spec = lattice.LatticeSpec(2, 6, boundary=lattice.Boundary.PERIODIC)
+    for k in lattice.periodic_modes(spec):
+        assert spin_ed.magnon_check(spec, 2, k) < 1e-12
 
 
 def test_magnon_check_validation():
@@ -134,6 +121,10 @@ def test_magnon_check_validation():
         spin_ed.magnon_check(spec, 2, np.array([0.3]))  # off the momentum grid
     with pytest.raises(ValidationError):
         spin_ed.magnon_check(lattice.LatticeSpec(1, 4), 2, np.array([np.pi / 5.0]))
+    # a one-unit sector past the dense cap is refused before it is built
+    big = lattice.LatticeSpec(3, 17, boundary=lattice.Boundary.PERIODIC)
+    with pytest.raises(CapacityError):
+        spin_ed.magnon_check(big, 2, lattice.periodic_modes(big)[1])
 
 
 def test_hp_equivalence_check():
@@ -164,19 +155,26 @@ def _sector_indices(sb, two_s):
     return sb.occupations @ strides
 
 
-@pytest.mark.parametrize("dirichlet", [True, False])
-@pytest.mark.parametrize("d, ell, two_s", [(1, 4, 1), (1, 6, 2), (2, 2, 3), (2, 3, 1)])
+@pytest.mark.parametrize(
+    "d, ell, two_s, dirichlet",
+    [
+        (1, 4, 1, True), (1, 4, 1, False), (1, 6, 2, True), (1, 6, 2, False),
+        (2, 2, 3, True), (2, 3, 1, True), (2, 3, 1, False), (1, 5, 3, False),
+    ],
+)
 def test_sector_hamiltonian_blocks_match_kronecker(d, ell, two_s, dirichlet):
-    spec = lattice.LatticeSpec(d, ell)
+    # Dirichlet boxes carry the frozen-bond penalty, periodic boxes none
     if dirichlet:
+        spec = lattice.LatticeSpec(d, ell)
         h = spin_ed.dirichlet_hamiltonian(spec, two_s)
     else:
+        spec = lattice.LatticeSpec(d, ell, lattice.Boundary.PERIODIC)
         h = spin_ed.heisenberg_hamiltonian(spec, two_s)
     covered = np.zeros(h.shape, dtype=bool)
     for n_total in range(spec.n_sites * two_s + 1):
         sb = fock.SectorBasis(spec, two_s, n_total)
         idx = _sector_indices(sb, two_s)
-        block = spin_ed._sector_hamiltonian(sb, two_s, dirichlet)
+        block = spin_ed._sector_hamiltonian(sb, two_s)
         assert np.max(np.abs(block - h[np.ix_(idx, idx)])) <= 1e-13
         covered[np.ix_(idx, idx)] = True
     # total S^3 is conserved: nothing of H lies outside the sector blocks
@@ -186,15 +184,15 @@ def test_sector_hamiltonian_blocks_match_kronecker(d, ell, two_s, dirichlet):
 @pytest.mark.parametrize("beta_tilde", [0.5, 2.0, 8.0])
 @pytest.mark.parametrize("d, ell, two_s", [(1, 4, 1), (1, 6, 2), (2, 2, 3), (2, 3, 1)])
 def test_sector_ed_matches_kronecker(d, ell, two_s, beta_tilde):
-    spec = lattice.LatticeSpec(d, ell)
     s = two_s / 2.0
     beta = beta_tilde / s
-    for dirichlet, h in (
-        (True, spin_ed.dirichlet_hamiltonian(spec, two_s)),
-        (False, spin_ed.heisenberg_hamiltonian(spec, two_s)),
-    ):
-        want = -dense_log_z(h, beta) / (beta * spec.n_sites) / s
-        got = spin_ed.free_energy_per_spin(spec, two_s, beta_tilde, dirichlet=dirichlet)
+    cases = [(lattice.LatticeSpec(d, ell), spin_ed.dirichlet_hamiltonian)]
+    if ell >= 3:
+        periodic = lattice.LatticeSpec(d, ell, lattice.Boundary.PERIODIC)
+        cases.append((periodic, spin_ed.heisenberg_hamiltonian))
+    for spec, dense in cases:
+        want = -dense_log_z(dense(spec, two_s), beta) / (beta * spec.n_sites) / s
+        got = spin_ed.free_energy_per_spin(spec, two_s, beta_tilde)
         assert abs(got - want) <= 1e-13
 
 

@@ -100,11 +100,22 @@ def test_interaction_routes_agree_with_dense():
     assert mono == pytest.approx(pos, rel=1e-12)
 
 
+def one_minus_p(spec, two_s, beta_tilde, n_max):
+    """Exact ``<1 - P>`` in the capped Gibbs state of the Dirichlet kinetic form."""
+    (w,), _ = fock.gibbs_expectation_truncated(
+        spec,
+        n_max,
+        beta_tilde,
+        lambda sb, h: [1.0 - fock.projector_mask(sb, two_s).astype(np.float64)],
+    )
+    return w
+
+
 def test_projector_deficit_dominates_exact():
     spec = lattice.LatticeSpec(1, 2)
     two_s = 1
     for bt in (2.0, 4.0):
-        exact = wick._one_minus_p_oracle(spec, two_s, bt, n_max=12)
+        exact = one_minus_p(spec, two_s, bt, n_max=12)
         bound = wick.projector_deficit(spec, bt, two_s)
         occ = dispersion.two_point_diagonal(spec, bt)
         simple = sum(dispersion.occupation_tail_bound(r, two_s, form="simple") for r in occ)
