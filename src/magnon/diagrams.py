@@ -10,14 +10,15 @@ The objects computed:
 
 * the sextic correction ``<J>/ell^3``, which separates into per-axis sums;
 * its leading piece (the "biggest error term"), carrying the slowest decay;
-* the left second-order diagram as a full Duhamel double sum, numerically
-  stable for any ``beta_tilde`` via a three-branch evaluation of
-  ``(e^x - 1 - x)/x^2``; its summand is invariant under the 48-element
-  cubic group (axis permutations and per-axis sign flips) acting on all
-  momenta at once, so the outer ``k1`` sum runs over one representative per
-  orbit, weighted by the orbit size (34 orbits for the 511 nonzero modes at
-  ``ell = 8``);
-* the right second-order diagram via its separable inner sum;
+* the left second-order diagram, a Duhamel double sum that its
+  ``(12) <-> (34)`` symmetry turns into temperature-free ratios
+  ``nu^2/delta`` off the degenerate shell plus the shell itself; its summand
+  is invariant under the 48-element cubic group (axis permutations and
+  per-axis sign flips) acting on all momenta at once, so the outer ``k1``
+  sum runs over one representative per orbit, weighted by the orbit size
+  (34 orbits for the 511 nonzero modes at ``ell = 8``);
+* the right second-order diagram in closed form, its inner sum being
+  proportional to the dispersion;
 * the scan that adds the leading piece to the reduced left diagram and
   measures how the sum decays, including the exact lattice identity that
   makes the leading parts cancel.
@@ -43,7 +44,6 @@ __all__ = [
     "left_diagram",
     "right_diagram",
     "k3_identity_residual",
-    "duhamel_kernel",
     "fit_loglog_slope",
     "cancellation_scan",
 ]
@@ -72,15 +72,33 @@ class PeriodicGrid:
         self.kvecs = lattice.periodic_modes(spec)
         self.eps = dispersion.epsilon(self.kvecs)
         self.zero_index = 0
-        flat = lambda l: ((l[..., 0] * ell) + l[..., 1]) * ell + l[..., 2]
-        la = labels[:, None, :]
-        lb = labels[None, :, :]
-        self.sum_idx = flat((la + lb) % ell).astype(np.int32)
-        self.diff_idx = flat((la - lb) % ell).astype(np.int32)
+        # Flat label (l0 ell + l1) ell + l2 of a label pair's per-axis sum or
+        # difference: the per-axis ell x ell table enters once per axis,
+        # broadcast over the six axes [a0, a1, a2, b0, b1, b2].
+        axis = np.arange(ell, dtype=np.int32)
+
+        def pair_table(per_axis):
+            t = per_axis % ell
+            return (
+                (t * ell * ell)[:, None, None, :, None, None]
+                + (t * ell)[None, :, None, None, :, None]
+                + t[None, None, :, None, None, :]
+            ).reshape(self.n_modes, self.n_modes)
+
+        self.sum_idx = pair_table(axis[:, None] + axis[None, :])
+        self.diff_idx = pair_table(axis[:, None] - axis[None, :])
+        # Temperature-free tables of the left diagram and the k3 identity:
+        # eps(k_a - k_b), and with k2 down the rows and k3 along the columns
+        # (both nonzero) the k1-free parts of delta and of nu - delta.
+        self._eps_diff = self.eps[self.diff_idx]
+        e = self.eps[1:]
+        self._delta_23 = e[:, None] - e[None, :]
+        self._nu_23 = 2.0 * self._eps_diff[1:, 1:] - 2.0 * e[:, None]
         # Orbits of the nonzero modes under the cubic group (axis permutations
         # and per-axis sign flips): folding n -> min(n, ell-n) and sorting the
         # axes gives a canonical label, itself a member of the orbit.
-        canon = flat(np.sort(np.minimum(labels, ell - labels), axis=1))
+        folded = np.sort(np.minimum(labels, ell - labels), axis=1)
+        canon = (folded[:, 0] * ell + folded[:, 1]) * ell + folded[:, 2]
         self.orbit_reps, self.orbit_weights = np.unique(canon[1:], return_counts=True)
 
     def nonzero(self) -> np.ndarray:
@@ -151,136 +169,105 @@ def biggest_error_term(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> Dia
     return DiagramValue("biggest_error", value, beta_tilde, grid.ell, two_s, extras=extras)
 
 
-def duhamel_kernel(delta: np.ndarray, beta_tilde: float, p12: np.ndarray, q: np.ndarray):
-    """Stable ``B(delta) * p12`` with ``B = (e^{beta*delta} - 1 - beta*delta)/delta^2``.
-
-    ``p12`` is the occupation product ``f1 f2 (1+f3)(1+f4)`` and ``q`` the
-    exact identity ``e^{beta*delta} * p12 = (1+f1)(1+f2) f3 f4``, which keeps
-    the large-argument branch overflow-free.  Three branches: Taylor below
-    1e-4, expm1 up to |x| = 30, the product identity beyond.
-    """
-    x = beta_tilde * delta
-    ax = np.abs(x)
-    out = np.empty_like(x)
-    tiny = ax < 1e-4
-    big = ax > 30.0
-    mid = ~tiny & ~big
-    bt2 = beta_tilde * beta_tilde
-    xt = x[tiny]
-    out[tiny] = p12[tiny] * bt2 * (0.5 + xt / 6.0 + xt * xt / 24.0 + xt**3 / 120.0)
-    xm = x[mid]
-    with np.errstate(over="ignore"):
-        out[mid] = p12[mid] * (np.expm1(xm) - xm) / (delta[mid] * delta[mid])
-    xb = x[big]
-    out[big] = (q[big] - (1.0 + xb) * p12[big]) / (delta[big] * delta[big])
-    return out
-
-
 def left_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramValue:
-    """Left second-order diagram as the full Duhamel double sum.
+    """Left second-order diagram, summed through its ``(12) <-> (34)`` identity.
 
-    ``-(1/(16 beta S^2 ell^9)) * sum over k1,k2,k3 (k4 = k1+k2-k3, all four
-    nonzero) of nu^2 B(delta) f1 f2 (1+f3)(1+f4)`` with
-    ``delta = eps1 + eps2 - eps3 - eps4``.  Extras carry the reduced pieces
-    supported on the nondegenerate set ``delta != 0`` (the ``f1 f2`` part is
-    the one that cancels the biggest error term) and the degenerate-shell
-    contribution, so the split can be audited.
+    The diagram is the Duhamel double sum ``-(1/(16 beta S^2 ell^9)) * sum
+    over k1,k2,k3 (k4 = k1+k2-k3, all four nonzero) of nu^2 B(delta) p`` with
+    ``p = f1 f2 (1+f3)(1+f4)``, ``delta = eps1 + eps2 - eps3 - eps4`` and
+    ``B(delta) = (e^{beta delta} - 1 - beta delta)/delta^2``.
 
-    The dispersion, and with it every factor of the summand, is invariant
-    under the 48-element cubic group acting on all four momenta at once, so
-    the inner sum over ``k2, k3`` depends only on the orbit of ``k1``.  The
-    outer sum therefore runs over one representative per orbit
-    (``grid.orbit_reps``), each weighted by its orbit size.
+    It is computed without ``B``.  The map ``(12) <-> (34)`` keeps ``nu``,
+    flips ``delta`` and sends ``p`` to ``q = (1+f1)(1+f2) f3 f4 = e^{beta
+    delta} p``, so each ``delta != 0`` term pairs with its image into
+    ``B(delta) p + B(-delta) q = beta (q - p)/delta``.  Expanding ``q - p``
+    and relabelling with the ``1 <-> 2`` and ``3 <-> 4`` symmetries leaves
+    ``-beta sum nu^2 f1 f2 (1 + 2 f3)/delta`` over ``delta != 0``; on the
+    degenerate shell ``delta = 0``, ``B(0) = beta^2/2``.  Hence ``value`` is
+    exactly the sum of the three extras: the reduced pieces
+    ``reduced_f1f2`` (the part that cancels the biggest error term) and
+    ``reduced_f1f2f3``, supported on ``|delta| > 1e-12``, and the shell term
+    ``degenerate_delta0``.
+
+    The summand is invariant under the 48-element cubic group acting on all
+    four momenta at once, so the outer sum runs over one ``k1`` per orbit
+    (``grid.orbit_reps``), weighted by its orbit size.  For each one the
+    temperature-free block ``R = nu^2/delta`` over ``(k2, k3)``, zero off the
+    nondegenerate set, is built once and contracted with ``1`` and ``f3`` by
+    one matrix product; the shell is a sparse index list.
     """
     s = two_s / 2.0
     f = occupations(grid, beta_tilde)
     g = 1.0 + f
-    g[grid.zero_index] = 0.0
-    eps = grid.eps
-    nz = grid.nonzero()
-    e2 = eps[nz][:, None]
-    e3 = eps[nz][None, :]
-    e23 = eps[grid.diff_idx[nz[:, None], nz[None, :]]]
-    f2 = f[nz][:, None]
-    f3 = f[nz][None, :]
-    g2 = g[nz][:, None]
-    g3 = g[nz][None, :]
-    full = 0.0
-    red_f1f2 = 0.0
-    red_f1f2f3 = 0.0
+    f_nz = f[1:]
+    ones_f3 = np.stack([np.ones_like(f_nz), f_nz], axis=1)
+    reduced = np.zeros(2)
     degenerate = 0.0
     for i1, weight in zip(grid.orbit_reps.tolist(), grid.orbit_weights.tolist()):
-        i4 = grid.diff_idx[grid.sum_idx[i1, nz][:, None], nz[None, :]]
-        ok = i4 != grid.zero_index
-        e1 = eps[i1]
-        e4 = eps[i4]
-        e13 = eps[grid.diff_idx[i1, nz]][None, :]
-        nu = 2.0 * e13 + 2.0 * e23 - e1 - e2 - e3 - e4
-        delta = e1 + e2 - e3 - e4
-        f12 = f[i1] * f2
-        p12 = f12 * g3 * g[i4]
-        q = (1.0 + f[i1]) * g2 * f3 * f[i4]
-        p12 = np.where(ok, p12, 0.0)
-        q = np.where(ok, q, 0.0)
-        nu2 = nu * nu
-        full += weight * float(np.sum(nu2 * duhamel_kernel(delta, beta_tilde, p12, q)))
-        nondeg = ok & (np.abs(delta) > _DEGENERACY_TOL)
-        ratio = np.where(nondeg, nu2 / np.where(nondeg, delta, 1.0), 0.0)
-        red_f1f2 += weight * float(np.sum(ratio * np.where(nondeg, f12, 0.0)))
-        f123 = f12 * f3
-        red_f1f2f3 += weight * float(np.sum(ratio * 2.0 * np.where(nondeg, f123, 0.0)))
-        deg = ok & ~nondeg
-        degenerate += weight * float(np.sum(np.where(deg, nu2 * p12, 0.0)))
+        e1 = grid.eps[i1]
+        wf1 = weight * float(f[i1])
+        k12 = grid.sum_idx[i1, 1:]
+        delta = grid._eps_diff[k12, 1:]  # eps4 for k4 = k1 + k2 - k3
+        np.subtract(e1, delta, out=delta)
+        delta += grid._delta_23
+        nu = delta + grid._nu_23
+        nu += 2.0 * (grid._eps_diff[i1, 1:] - e1)
+        # k4 = 0 where k3 = k1 + k2; an infinite delta drops it from both sets
+        rows = np.flatnonzero(k12)
+        delta[rows, k12[rows] - 1] = np.inf
+        i2, i3 = np.nonzero(np.abs(delta) <= _DEGENERACY_TOL)
+        i4 = grid.diff_idx[k12[i2], i3 + 1]
+        shell = nu[i2, i3] ** 2 * f_nz[i2] * g[i3 + 1] * g[i4]
+        degenerate += wf1 * float(np.sum(shell))
+        delta[i2, i3] = np.inf
+        np.square(nu, out=nu)
+        nu /= delta
+        reduced += wf1 * (f_nz @ (nu @ ones_f3))
     norm = 16.0 * s * s * grid.ell**9
-    value = -full / (beta_tilde * norm)
     extras = {
-        "reduced_f1f2": red_f1f2 / norm,
-        "reduced_f1f2f3": red_f1f2f3 / norm,
+        "reduced_f1f2": float(reduced[0]) / norm,
+        "reduced_f1f2f3": 2.0 * float(reduced[1]) / norm,
         "degenerate_delta0": -beta_tilde * degenerate / (2.0 * norm),
     }
+    value = extras["reduced_f1f2"] + extras["reduced_f1f2f3"] + extras["degenerate_delta0"]
     return DiagramValue("left_diagram", value, beta_tilde, grid.ell, two_s, extras=extras)
 
 
 def right_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramValue:
-    """Right second-order diagram via its separable inner sum.
+    """Right second-order diagram in closed form.
 
     ``-(beta/(2 S^2 ell^9)) sum_{k2 != 0} f2 (1+f2) G(k2)^2`` with
-    ``G(k2) = sum_{k != 0} (eps(k2-k) - eps(k) - eps(k2)) f(k)``.
+    ``G(k2) = sum_{k != 0} (eps(k2-k) - eps(k) - eps(k2)) f(k)``.  Since
+    ``f`` is even and cubic-symmetric, ``G(k2) = -(F - C) eps(k2)`` with
+    ``F = sum f`` and ``C = sum f cos k_x``, so the value is
+    ``-beta (F-C)^2 sum f (1+f) eps^2 / (2 S^2 ell^9)``.  ``F - C`` is
+    evaluated as ``sum f eps / 6``, which is equal by the same symmetry and
+    free of cancellation.
     """
     s = two_s / 2.0
     f = occupations(grid, beta_tilde)
-    nz = grid.nonzero()
     eps = grid.eps
-    e2k = eps[grid.diff_idx[nz[:, None], nz[None, :]]]
-    inner = e2k - eps[nz][None, :] - eps[nz][:, None]
-    g_vec = inner @ f[nz]
-    value = -beta_tilde * float(np.sum(f[nz] * (1.0 + f[nz]) * g_vec * g_vec))
+    fc = float(np.dot(f, eps)) / 6.0
+    value = -beta_tilde * fc * fc * float(np.sum(f * (1.0 + f) * eps * eps))
     value /= 2.0 * s * s * grid.ell**9
-    extras = {"g_max": float(np.max(np.abs(g_vec)))}
+    extras = {"g_max": abs(fc) * float(np.max(eps[1:]))}
     return DiagramValue("right_diagram", value, beta_tilde, grid.ell, two_s, extras=extras)
 
 
-def k3_identity_residual(grid: PeriodicGrid, i1: int, i2: int) -> float:
+def k3_identity_residual(grid: PeriodicGrid, i1, i2):
     """Relative residual of the exact lattice identity behind the cancellation.
 
     For fixed nonzero ``k1, k2``, summing ``12 + 3 eps3 + 3 eps4 - 4
     eps(k2-k3) - 4 eps(k1-k3)`` over the full ``k3`` grid gives zero exactly;
-    the residual is normalized by ``12 ell^3``.
+    the residual is normalized by ``12 ell^3``.  ``i1`` and ``i2`` may be
+    arrays of labels; the residuals then come back elementwise.
     """
-    if i1 == grid.zero_index or i2 == grid.zero_index:
+    i1, i2 = np.asarray(i1), np.asarray(i2)
+    if np.any(i1 == grid.zero_index) or np.any(i2 == grid.zero_index):
         raise ValidationError("the identity is used with nonzero k1, k2")
-    allk = np.arange(grid.n_modes)
-    i4 = grid.diff_idx[grid.sum_idx[i1, i2], allk]
-    total = float(
-        np.sum(
-            12.0
-            + 3.0 * grid.eps[allk]
-            + 3.0 * grid.eps[i4]
-            - 4.0 * grid.eps[grid.diff_idx[i2, allk]]
-            - 4.0 * grid.eps[grid.diff_idx[i1, allk]]
-        )
-    )
-    return abs(total) / (12.0 * grid.n_modes)
+    e = grid._eps_diff
+    terms = 12.0 + 3.0 * grid.eps + 3.0 * e[grid.sum_idx[i1, i2]] - 4.0 * e[i2] - 4.0 * e[i1]
+    return np.abs(np.sum(terms, axis=-1)) / (12.0 * grid.n_modes)
 
 
 def fit_loglog_slope(xs, ys):
@@ -332,6 +319,8 @@ def cancellation_scan(
         raise ValidationError("beta_tildes must be positive and nonempty")
     if sorted(set(bts)) != sorted(bts):
         raise ValidationError("beta_tildes must be distinct")
+    if k3_samples < 0:
+        raise ValidationError("k3_samples must be nonnegative")
     grid = PeriodicGrid(ell, allow_large=allow_large)
     rows = []
     for bt in bts:
@@ -364,10 +353,6 @@ def cancellation_scan(
                 slope, r2 = fit_loglog_slope(xs, ys)
                 slopes[col] = {"slope": slope, "r_squared": r2}
     rng = np.random.default_rng(seed)
-    nz = grid.nonzero()
-    res = 0.0
-    for _ in range(k3_samples):
-        i1 = int(rng.choice(nz))
-        i2 = int(rng.choice(nz))
-        res = max(res, k3_identity_residual(grid, i1, i2))
-    return ScanResult(ell, two_s, tuple(rows), slopes, res)
+    labels = rng.choice(grid.nonzero(), size=2 * k3_samples)
+    residuals = k3_identity_residual(grid, labels[0::2], labels[1::2])
+    return ScanResult(ell, two_s, tuple(rows), slopes, float(np.max(residuals, initial=0.0)))

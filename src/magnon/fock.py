@@ -104,15 +104,22 @@ class SectorBasis:
         self._cum = np.concatenate(
             [np.zeros((self.n_sites + 1, 1), np.int64), np.cumsum(counts, axis=1)], axis=1
         )
-        rows = np.zeros((1, 0), dtype=np.int64)
+        # grow the prefixes site by site, then fill the rows back through parents
+        parents, entries = [], []
         left = np.array([n_total], dtype=np.int64)
         for site in range(self.n_sites):
             lo = np.maximum(0, left - n_max * (self.n_sites - 1 - site))
             width = np.maximum(np.minimum(n_max, left) - lo + 1, 0)
             parent = np.repeat(np.arange(left.size), width)
             v = lo[parent] + np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
-            rows = np.column_stack([rows[parent], v])
+            parents.append(parent)
+            entries.append(v)
             left = left[parent] - v
+        rows = np.empty((left.size, self.n_sites), dtype=np.int64)
+        node = np.arange(left.size)
+        for site in range(self.n_sites - 1, -1, -1):
+            rows[:, site] = entries[site][node]
+            node = parents[site][node]
         self.occupations = rows
         self.dim = int(counts[self.n_sites, n_total])
 

@@ -47,17 +47,17 @@ def test_grid_geometry():
 
 
 def test_sum_diff_tables():
-    ell = 5
-    grid = diagrams.PeriodicGrid(ell)
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        a, b = rng.integers(0, grid.n_modes, size=2)
-        la, lb = grid.labels[a], grid.labels[b]
-        want_sum = flat_label(*((la + lb) % ell), ell)
-        want_diff = flat_label(*((la - lb) % ell), ell)
-        assert grid.sum_idx[a, b] == want_sum
-        assert grid.diff_idx[a, b] == want_diff
+    for ell in range(3, 9):
+        grid = diagrams.PeriodicGrid(ell)
+        la = grid.labels[:, None, :]
+        lb = grid.labels[None, :, :]
+        want_sum = flat_label(*np.moveaxis((la + lb) % ell, -1, 0), ell)
+        want_diff = flat_label(*np.moveaxis((la - lb) % ell, -1, 0), ell)
+        assert grid.sum_idx.dtype == grid.diff_idx.dtype == np.int32
+        assert np.array_equal(grid.sum_idx, want_sum)
+        assert np.array_equal(grid.diff_idx, want_diff)
     # epsilon through the tables equals epsilon of the vector arithmetic
+    rng = np.random.default_rng(3)
     ks = grid.kvecs
     idx = rng.integers(0, grid.n_modes, size=(50, 2))
     via_table = grid.eps[grid.diff_idx[idx[:, 0], idx[:, 1]]]
@@ -153,6 +153,31 @@ def test_biggest_error_dual_forms():
     assert val.value == pytest.approx(want, rel=1e-11)
 
 
+def duhamel_kernel(delta, beta_tilde, p12, q):
+    """Stable ``B(delta) * p12`` with ``B = (e^{beta*delta} - 1 - beta*delta)/delta^2``.
+
+    ``p12`` is the occupation product ``f1 f2 (1+f3)(1+f4)`` and ``q`` the
+    exact identity ``e^{beta*delta} * p12 = (1+f1)(1+f2) f3 f4``, which keeps
+    the large-argument branch overflow-free.  Three branches: Taylor below
+    1e-4, expm1 up to |x| = 30, the product identity beyond.
+    """
+    x = beta_tilde * delta
+    ax = np.abs(x)
+    out = np.empty_like(x)
+    tiny = ax < 1e-4
+    big = ax > 30.0
+    mid = ~tiny & ~big
+    bt2 = beta_tilde * beta_tilde
+    xt = x[tiny]
+    out[tiny] = p12[tiny] * bt2 * (0.5 + xt / 6.0 + xt * xt / 24.0 + xt**3 / 120.0)
+    xm = x[mid]
+    with np.errstate(over="ignore"):
+        out[mid] = p12[mid] * (np.expm1(xm) - xm) / (delta[mid] * delta[mid])
+    xb = x[big]
+    out[big] = (q[big] - (1.0 + xb) * p12[big]) / (delta[big] * delta[big])
+    return out
+
+
 def mp_duhamel(delta, beta_tilde, p12):
     x = mp.mpf(beta_tilde) * mp.mpf(delta)
     if x == 0:
@@ -169,7 +194,7 @@ def test_duhamel_kernel_branches():
     deltas = np.concatenate([mags, -mags])
     p12 = rng.uniform(0.1, 2.0, size=deltas.size)
     q = np.exp(bt * deltas) * p12  # exact product identity
-    got = diagrams.duhamel_kernel(deltas, bt, p12, q)
+    got = duhamel_kernel(deltas, bt, p12, q)
     for d, p, g in zip(deltas, p12, got):
         want = float(mp_duhamel(d, bt, p))
         assert g == pytest.approx(want, rel=1e-10)
@@ -255,7 +280,7 @@ def left_all_k1(grid, beta_tilde, two_s):
         p12 = np.where(ok, p12, 0.0)
         q = np.where(ok, q, 0.0)
         nu2 = nu * nu
-        full += float(np.sum(nu2 * diagrams.duhamel_kernel(delta, beta_tilde, p12, q)))
+        full += float(np.sum(nu2 * duhamel_kernel(delta, beta_tilde, p12, q)))
         nondeg = ok & (np.abs(delta) > 1e-12)
         ratio = np.where(nondeg, nu2 / np.where(nondeg, delta, 1.0), 0.0)
         red_f1f2 += float(np.sum(ratio * np.where(nondeg, f12, 0.0)))
@@ -272,13 +297,15 @@ def left_all_k1(grid, beta_tilde, two_s):
     return -full / (beta_tilde * norm), extras
 
 
-@pytest.mark.parametrize("beta_tilde", [1.0, 4.0, 16.0])
+@pytest.mark.parametrize("beta_tilde", [0.25, 1.0, 4.0, 16.0, 32.0])
 @pytest.mark.parametrize("ell", [4, 5, 6, 7])
 def test_left_diagram_orbit_sum_matches_all_k1(ell, beta_tilde):
     # odd and even ell: for even ell the label n = ell/2 folds onto itself
     grid = diagrams.PeriodicGrid(ell)
     got = diagrams.left_diagram(grid, beta_tilde, 2)
     want_value, want_extras = left_all_k1(grid, beta_tilde, 2)
+    # the (12) <-> (34) identity on the oracle's own Duhamel sum
+    assert sum(want_extras.values()) == pytest.approx(want_value, rel=1e-12, abs=0.0)
     assert got.value == pytest.approx(want_value, rel=1e-12, abs=0.0)
     assert set(got.extras) == set(want_extras)
     for key, want in want_extras.items():
@@ -333,6 +360,29 @@ def test_right_diagram_matches_brute():
     assert got.value < 0.0
 
 
+def right_table_form(grid, beta_tilde, two_s):
+    """The right diagram with ``G(k2)`` summed over an ``ell^6`` table."""
+    s = two_s / 2.0
+    f = diagrams.occupations(grid, beta_tilde)
+    nz = grid.nonzero()
+    eps = grid.eps
+    e2k = eps[grid.diff_idx[nz[:, None], nz[None, :]]]
+    inner = e2k - eps[nz][None, :] - eps[nz][:, None]
+    g_vec = inner @ f[nz]
+    value = -beta_tilde * float(np.sum(f[nz] * (1.0 + f[nz]) * g_vec * g_vec))
+    return value / (2.0 * s * s * grid.ell**9), float(np.max(np.abs(g_vec)))
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6, 7, 8, 9])
+def test_right_diagram_closed_form_matches_table(ell):
+    grid = diagrams.PeriodicGrid(ell)
+    for bt in (0.5, 1.0, 4.0, 16.0):
+        got = diagrams.right_diagram(grid, bt, 2)
+        want_value, want_g_max = right_table_form(grid, bt, 2)
+        assert got.value == pytest.approx(want_value, rel=1e-13, abs=0.0)
+        assert got.extras["g_max"] == pytest.approx(want_g_max, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("ell", [3, 4])
 def test_k3_identity_all_pairs(ell):
     grid = diagrams.PeriodicGrid(ell)
@@ -343,10 +393,22 @@ def test_k3_identity_all_pairs(ell):
     assert worst < 1e-12
 
 
+def test_k3_identity_batched_matches_scalar_calls():
+    grid = diagrams.PeriodicGrid(6)
+    rng = np.random.default_rng(8)
+    i1, i2 = rng.integers(1, grid.n_modes, size=(2, 200))
+    got = diagrams.k3_identity_residual(grid, i1, i2)
+    want = [diagrams.k3_identity_residual(grid, int(a), int(b)) for a, b in zip(i1, i2)]
+    assert got.shape == (200,)
+    assert np.array_equal(got, want)
+
+
 def test_k3_identity_rejects_zero_mode():
     grid = diagrams.PeriodicGrid(3)
     with pytest.raises(ValidationError):
         diagrams.k3_identity_residual(grid, 0, 5)
+    with pytest.raises(ValidationError):
+        diagrams.k3_identity_residual(grid, np.array([3, 7]), np.array([5, 0]))
 
 
 def test_fit_loglog_slope():
@@ -388,6 +450,11 @@ def test_cancellation_scan_structure():
     for fit in res.slopes.values():
         assert set(fit) == {"slope", "r_squared"}
     assert res.k3_residual_max < 1e-12
+    # the batched check draws the pairs the alternating scalar draws give
+    grid = diagrams.PeriodicGrid(4)
+    rng = np.random.default_rng(1)
+    pairs = [(int(rng.choice(grid.nonzero())), int(rng.choice(grid.nonzero()))) for _ in range(20)]
+    assert res.k3_residual_max == max(diagrams.k3_identity_residual(grid, *p) for p in pairs)
     assert res.zero_mode_policy == "exclude"
     # deterministic for a fixed seed
     res2 = diagrams.cancellation_scan(4, 2, bts, k3_samples=20, seed=1)
@@ -405,5 +472,7 @@ def test_cancellation_scan_validation():
         diagrams.cancellation_scan(4, 2, [1.0, 1.0])
     with pytest.raises(ValidationError):
         diagrams.cancellation_scan(4, 2, [1.0, -2.0])
+    with pytest.raises(ValidationError):
+        diagrams.cancellation_scan(4, 2, [1.0], k3_samples=-1)
     with pytest.raises(CapacityError):
         diagrams.cancellation_scan(12, 2, [1.0, 2.0])
