@@ -517,9 +517,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # built at the first call of ``main``, not at import
+
+
 def main(argv=None) -> int:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error: return it like every other one
         if exc.code == 0:

@@ -19,7 +19,9 @@ table.  All dense matrices respect the global dimension cap.  Every thermal
 trace in the package is sector-blocked: the Hamiltonians it traces conserve
 the total number, so ``gibbs_expectation_truncated`` diagonalizes one
 fixed-total sector (``SectorBasis``) at a time, which also reaches capped
-spaces far beyond the cap.
+spaces far beyond the cap.  The sector bases and their hop tables are shared
+across the traces of one box and dropped when another box is traced, so at
+most one box's sectors are held.
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ class SectorBasis:
         for site in range(self.n_sites - 1, -1, -1):
             rows[:, site] = entries[site][node]
             node = parents[site][node]
+        rows.flags.writeable = False  # shared by every trace of the box
         self.occupations = rows
         self.dim = int(counts[self.n_sites, n_total])
 
@@ -190,12 +193,16 @@ def _hop_operator(basis, diag: np.ndarray, amplitude: Callable) -> np.ndarray:
 
 
 def _bond_diagonal(basis, weights_fn) -> np.ndarray:
-    """Diagonal vector sum over bonds of a per-bond occupation function."""
+    """Diagonal vector sum over bonds of a per-bond occupation function.
+
+    ``weights_fn`` gets the ``(dim, n_bonds)`` occupations of every bond's
+    two sites at once.
+    """
     occ = basis.occupations
-    diag = np.zeros(basis.dim)
-    for i, j in lattice.nn_pairs(basis.spec):
-        diag += weights_fn(occ[:, i], occ[:, j])
-    return diag
+    pairs = lattice.nn_pairs(basis.spec)
+    per_bond = weights_fn(occ[:, pairs[:, 0]], occ[:, pairs[:, 1]])
+    # integer or half-integer weights: every summation order gives the same bits
+    return np.sum(per_bond, axis=1, dtype=np.float64)
 
 
 def kinetic(basis) -> np.ndarray:
@@ -265,6 +272,25 @@ def projector_mask(basis, two_s: int) -> np.ndarray:
     return (basis.occupations <= two_s).all(axis=1)
 
 
+# ``((spec, n_max), {n_total: SectorBasis})`` of the box traced most recently.
+# Tracing another box replaces the pair, so at most one box is held; reading
+# the pair once per lookup keeps a sector from ever crossing to another box.
+_traced = (None, {})
+
+
+def _traced_sector(spec: lattice.LatticeSpec, n_max: int, n_total: int) -> SectorBasis:
+    """Sector ``n_total`` of the box ``(spec, n_max)``, built once while that box is traced."""
+    global _traced
+    box, sectors = _traced
+    if box != (spec, n_max):
+        sectors = {}
+        _traced = ((spec, n_max), sectors)
+    sb = sectors.get(n_total)
+    if sb is None:
+        sb = sectors[n_total] = SectorBasis(spec, n_max, n_total)
+    return sb
+
+
 def gibbs_expectation_truncated(
     spec: lattice.LatticeSpec,
     n_max: int,
@@ -289,6 +315,12 @@ def gibbs_expectation_truncated(
     optionally caps the total number; with ground energies growing linearly
     in the sector number the neglected weight decays geometrically.
 
+    The sector bases, each with its cached hop table, are shared by every
+    trace of the same ``(spec, n_max)`` box: the spin-ED trace and the box
+    bound of one temperature, and all the temperatures of a scan, build them
+    once.  Only the box traced most recently is held; tracing another one
+    drops its sectors.  Callers must not write into a sector basis.
+
     Boltzmann weights are taken relative to the lowest eigenvalue seen so
     far, and earlier sums are rescaled when it drops, so nothing overflows
     however large ``beta_tilde`` is.
@@ -303,7 +335,7 @@ def gibbs_expectation_truncated(
     z = 0.0
     acc = 0.0  # becomes one sum per observable at the first sector
     for n_total in range(top + 1):
-        sb = SectorBasis(spec, n_max, n_total)
+        sb = _traced_sector(spec, n_max, n_total)
         if sb.dim == 0:
             continue
         h = ham(sb)

@@ -14,11 +14,17 @@ plane waves with momenta ``2*pi/ell * {0,...,ell-1}^d``, reported in
 Sites and modes are both enumerated in lexicographic order of their integer
 labels, and every function that returns per-site or per-mode arrays uses that
 fixed order.
+
+A box's geometry (``sites``, ``nn_pairs``, ``boundary_multiplicity``) is a
+pure function of its frozen, hashable ``LatticeSpec``, so each is memoized
+per box in a small LRU (``_memoized``).  The arrays are shared between
+callers and therefore read-only: writing into one raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +76,37 @@ class LatticeSpec:
         return self.ell**self.d
 
 
+def _memoized(maxsize: int):
+    """Memoize a pure function of hashable arguments in an LRU of ``maxsize`` calls.
+
+    Callers share the arrays it returns (one array or a tuple of them), so
+    they are made read-only.
+    """
+
+    def decorate(fn):
+        @functools.lru_cache(maxsize=maxsize)
+        def cached(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            for a in out if isinstance(out, tuple) else (out,):
+                a.flags.writeable = False
+            return out
+
+        # a plain function in front of the cache, so the name still
+        # introspects (and can be wrapped) like the function it memoizes
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            return cached(*args, **kwargs)
+
+        return wrapper
+
+    return decorate
+
+
+# Boxes whose geometry is kept; a 3-D box of side 64 holds about 20 MB.
+_GEOMETRY_BOXES = 8
+
+
+@_memoized(_GEOMETRY_BOXES)
 def sites(spec: LatticeSpec) -> np.ndarray:
     """Integer coordinates of all sites, shape ``(ell^d, d)``, lexicographic.
 
@@ -79,6 +116,7 @@ def sites(spec: LatticeSpec) -> np.ndarray:
     return np.stack(np.indices((spec.ell,) * spec.d), axis=-1).reshape(-1, spec.d) + 1
 
 
+@_memoized(_GEOMETRY_BOXES)
 def nn_pairs(spec: LatticeSpec) -> np.ndarray:
     """Unordered nearest-neighbor bonds as index pairs, shape ``(n_bonds, 2)``.
 
@@ -103,6 +141,7 @@ def nn_pairs(spec: LatticeSpec) -> np.ndarray:
     return np.concatenate(pairs, axis=0)
 
 
+@_memoized(_GEOMETRY_BOXES)
 def boundary_multiplicity(spec: LatticeSpec) -> np.ndarray:
     """Number of frozen outside bonds per site, shape ``(ell^d,)``.
 

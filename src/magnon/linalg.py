@@ -8,7 +8,10 @@ this package conserves the total boson number (total ``S^3``), so
 shifts the spectra by their running minimum, so nothing overflows no matter
 how large ``beta`` is.  A trace that needs only ``log Z`` (the spin free
 energy) calls ``eigvalsh`` instead, which runs the same checks and skips the
-eigenvectors.
+eigenvectors.  Both check the cap, finiteness and symmetry of their input,
+then solve it as given when it is exactly symmetric (every hop-table
+operator is: a move and its reverse take their amplitude from the same
+integers) and its symmetrized copy when it is symmetric only to rounding.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ def _check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     if asym > 1e-12 * scale:
         raise ValidationError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
+    if asym == 0.0:
+        return m  # symmetrizing would return the same bits
     return 0.5 * (m + m.T)
 
 

@@ -133,13 +133,12 @@ def _diagonal(spec: lattice.LatticeSpec, two_s: int, occ: np.ndarray):
     """Diagonal of H on occupation rows ``occ``: ``S^2 - S^3_x S^3_y`` per bond,
     plus ``S^2 + S*S^3_x`` per frozen bond on Dirichlet boxes."""
     s = two_s / 2.0
-    diag = np.zeros(occ.shape[0])
-    for i, j in lattice.nn_pairs(spec):
-        diag += s * s - (occ[:, i] - s) * (occ[:, j] - s)
+    pairs = lattice.nn_pairs(spec)
+    # quarter-integer weights: every summation order gives the same bits
+    diag = np.sum(s * s - (occ[:, pairs[:, 0]] - s) * (occ[:, pairs[:, 1]] - s), axis=1)
     if spec.boundary is lattice.Boundary.DIRICHLET:
         mult = lattice.boundary_multiplicity(spec)
-        for x in np.nonzero(mult)[0]:
-            diag += mult[x] * (s * s + s * (occ[:, x] - s))
+        diag = diag + np.sum(mult * (s * s + s * (occ - s)), axis=1)
     return diag
 
 

@@ -98,11 +98,18 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
+# Boxes and temperatures whose bond blocks are kept; one analytic report
+# reads the same blocks three times.  A 3-D box of side 64 takes 25 MB.
+_BLOCKS = 2
+
+
+@lattice._memoized(_BLOCKS)
 def _bond_blocks(spec, beta_tilde: float) -> np.ndarray:
     """Two-point blocks ``[[rho_xx, rho_xy], [rho_yx, rho_yy]]`` of every bond.
 
     Shape ``(2, 2, n_bonds)`` in ``lattice.nn_pairs`` order, site ``x`` as
-    block index 0 and ``y`` as 1.
+    block index 0 and ``y`` as 1.  Memoized per ``(spec, beta_tilde)`` and
+    read-only.
     """
     pairs = lattice.nn_pairs(spec)
     diag = dispersion.two_point_diagonal(spec, beta_tilde)

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -515,3 +517,23 @@ def test_ignored_or_malformed_options_are_refused(
     assert out == ""
     assert "--" + dest.replace("_", "-") in err
     assert [p.name for p in tmp_path.iterdir()] in ([], ["run.cfg"])
+
+
+def test_main_reuses_its_parser_across_calls(capsys):
+    good = ["correction", "--d", "2", "--ell", "3", "--two-s", "2", "--beta-tilde", "1.5"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "magnon.cli", *good],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        check=False,
+    )
+    assert fresh.returncode == 0
+    code, out, err = run(capsys, ["correction", "--no-such-flag"])
+    assert code == 2 and out == "" and "--no-such-flag" in err
+    code, out, err = run(capsys, good)
+    assert code == 0 and err == ""
+    assert out.encode() == fresh.stdout
+    assert cli._PARSER is not None
+    parser = cli._PARSER
+    run(capsys, good)
+    assert cli._PARSER is parser

@@ -335,3 +335,59 @@ def test_log_z_only_matches_eigh_path(spec, n_max):
             )
             assert values == []
             assert abs(lz - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def _loop_bond_diagonal(basis, weights_fn):
+    """The diagonal summed bond by bond, one bond at a time."""
+    occ = basis.occupations
+    diag = np.zeros(basis.dim)
+    for i, j in lattice.nn_pairs(basis.spec):
+        diag += weights_fn(occ[:, i], occ[:, j])
+    return diag
+
+
+DIAGONAL_BOXES = [
+    lattice.LatticeSpec(1, 2),
+    lattice.LatticeSpec(1, 5),
+    lattice.LatticeSpec(2, 2),
+    lattice.LatticeSpec(2, 3),
+    lattice.LatticeSpec(3, 2),
+    lattice.LatticeSpec(2, 3, lattice.Boundary.PERIODIC),
+]
+
+
+def small_sectors(spec, n_max, dim_max=400):
+    """The lowest and highest sectors of the capped box, up to ``dim_max`` rows each."""
+    top = spec.n_sites * n_max
+    for n_total in sorted({*range(min(4, top) + 1), *range(max(0, top - 3), top + 1)}):
+        sb = fock.SectorBasis(spec, n_max, n_total)
+        if 0 < sb.dim <= dim_max:
+            yield sb
+
+
+@pytest.mark.parametrize("spec", DIAGONAL_BOXES)
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4])
+def test_bond_diagonals_equal_the_per_bond_loop_bit_for_bit(spec, two_s):
+    s = two_s / 2.0
+    for sb in small_sectors(spec, two_s):
+        want = {
+            "kinetic": _loop_bond_diagonal(sb, lambda ni, nj: ni + nj),
+            "quartic": -_loop_bond_diagonal(sb, lambda ni, nj: (ni * nj).astype(np.float64)) / s,
+            "hp": _loop_bond_diagonal(
+                sb, lambda ni, nj: s * (ni + nj) - (ni * nj).astype(np.float64)
+            ),
+        }
+        got = {
+            "kinetic": np.diag(fock.kinetic(sb)),
+            "quartic": np.diag(fock.quartic(sb, two_s)),
+            "hp": np.diag(fock.hp_hamiltonian(sb, two_s)),
+        }
+        for name in want:
+            assert got[name].dtype == np.float64
+            assert np.array_equal(got[name], want[name]), name
+
+
+def test_sector_rows_are_read_only():
+    sb = fock.SectorBasis(chain(3), 2, 2)
+    with pytest.raises(ValueError):
+        sb.occupations[0, 0] = 1

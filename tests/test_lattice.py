@@ -136,3 +136,35 @@ def test_one_particle_kinetic_periodic_spectrum():
     got = np.sort(np.linalg.eigvalsh(t))
     want = np.sort(dispersion.epsilon(lattice.periodic_modes(spec)))
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+GEOMETRY_BOXES = [
+    lattice.LatticeSpec(1, 5),
+    lattice.LatticeSpec(2, 3),
+    lattice.LatticeSpec(3, 2),
+    lattice.LatticeSpec(2, 4, lattice.Boundary.PERIODIC),
+]
+
+
+@pytest.mark.parametrize("spec", GEOMETRY_BOXES)
+def test_geometry_is_memoized_read_only_and_equals_a_fresh_computation(spec):
+    fns = [lattice.sites, lattice.nn_pairs]
+    if spec.boundary is lattice.Boundary.DIRICHLET:
+        fns.append(lattice.boundary_multiplicity)
+    for fn in fns:
+        got = fn(spec)
+        # an equal spec built anew finds the same arrays
+        same = lattice.LatticeSpec(spec.d, spec.ell, spec.boundary.value)
+        assert fn(same) is got
+        fresh = fn.__wrapped__(spec)
+        assert fresh is not got
+        assert got.dtype == fresh.dtype and np.array_equal(got, fresh)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0
+        assert np.array_equal(got, fresh)
+    # refusals are not memoized
+    if spec.boundary is lattice.Boundary.PERIODIC:
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                lattice.boundary_multiplicity(spec)

@@ -102,3 +102,20 @@ def test_gibbs_functional_validation(rng):
     bad = np.eye(6)  # trace 6, not a state
     with pytest.raises(ValidationError):
         gibbs_functional(h, 1.0, bad)
+
+
+def test_exactly_symmetric_input_is_solved_as_given(rng):
+    m = random_symmetric(rng, 12)
+    assert linalg._check_symmetric(m) is m
+    # symmetric only to rounding: a symmetrized copy, the input left alone
+    near = m.copy()
+    near[0, 1] += 1e-14
+    before = near.copy()
+    got = linalg._check_symmetric(near)
+    assert got is not near
+    assert np.array_equal(near, before)
+    assert np.array_equal(got, got.T)
+    assert np.array_equal(got, 0.5 * (near + near.T))
+    # both paths keep the cap, finiteness and asymmetry checks
+    with pytest.raises(ValidationError):
+        linalg._check_symmetric(m + np.triu(np.ones_like(m), 1) * 1e-6)

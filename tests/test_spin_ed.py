@@ -199,3 +199,93 @@ def test_sector_ed_matches_kronecker(d, ell, two_s, beta_tilde):
 def test_sector_ed_keeps_dense_cap():
     with pytest.raises(CapacityError):
         spin_ed.free_energy_per_spin(lattice.LatticeSpec(1, 13), 1, 2.0)
+
+
+def _loop_spin_diagonal(spec, two_s, occ):
+    """Spin ED's diagonal summed bond by bond, then frozen bond by frozen bond."""
+    s = two_s / 2.0
+    diag = np.zeros(occ.shape[0])
+    for i, j in lattice.nn_pairs(spec):
+        diag += s * s - (occ[:, i] - s) * (occ[:, j] - s)
+    if spec.boundary is lattice.Boundary.DIRICHLET:
+        mult = lattice.boundary_multiplicity(spec)
+        for x in np.nonzero(mult)[0]:
+            diag += mult[x] * (s * s + s * (occ[:, x] - s))
+    return diag
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        lattice.LatticeSpec(1, 1),
+        lattice.LatticeSpec(1, 5),
+        lattice.LatticeSpec(2, 2),
+        lattice.LatticeSpec(2, 3),
+        lattice.LatticeSpec(3, 2),
+        lattice.LatticeSpec(2, 3, lattice.Boundary.PERIODIC),
+    ],
+)
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4])
+def test_spin_diagonal_equals_the_per_bond_loop_bit_for_bit(spec, two_s):
+    top = spec.n_sites * two_s
+    for n_total in sorted({*range(min(4, top) + 1), *range(max(0, top - 3), top + 1)}):
+        occ = fock.SectorBasis(spec, two_s, n_total).occupations
+        got = spin_ed._diagonal(spec, two_s, occ)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _loop_spin_diagonal(spec, two_s, occ))
+
+
+def test_ed_and_box_bound_traces_share_sector_bases(monkeypatch, capsys):
+    from magnon import cli
+
+    built, seen = [], {"ed": [], "bound": []}
+    init = fock.SectorBasis.__init__
+    sector_hamiltonian, kinetic_dirichlet = spin_ed._sector_hamiltonian, fock.kinetic_dirichlet
+
+    def counting_init(self, spec, n_max, n_total):
+        built.append((spec, n_max, n_total))
+        init(self, spec, n_max, n_total)
+
+    def ed_hamiltonian(sb, two_s):
+        seen["ed"].append(sb)
+        return sector_hamiltonian(sb, two_s)
+
+    def bound_hamiltonian(sb):
+        seen["bound"].append(sb)
+        return kinetic_dirichlet(sb)
+
+    monkeypatch.setattr(fock, "_traced", (None, {}))
+    monkeypatch.setattr(fock.SectorBasis, "__init__", counting_init)
+    monkeypatch.setattr(spin_ed, "_sector_hamiltonian", ed_hamiltonian)
+    monkeypatch.setattr(fock, "kinetic_dirichlet", bound_hamiltonian)
+    argv = ["ed-compare", "--mode", "exact", "--d", "2", "--ell", "2", "--two-s", "2",
+            "--beta-tilde", "1.5,3.0"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    spec = lattice.LatticeSpec(2, 2)
+    # each sector is built once for both traces of both temperatures
+    assert sorted(built) == [(spec, 2, n) for n in range(9)]
+    assert len(seen["ed"]) == len(seen["bound"]) == 2 * 9
+    assert all(a is b for a, b in zip(seen["ed"], seen["bound"]))
+    assert all(a is b for a, b in zip(seen["ed"][:9], seen["ed"][9:]))
+
+
+def test_remainder_check_keeps_the_traced_box(monkeypatch):
+    spec = lattice.LatticeSpec(1, 3)
+    wick.remainder_check(spec, 2, 2.0, 4)
+    box, sectors = fock._traced
+    kept = dict(sectors)
+    assert box == (spec, 4)
+    built = []
+    init = fock.SectorBasis.__init__
+
+    def counting_init(self, spec_, n_max, n_total):
+        built.append(n_max)
+        init(self, spec_, n_max, n_total)
+
+    monkeypatch.setattr(fock.SectorBasis, "__init__", counting_init)
+    wick.remainder_check(spec, 2, 3.0, 4)
+    # only the small n_max = 2S sectors of the remainder are built again
+    assert built and set(built) == {2}
+    assert fock._traced[0] == (spec, 4)
+    assert all(fock._traced[1][n] is sb for n, sb in kept.items())

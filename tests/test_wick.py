@@ -279,3 +279,16 @@ def test_single_site_box_has_no_bond_terms():
     assert wick.hop_squared_moments(spec, 1.0) == 0.0
     assert wick.interaction_squared_bound(spec, 2, 1.0) == 0.0
     assert wick.remainder_bound(spec, 2, 1.0) == 0.0
+
+
+def test_spectrum_and_bond_blocks_are_memoized_read_only():
+    spec = lattice.LatticeSpec(2, 4)
+    for fn in (dispersion._dirichlet_spectrum, wick._bond_blocks):
+        got = fn(spec, 2.0)
+        assert fn(lattice.LatticeSpec(2, 4), 2.0) is got
+        fresh = fn.__wrapped__(spec, 2.0)
+        for a, b in zip(got if isinstance(got, tuple) else (got,),
+                        fresh if isinstance(fresh, tuple) else (fresh,)):
+            assert not a.flags.writeable
+            assert np.array_equal(a, b)
+        assert fn(spec, 3.0) is not got
