@@ -329,10 +329,6 @@ def cancellation_scan(
         right = right_diagram(grid, bt, two_s)
         sext = expectation_J(grid, bt, two_s)
         left_f1f2 = left.extras["reduced_f1f2"]
-        s = two_s / 2.0
-        rho = sext.extras["rho"]
-        m_sum = float(np.sum(sext.extras["axis_means"]))
-        j_remainder = sext.value - rho * m_sum / (4.0 * s * s)
         rows.append(
             {
                 "beta_tilde": bt,
@@ -340,7 +336,7 @@ def cancellation_scan(
                 "left_f1f2": left_f1f2,
                 "combined": big.value + left_f1f2,
                 "right_diagram": right.value,
-                "j_remainder": j_remainder,
+                "j_remainder": sext.value - big.value,
                 "left_full": left.value,
             }
         )

@@ -61,16 +61,12 @@ def bose_from_energy(eps, beta_tilde: float):
     return np.exp(-x) / (-np.expm1(-x))
 
 
-# Boxes and temperatures whose spectrum is kept; one analytic report reads
-# the same one six times.
-_SPECTRA = 4
-
-
-@lattice._memoized(_SPECTRA)
+# one analytic report reads the same spectrum six times
+@lattice._memoized
 def _dirichlet_spectrum(spec: lattice.LatticeSpec, beta_tilde: float):
     """Energies and Bose factors of the sine modes, in ``dirichlet_modes`` order.
 
-    Memoized per ``(spec, beta_tilde)``; both arrays are read-only.
+    Memoized for the latest ``(spec, beta_tilde)``; both arrays are read-only.
     """
     eps = epsilon(lattice.dirichlet_modes(spec))
     return eps, bose_from_energy(eps, beta_tilde)

@@ -19,9 +19,9 @@ table.  All dense matrices respect the global dimension cap.  Every thermal
 trace in the package is sector-blocked: the Hamiltonians it traces conserve
 the total number, so ``gibbs_expectation_truncated`` diagonalizes one
 fixed-total sector (``SectorBasis``) at a time, which also reaches capped
-spaces far beyond the cap.  The sector bases and their hop tables are shared
-across the traces of one box and dropped when another box is traced, so at
-most one box's sectors are held.
+spaces far beyond the cap.  The sector bases and their hop tables are kept
+in one table per box (``_sector_table``), memoized like the box's geometry:
+the traces of one box share them, and tracing another box drops them.
 """
 
 from __future__ import annotations
@@ -156,6 +156,22 @@ def _check_dense(dim: int):
         raise CapacityError(f"dense operator of dimension {dim} exceeds cap")
 
 
+def _check_dense_space(spec: lattice.LatticeSpec, n_max: int) -> int:
+    """Dimension ``(n_max + 1)^sites`` of a box's whole capped space.
+
+    The one cap rule of every dense route over a whole space: above
+    ``linalg.DENSE_DIM_CAP`` it raises ``CapacityError``.
+    """
+    dim = (n_max + 1) ** spec.n_sites
+    if dim > linalg.DENSE_DIM_CAP:
+        # the power: a large box's dimension has more digits than Python prints
+        raise CapacityError(
+            f"space dimension {n_max + 1}^{spec.n_sites} exceeds dense cap "
+            f"{linalg.DENSE_DIM_CAP}"
+        )
+    return dim
+
+
 def _hop_table(basis):
     """Every move of one boson along a bond, ``y -> x``, that stays in ``basis``.
 
@@ -201,7 +217,8 @@ def _bond_diagonal(basis, weights_fn) -> np.ndarray:
     occ = basis.occupations
     pairs = lattice.nn_pairs(basis.spec)
     per_bond = weights_fn(occ[:, pairs[:, 0]], occ[:, pairs[:, 1]])
-    # integer or half-integer weights: every summation order gives the same bits
+    # weights on a grid of 1/4 (spin ED's are quarter-integers): every
+    # summation order gives the same bits
     return np.sum(per_bond, axis=1, dtype=np.float64)
 
 
@@ -272,23 +289,10 @@ def projector_mask(basis, two_s: int) -> np.ndarray:
     return (basis.occupations <= two_s).all(axis=1)
 
 
-# ``((spec, n_max), {n_total: SectorBasis})`` of the box traced most recently.
-# Tracing another box replaces the pair, so at most one box is held; reading
-# the pair once per lookup keeps a sector from ever crossing to another box.
-_traced = (None, {})
-
-
-def _traced_sector(spec: lattice.LatticeSpec, n_max: int, n_total: int) -> SectorBasis:
-    """Sector ``n_total`` of the box ``(spec, n_max)``, built once while that box is traced."""
-    global _traced
-    box, sectors = _traced
-    if box != (spec, n_max):
-        sectors = {}
-        _traced = ((spec, n_max), sectors)
-    sb = sectors.get(n_total)
-    if sb is None:
-        sb = sectors[n_total] = SectorBasis(spec, n_max, n_total)
-    return sb
+@lattice._memoized
+def _sector_table(spec: lattice.LatticeSpec, n_max: int) -> dict:
+    """``{n_total: SectorBasis}`` of the box ``(spec, n_max)``, filled by its traces."""
+    return {}
 
 
 def gibbs_expectation_truncated(
@@ -334,8 +338,11 @@ def gibbs_expectation_truncated(
     shift = math.inf
     z = 0.0
     acc = 0.0  # becomes one sum per observable at the first sector
+    sectors = _sector_table(spec, n_max)
     for n_total in range(top + 1):
-        sb = _traced_sector(spec, n_max, n_total)
+        sb = sectors.get(n_total)
+        if sb is None:
+            sb = sectors[n_total] = SectorBasis(spec, n_max, n_total)
         if sb.dim == 0:
             continue
         h = ham(sb)

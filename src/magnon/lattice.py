@@ -17,8 +17,9 @@ fixed order.
 
 A box's geometry (``sites``, ``nn_pairs``, ``boundary_multiplicity``) is a
 pure function of its frozen, hashable ``LatticeSpec``, so each is memoized
-per box in a small LRU (``_memoized``).  The arrays are shared between
-callers and therefore read-only: writing into one raises ``ValueError``.
+for the box asked about most recently (``_memoized``).  The arrays are
+shared between callers and therefore read-only: writing into one raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -76,37 +77,33 @@ class LatticeSpec:
         return self.ell**self.d
 
 
-def _memoized(maxsize: int):
-    """Memoize a pure function of hashable arguments in an LRU of ``maxsize`` calls.
+def _memoized(fn):
+    """Memoize a pure function of hashable arguments, keeping only its latest call.
 
-    Callers share the arrays it returns (one array or a tuple of them), so
-    they are made read-only.
+    Per-box data is read over and over for one box, then for the next, so
+    one entry catches the repeats.  Callers share the arrays it returns (one
+    array or a tuple of them), so they are made read-only; any other result
+    is passed through as is.
     """
 
-    def decorate(fn):
-        @functools.lru_cache(maxsize=maxsize)
-        def cached(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            for a in out if isinstance(out, tuple) else (out,):
+    @functools.lru_cache(maxsize=1)
+    def cached(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        for a in out if isinstance(out, tuple) else (out,):
+            if isinstance(a, np.ndarray):
                 a.flags.writeable = False
-            return out
+        return out
 
-        # a plain function in front of the cache, so the name still
-        # introspects (and can be wrapped) like the function it memoizes
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            return cached(*args, **kwargs)
+    # a plain function in front of the cache, so the name still
+    # introspects (and can be wrapped) like the function it memoizes
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        return cached(*args, **kwargs)
 
-        return wrapper
-
-    return decorate
+    return wrapper
 
 
-# Boxes whose geometry is kept; a 3-D box of side 64 holds about 20 MB.
-_GEOMETRY_BOXES = 8
-
-
-@_memoized(_GEOMETRY_BOXES)
+@_memoized
 def sites(spec: LatticeSpec) -> np.ndarray:
     """Integer coordinates of all sites, shape ``(ell^d, d)``, lexicographic.
 
@@ -116,7 +113,7 @@ def sites(spec: LatticeSpec) -> np.ndarray:
     return np.stack(np.indices((spec.ell,) * spec.d), axis=-1).reshape(-1, spec.d) + 1
 
 
-@_memoized(_GEOMETRY_BOXES)
+@_memoized
 def nn_pairs(spec: LatticeSpec) -> np.ndarray:
     """Unordered nearest-neighbor bonds as index pairs, shape ``(n_bonds, 2)``.
 
@@ -141,7 +138,7 @@ def nn_pairs(spec: LatticeSpec) -> np.ndarray:
     return np.concatenate(pairs, axis=0)
 
 
-@_memoized(_GEOMETRY_BOXES)
+@_memoized
 def boundary_multiplicity(spec: LatticeSpec) -> np.ndarray:
     """Number of frozen outside bonds per site, shape ``(ell^d,)``.
 

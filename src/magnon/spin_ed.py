@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dispersion, fock, lattice, linalg
-from ._errors import CapacityError, ValidationError
+from . import dispersion, fock, lattice
+from ._errors import ValidationError
 
 __all__ = [
     "SpinMatrices",
@@ -87,18 +87,9 @@ def _embed_two(op_a: np.ndarray, a: int, op_b: np.ndarray, b: int, n_sites: int)
     return m
 
 
-def _check_dim(spec: lattice.LatticeSpec, two_s: int) -> int:
-    dim = (two_s + 1) ** spec.n_sites
-    if dim > linalg.DENSE_DIM_CAP:
-        raise CapacityError(
-            f"spin space dimension {dim} exceeds dense cap {linalg.DENSE_DIM_CAP}"
-        )
-    return dim
-
-
 def heisenberg_hamiltonian(spec: lattice.LatticeSpec, two_s: int) -> np.ndarray:
     """Dense ``sum over bonds of (S^2 - S_x . S_y)``, real symmetric, PSD."""
-    dim = _check_dim(spec, two_s)
+    dim = fock._check_dense_space(spec, two_s)
     sm = spin_matrices(two_s)
     s = two_s / 2.0
     h = np.zeros((dim, dim))
@@ -118,7 +109,7 @@ def dirichlet_hamiltonian(spec: lattice.LatticeSpec, two_s: int) -> np.ndarray:
     Each frozen bond at site ``x`` adds ``S^2 + S*S^3_x``; the per-site count
     is the frozen-bond multiplicity.
     """
-    dim = _check_dim(spec, two_s)
+    dim = fock._check_dense_space(spec, two_s)
     mult = lattice.boundary_multiplicity(spec)
     sm = spin_matrices(two_s)
     s = two_s / 2.0
@@ -129,16 +120,14 @@ def dirichlet_hamiltonian(spec: lattice.LatticeSpec, two_s: int) -> np.ndarray:
     return h
 
 
-def _diagonal(spec: lattice.LatticeSpec, two_s: int, occ: np.ndarray):
-    """Diagonal of H on occupation rows ``occ``: ``S^2 - S^3_x S^3_y`` per bond,
+def _diagonal(sb, two_s: int):
+    """Diagonal of H on the rows of a sector basis: ``S^2 - S^3_x S^3_y`` per bond,
     plus ``S^2 + S*S^3_x`` per frozen bond on Dirichlet boxes."""
     s = two_s / 2.0
-    pairs = lattice.nn_pairs(spec)
-    # quarter-integer weights: every summation order gives the same bits
-    diag = np.sum(s * s - (occ[:, pairs[:, 0]] - s) * (occ[:, pairs[:, 1]] - s), axis=1)
-    if spec.boundary is lattice.Boundary.DIRICHLET:
-        mult = lattice.boundary_multiplicity(spec)
-        diag = diag + np.sum(mult * (s * s + s * (occ - s)), axis=1)
+    diag = fock._bond_diagonal(sb, lambda ni, nj: s * s - (ni - s) * (nj - s))
+    if sb.spec.boundary is lattice.Boundary.DIRICHLET:
+        mult = lattice.boundary_multiplicity(sb.spec)
+        diag = diag + np.sum(mult * (s * s + s * (sb.occupations - s)), axis=1)
     return diag
 
 
@@ -155,7 +144,7 @@ def _sector_hamiltonian(sb, two_s: int) -> np.ndarray:
     """Dense H on one fixed-total-``S^3`` sector (a ``fock.SectorBasis`` with ``n_max = 2S``)."""
     return fock._hop_operator(
         sb,
-        _diagonal(sb.spec, two_s, sb.occupations),
+        _diagonal(sb, two_s),
         lambda nx, ny: _hop_amplitude(two_s, nx, ny),
     )
 
@@ -167,7 +156,7 @@ def free_energy_per_spin(spec: lattice.LatticeSpec, two_s: int, beta_tilde: floa
     taken sector by sector in total ``S^3``, which H conserves.  Dirichlet
     boxes carry the frozen-bond penalty.
     """
-    _check_dim(spec, two_s)
+    fock._check_dense_space(spec, two_s)
     s = two_s / 2.0
     beta = beta_tilde / s
     _, log_z = fock.gibbs_expectation_truncated(

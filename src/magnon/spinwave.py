@@ -39,8 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import dispersion, fock, lattice, linalg, quadrature, wick
-from ._errors import HypothesisError, ValidationError
+from . import dispersion, fock, lattice, quadrature, wick
+from ._errors import CapacityError, HypothesisError, ValidationError
 
 __all__ = [
     "ErrorBudget",
@@ -291,8 +291,7 @@ def _report_from_pieces(
 
 
 def _box_bound_exact(spec, two_s, beta_tilde) -> BoundReport:
-    dim = (two_s + 1) ** spec.n_sites
-    fock._check_dense(dim)
+    dim = fock._check_dense_space(spec, two_s)
     mult = lattice.boundary_multiplicity(spec).astype(np.float64)
 
     def observables(sb, td):
@@ -374,8 +373,13 @@ def dirichlet_box_bound(
         raise ValidationError("two_s must be a positive integer")
     if projector_stats not in ("auto", "exact", "analytic"):
         raise ValidationError(f"unknown projector_stats {projector_stats!r}")
-    fits = (two_s + 1) ** spec.n_sites <= linalg.DENSE_DIM_CAP
-    if projector_stats == "exact" or (projector_stats == "auto" and fits):
+    if projector_stats == "auto":
+        try:
+            fock._check_dense_space(spec, two_s)
+            projector_stats = "exact"
+        except CapacityError:
+            projector_stats = "analytic"
+    if projector_stats == "exact":
         return _box_bound_exact(spec, two_s, beta_tilde)
     return _box_bound_analytic(spec, two_s, beta_tilde)
 

@@ -98,18 +98,15 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-# Boxes and temperatures whose bond blocks are kept; one analytic report
-# reads the same blocks three times.  A 3-D box of side 64 takes 25 MB.
-_BLOCKS = 2
-
-
-@lattice._memoized(_BLOCKS)
+# one analytic report reads the same blocks three times; a 3-D box of side
+# 64 takes 25 MB
+@lattice._memoized
 def _bond_blocks(spec, beta_tilde: float) -> np.ndarray:
     """Two-point blocks ``[[rho_xx, rho_xy], [rho_yx, rho_yy]]`` of every bond.
 
     Shape ``(2, 2, n_bonds)`` in ``lattice.nn_pairs`` order, site ``x`` as
-    block index 0 and ``y`` as 1.  Memoized per ``(spec, beta_tilde)`` and
-    read-only.
+    block index 0 and ``y`` as 1.  Memoized for the latest
+    ``(spec, beta_tilde)`` and read-only.
     """
     pairs = lattice.nn_pairs(spec)
     diag = dispersion.two_point_diagonal(spec, beta_tilde)
@@ -276,7 +273,7 @@ def cross_term_check(spec, two_s: int, beta_tilde: float, n_max: int):
     to the per-site cap of the oracle (tests shrink it).  ``P`` is diagonal,
     so every observable is block diagonal in the total-number sectors.
     """
-    fock._check_dense((n_max + 1) ** spec.n_sites)
+    fock._check_dense_space(spec, n_max)
 
     def observables(sb, td):
         a = td + fock.quartic(sb, two_s)
@@ -299,7 +296,7 @@ def remainder_check(spec, two_s: int, beta_tilde: float, n_max: int):
     """
     if n_max < two_s:
         raise ValidationError("oracle cap must be at least 2S")
-    fock._check_dense((n_max + 1) ** spec.n_sites)
+    fock._check_dense_space(spec, n_max)
 
     def observables(sb, td):
         small = fock.SectorBasis(spec, two_s, sb.n_total)

@@ -49,6 +49,15 @@ def test_basis_cap():
         fock.FockBasis(lattice.LatticeSpec(3, 3), 2)  # 3^27 states
 
 
+def test_dense_space_rule():
+    assert fock._check_dense_space(chain(12), 1) == 2**12  # at the dense cap
+    with pytest.raises(CapacityError):
+        fock._check_dense_space(chain(13), 1)
+    # 2^27000 has more digits than Python turns into text; the refusal names the power
+    with pytest.raises(CapacityError, match=r"2\^27000"):
+        fock._check_dense_space(lattice.LatticeSpec(3, 30), 1)
+
+
 def test_single_site_ladder_oracle():
     spec = chain(1, ell=1)
     basis = fock.FockBasis(spec, 5)
@@ -326,15 +335,29 @@ def test_hop_table_operators_match_monomial_oracle(spec, n_max):
 @pytest.mark.parametrize("spec, n_max", [(chain(4), 3), (lattice.LatticeSpec(2, 2), 4)])
 def test_log_z_only_matches_eigh_path(spec, n_max):
     shifted = lambda sb: fock.kinetic_dirichlet(sb) - (500.0 + sb.n_total) * np.eye(sb.dim)
-    for ham in (None, shifted, lambda sb: fock.hp_hamiltonian(sb, n_max)):
+    hp = lambda sb: fock.hp_hamiltonian(sb, n_max)
+    for ham in (None, shifted, hp):
+        sectors = [fock.SectorBasis(spec, n_max, n) for n in range(spec.n_sites * n_max + 1)]
+        h_of = ham or fock.kinetic_dirichlet
+        w_max = max(np.abs(np.linalg.eigvalsh(h_of(sb))).max() for sb in sectors)
         # at beta 200 unshifted weights would overflow
         for bt in (0.3, 2.0, 9.0, 200.0):
+            # LAPACK's eigenvalues are backward stable, off by a small multiple of
+            # eps * max|w|, which moves log Z by beta times that: each path stays
+            # within `path_tol` of the exact value, so the two within twice it
+            path_tol = 2.0 * bt * w_max * np.finfo(np.float64).eps
             values, lz = fock.gibbs_expectation_truncated(spec, n_max, bt, None, hamiltonian=ham)
             _, want = fock.gibbs_expectation_truncated(
                 spec, n_max, bt, lambda sb, h: [], hamiltonian=ham
             )
             assert values == []
-            assert abs(lz - want) <= 1e-13 * max(1.0, abs(want))
+            assert abs(lz - want) <= 2.0 * path_tol
+            if ham is hp and bt == 200.0:
+                # only the ground multiplet of total spin n_sites * S is left,
+                # all of energy 0 (hp equals the spin Hamiltonian at n_max = 2S)
+                exact = np.log(spec.n_sites * n_max + 1)
+                assert abs(lz - exact) <= path_tol
+                assert abs(want - exact) <= path_tol
 
 
 def _loop_bond_diagonal(basis, weights_fn):

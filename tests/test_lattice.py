@@ -163,6 +163,13 @@ def test_geometry_is_memoized_read_only_and_equals_a_fresh_computation(spec):
         with pytest.raises(ValueError):
             got[0] = 0
         assert np.array_equal(got, fresh)
+    # only the latest box is kept: going back to it after another box
+    # recomputes the same read-only arrays
+    for box in (spec, lattice.LatticeSpec(1, 2), spec):
+        for fn in fns:
+            got = fn(box)
+            assert np.array_equal(got, fn.__wrapped__(box))
+            assert not got.flags.writeable
     # refusals are not memoized
     if spec.boundary is lattice.Boundary.PERIODIC:
         for _ in range(2):

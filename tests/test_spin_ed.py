@@ -199,6 +199,8 @@ def test_sector_ed_matches_kronecker(d, ell, two_s, beta_tilde):
 def test_sector_ed_keeps_dense_cap():
     with pytest.raises(CapacityError):
         spin_ed.free_energy_per_spin(lattice.LatticeSpec(1, 13), 1, 2.0)
+    with pytest.raises(CapacityError):  # 2^27000 states
+        spin_ed.free_energy_per_spin(lattice.LatticeSpec(3, 30), 1, 2.0)
 
 
 def _loop_spin_diagonal(spec, two_s, occ):
@@ -229,10 +231,10 @@ def _loop_spin_diagonal(spec, two_s, occ):
 def test_spin_diagonal_equals_the_per_bond_loop_bit_for_bit(spec, two_s):
     top = spec.n_sites * two_s
     for n_total in sorted({*range(min(4, top) + 1), *range(max(0, top - 3), top + 1)}):
-        occ = fock.SectorBasis(spec, two_s, n_total).occupations
-        got = spin_ed._diagonal(spec, two_s, occ)
+        sb = fock.SectorBasis(spec, two_s, n_total)
+        got = spin_ed._diagonal(sb, two_s)
         assert got.dtype == np.float64
-        assert np.array_equal(got, _loop_spin_diagonal(spec, two_s, occ))
+        assert np.array_equal(got, _loop_spin_diagonal(spec, two_s, sb.occupations))
 
 
 def test_ed_and_box_bound_traces_share_sector_bases(monkeypatch, capsys):
@@ -254,7 +256,9 @@ def test_ed_and_box_bound_traces_share_sector_bases(monkeypatch, capsys):
         seen["bound"].append(sb)
         return kinetic_dirichlet(sb)
 
-    monkeypatch.setattr(fock, "_traced", (None, {}))
+    spec = lattice.LatticeSpec(2, 2)
+    table = fock._sector_table(spec, 2)
+    table.clear()  # start from an empty table, whatever ran before
     monkeypatch.setattr(fock.SectorBasis, "__init__", counting_init)
     monkeypatch.setattr(spin_ed, "_sector_hamiltonian", ed_hamiltonian)
     monkeypatch.setattr(fock, "kinetic_dirichlet", bound_hamiltonian)
@@ -262,20 +266,21 @@ def test_ed_and_box_bound_traces_share_sector_bases(monkeypatch, capsys):
             "--beta-tilde", "1.5,3.0"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    spec = lattice.LatticeSpec(2, 2)
     # each sector is built once for both traces of both temperatures
     assert sorted(built) == [(spec, 2, n) for n in range(9)]
     assert len(seen["ed"]) == len(seen["bound"]) == 2 * 9
     assert all(a is b for a, b in zip(seen["ed"], seen["bound"]))
     assert all(a is b for a, b in zip(seen["ed"][:9], seen["ed"][9:]))
+    assert fock._sector_table(spec, 2) is table
+    assert all(table[n] is sb for n, sb in enumerate(seen["ed"][:9]))
 
 
 def test_remainder_check_keeps_the_traced_box(monkeypatch):
     spec = lattice.LatticeSpec(1, 3)
     wick.remainder_check(spec, 2, 2.0, 4)
-    box, sectors = fock._traced
-    kept = dict(sectors)
-    assert box == (spec, 4)
+    table = fock._sector_table(spec, 4)
+    kept = dict(table)
+    assert sorted(kept) == list(range(spec.n_sites * 4 + 1))
     built = []
     init = fock.SectorBasis.__init__
 
@@ -285,7 +290,8 @@ def test_remainder_check_keeps_the_traced_box(monkeypatch):
 
     monkeypatch.setattr(fock.SectorBasis, "__init__", counting_init)
     wick.remainder_check(spec, 2, 3.0, 4)
-    # only the small n_max = 2S sectors of the remainder are built again
+    # only the small n_max = 2S sectors of the remainder are built again,
+    # outside the table, which still holds the traced box
     assert built and set(built) == {2}
-    assert fock._traced[0] == (spec, 4)
-    assert all(fock._traced[1][n] is sb for n, sb in kept.items())
+    assert fock._sector_table(spec, 4) is table
+    assert all(table[n] is sb for n, sb in kept.items())

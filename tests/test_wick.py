@@ -284,11 +284,19 @@ def test_single_site_box_has_no_bond_terms():
 def test_spectrum_and_bond_blocks_are_memoized_read_only():
     spec = lattice.LatticeSpec(2, 4)
     for fn in (dispersion._dirichlet_spectrum, wick._bond_blocks):
-        got = fn(spec, 2.0)
+
+        def read_only_and_fresh(box):
+            got, fresh = fn(box, 2.0), fn.__wrapped__(box, 2.0)
+            for a, b in zip(got if isinstance(got, tuple) else (got,),
+                            fresh if isinstance(fresh, tuple) else (fresh,)):
+                assert not a.flags.writeable
+                assert np.array_equal(a, b)
+            return got
+
+        got = read_only_and_fresh(spec)
         assert fn(lattice.LatticeSpec(2, 4), 2.0) is got
-        fresh = fn.__wrapped__(spec, 2.0)
-        for a, b in zip(got if isinstance(got, tuple) else (got,),
-                        fresh if isinstance(fresh, tuple) else (fresh,)):
-            assert not a.flags.writeable
-            assert np.array_equal(a, b)
         assert fn(spec, 3.0) is not got
+        # only the latest box is kept: going back to it after another box
+        # recomputes the same read-only arrays
+        for box in (spec, lattice.LatticeSpec(1, 3), spec):
+            read_only_and_fresh(box)
