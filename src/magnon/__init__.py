@@ -17,7 +17,6 @@ from . import (
 )
 from ._errors import (
     CapacityError,
-    CheckFailure,
     HypothesisError,
     MagnonError,
     NumericalError,
@@ -38,7 +37,6 @@ __all__ = [
     "CapacityError",
     "NumericalError",
     "HypothesisError",
-    "CheckFailure",
     "lattice",
     "dispersion",
     "quadrature",

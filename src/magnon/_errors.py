@@ -28,7 +28,3 @@ class HypothesisError(MagnonError):
     that can degrade gracefully (e.g. report writers) catch this and flag the
     result rather than fail.
     """
-
-
-class CheckFailure(MagnonError):
-    """A self-verification check did not meet its tolerance."""

@@ -26,7 +26,7 @@ The objects computed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,13 +116,8 @@ def occupations(grid: PeriodicGrid, beta_tilde: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiagramValue:
-    tag: str
     value: float
-    beta_tilde: float
-    ell: int
-    two_s: int
-    zero_mode_policy: str = "exclude"
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
 
 def _mean_occupation(grid, f):
@@ -147,7 +142,7 @@ def expectation_J(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramV
     m = _axis_means(grid, f)
     value = float(np.sum((rho + rho * rho) * m - m**3)) / (4.0 * s * s)
     extras = {"rho": rho, "axis_means": [float(x) for x in m]}
-    return DiagramValue("sextic_correction", value, beta_tilde, grid.ell, two_s, extras=extras)
+    return DiagramValue(value, extras)
 
 
 def biggest_error_term(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramValue:
@@ -166,7 +161,7 @@ def biggest_error_term(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> Dia
     sef = float(np.dot(f, grid.eps))
     double_form = (12.0 * sf * sf - 2.0 * sf * sef) / (16.0 * s * s * grid.ell**6)
     extras = {"double_sum_form": double_form, "rho": rho}
-    return DiagramValue("biggest_error", value, beta_tilde, grid.ell, two_s, extras=extras)
+    return DiagramValue(value, extras)
 
 
 def left_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramValue:
@@ -230,7 +225,7 @@ def left_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramVa
         "degenerate_delta0": -beta_tilde * degenerate / (2.0 * norm),
     }
     value = extras["reduced_f1f2"] + extras["reduced_f1f2f3"] + extras["degenerate_delta0"]
-    return DiagramValue("left_diagram", value, beta_tilde, grid.ell, two_s, extras=extras)
+    return DiagramValue(value, extras)
 
 
 def right_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramValue:
@@ -251,7 +246,7 @@ def right_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramV
     value = -beta_tilde * fc * fc * float(np.sum(f * (1.0 + f) * eps * eps))
     value /= 2.0 * s * s * grid.ell**9
     extras = {"g_max": abs(fc) * float(np.max(eps[1:]))}
-    return DiagramValue("right_diagram", value, beta_tilde, grid.ell, two_s, extras=extras)
+    return DiagramValue(value, extras)
 
 
 def k3_identity_residual(grid: PeriodicGrid, i1, i2):

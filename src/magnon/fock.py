@@ -343,8 +343,6 @@ def gibbs_expectation_truncated(
         sb = sectors.get(n_total)
         if sb is None:
             sb = sectors[n_total] = SectorBasis(spec, n_max, n_total)
-        if sb.dim == 0:
-            continue
         h = ham(sb)
         if observables is None:
             w = linalg.eigvalsh(h)

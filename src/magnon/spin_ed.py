@@ -15,7 +15,8 @@ expansion.  The free energy traces every sector through
 dimension cap on the whole space (spin 1/2 up to 12 sites, spin 1 up to 7
 sites).  The single-magnon check needs only the one-unit sector, of
 dimension ``ell^d``.  The dense Kronecker builders ``heisenberg_hamiltonian``
-and ``dirichlet_hamiltonian`` are the independent check of the boson image.
+and ``dirichlet_hamiltonian`` are the independent check of the boson image;
+both embed their single-site operators through one helper, ``_embed``.
 """
 
 from __future__ import annotations
@@ -59,31 +60,17 @@ def spin_matrices(two_s: int) -> SpinMatrices:
     return SpinMatrices(s3, sp, sp.T.copy())
 
 
-def _embed_one(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    r = op.shape[0]
-    m = op
-    if site > 0:
-        m = np.kron(m, np.eye(r**site))
-    if site < n_sites - 1:
-        m = np.kron(np.eye(r ** (n_sites - 1 - site)), m)
-    return m
+def _embed(ops: dict, r: int, n_sites: int) -> np.ndarray:
+    """Kronecker product of ``{site: op}`` with identities on every other site.
 
-
-def _embed_two(op_a: np.ndarray, a: int, op_b: np.ndarray, b: int, n_sites: int) -> np.ndarray:
-    """Embedding of a product of single-site operators on distinct sites."""
-    if a == b:
-        raise ValidationError("sites must be distinct")
-    r = op_a.shape[0]
-    lo, hi = (a, b) if a < b else (b, a)
-    op_lo, op_hi = (op_a, op_b) if a < b else (op_b, op_a)
-    m = op_hi
-    if hi - lo - 1 > 0:
-        m = np.kron(m, np.eye(r ** (hi - lo - 1)))
-    m = np.kron(m, op_lo)
-    if lo > 0:
-        m = np.kron(m, np.eye(r**lo))
-    if n_sites - 1 - hi > 0:
-        m = np.kron(np.eye(r ** (n_sites - 1 - hi)), m)
+    Site 0 is the least significant factor, as in the ``fock`` bases.  The
+    product grows on the right of each ``np.kron``, whose inner loop runs
+    over its right factor.
+    """
+    eye = np.eye(r)
+    m = ops.get(0, eye)
+    for x in range(1, n_sites):
+        m = np.kron(ops.get(x, eye), m)
     return m
 
 
@@ -93,13 +80,12 @@ def heisenberg_hamiltonian(spec: lattice.LatticeSpec, two_s: int) -> np.ndarray:
     sm = spin_matrices(two_s)
     s = two_s / 2.0
     h = np.zeros((dim, dim))
-    n_bonds = 0
-    for i, j in lattice.nn_pairs(spec):
-        h -= _embed_two(sm.s3, int(i), sm.s3, int(j), spec.n_sites)
-        h -= 0.5 * _embed_two(sm.s_plus, int(i), sm.s_minus, int(j), spec.n_sites)
-        h -= 0.5 * _embed_two(sm.s_minus, int(i), sm.s_plus, int(j), spec.n_sites)
-        n_bonds += 1
-    h[np.diag_indices(dim)] += n_bonds * s * s
+    pairs = lattice.nn_pairs(spec).tolist()
+    for i, j in pairs:
+        h -= _embed({i: sm.s3, j: sm.s3}, two_s + 1, spec.n_sites)
+        h -= 0.5 * _embed({i: sm.s_plus, j: sm.s_minus}, two_s + 1, spec.n_sites)
+        h -= 0.5 * _embed({i: sm.s_minus, j: sm.s_plus}, two_s + 1, spec.n_sites)
+    h[np.diag_indices(dim)] += len(pairs) * s * s
     return h
 
 
@@ -114,8 +100,8 @@ def dirichlet_hamiltonian(spec: lattice.LatticeSpec, two_s: int) -> np.ndarray:
     sm = spin_matrices(two_s)
     s = two_s / 2.0
     h = heisenberg_hamiltonian(spec, two_s)
-    for x in np.nonzero(mult)[0]:
-        h += mult[x] * s * _embed_one(sm.s3, int(x), spec.n_sites)
+    for x in np.nonzero(mult)[0].tolist():
+        h += mult[x] * s * _embed({x: sm.s3}, two_s + 1, spec.n_sites)
     h[np.diag_indices(dim)] += float(np.sum(mult)) * s * s
     return h
 

@@ -34,7 +34,7 @@ Three modes produce reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -103,24 +103,9 @@ class BoundReport:
             raise ValidationError("report pieces do not sum to the stated total")
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "two_s": self.two_s,
-            "beta_tilde": self.beta_tilde,
-            "ell": self.ell,
-            "boundary": self.boundary,
-            "mode": self.mode,
-            "leading": self.leading,
-            "correction": self.correction,
-            "error_terms": {
-                "components": dict(self.error_terms.components),
-                "total": self.error_terms.total,
-            },
-            "total_upper_bound": self.total_upper_bound,
-            "hypothesis_ok": self.hypothesis_ok,
-            "warnings": list(self.warnings),
-            "info": {k: self.info[k] for k in sorted(self.info)},
-        }
+        out = asdict(self)
+        out["error_terms"]["total"] = self.error_terms.total
+        return out
 
 
 def _grid_momentum_label(ell: int, k: float) -> int:
@@ -233,10 +218,10 @@ def interaction_correction_bulk(
     """
     if spec.d == 1:
         raise ValidationError("the bulk form of the correction needs d in {2, 3}")
-    modes = lattice.dirichlet_modes(spec)
-    f = dispersion.bose_from_energy(dispersion.epsilon(modes), beta_tilde)
+    _, f = dispersion._dirichlet_spectrum(spec, beta_tilde)
+    k1 = lattice.dirichlet_modes(spec)[:, 0]
     s = two_s / 2.0
-    m1 = float(np.sum(f * (1.0 - np.cos(modes[:, 0])))) / (spec.ell + 1) ** spec.d
+    m1 = float(np.sum(f * (1.0 - np.cos(k1)))) / (spec.ell + 1) ** spec.d
     return -(spec.d / s) * m1 * m1
 
 
@@ -254,16 +239,15 @@ def interaction_correction_continuum(d: int, two_s: int, beta_tilde: float) -> f
 
 def _report_from_pieces(
     spec, two_s, beta_tilde, mode, leading, raw_correction, budget, hypothesis_ok,
-    warnings=(), info=None,
+    warnings=(), info=None, rest=0.0,
 ):
     """Assemble a BoundReport honoring correction <= 0 and budget >= 0.
 
-    ``budget`` may contain a signed catch-all under the key ``None``: a
-    positive rest becomes a named component, a negative rest is absorbed into
-    the correction (keeping the stated total exact in both cases).
+    ``rest`` is a signed catch-all: a positive rest becomes a named
+    component, a negative rest is absorbed into the correction (keeping the
+    stated total exact in both cases).
     """
     info = dict(info or {})
-    rest = budget.pop(None, 0.0)
     correction = min(0.0, raw_correction)
     signed_rest = rest + max(0.0, raw_correction)
     if signed_rest >= 0.0:
@@ -292,12 +276,10 @@ def _report_from_pieces(
 
 def _box_bound_exact(spec, two_s, beta_tilde) -> BoundReport:
     dim = fock._check_dense_space(spec, two_s)
-    mult = lattice.boundary_multiplicity(spec).astype(np.float64)
 
-    def observables(sb, td):
+    def observables(sb, _):
         quart = fock.quartic(sb, two_s)
-        kin = td - np.diag(sb.occupations @ mult)  # exact: the penalty is an integer diagonal
-        return [quart, fock.remainder_after_quartic(sb, two_s, kin, quart)]
+        return [quart, fock.remainder_after_quartic(sb, two_s, fock.kinetic(sb), quart)]
 
     (quart, rem), log_zp = fock.gibbs_expectation_truncated(
         spec, two_s, beta_tilde, observables
@@ -312,7 +294,7 @@ def _box_bound_exact(spec, two_s, beta_tilde) -> BoundReport:
         "basis_dim": dim,
     }
     return _report_from_pieces(
-        spec, two_s, beta_tilde, "exact", lead, corr_raw, {None: rem_raw}, True, info=info
+        spec, two_s, beta_tilde, "exact", lead, corr_raw, {}, True, info=info, rest=rem_raw
     )
 
 

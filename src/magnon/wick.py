@@ -213,13 +213,15 @@ def interaction_squared_bound(spec, two_s: int, beta_tilde: float) -> float:
 
 @dataclass(frozen=True)
 class CrossTermBound:
-    """Ingredients of the projector cross-term estimate (all extensive)."""
+    """Ingredients of the projector cross-term estimate (all extensive).
+
+    ``i2_bound`` bounds both ``<I^2>`` and ``<P I^2 P>``.
+    """
 
     one_minus_p: float
     t2_exact: float
     i2_bound: float
     pt2p_bound: float
-    pi2p_bound: float
     value: float
 
 
@@ -244,7 +246,7 @@ def cross_term_bound(spec, two_s: int, beta_tilde: float) -> CrossTermBound:
     value = np.sqrt(w) * (
         np.sqrt(2.0 * t2 + 2.0 * i2) + np.sqrt(2.0 * pt2p + 2.0 * i2) + np.sqrt(t2)
     )
-    return CrossTermBound(w, t2, i2, pt2p, i2, float(value))
+    return CrossTermBound(w, t2, i2, pt2p, float(value))
 
 
 def remainder_bound(spec, two_s: int, beta_tilde: float) -> float:

@@ -318,7 +318,7 @@ def box_bound_exact(spec, two_s: int, beta_tilde: float) -> spinwave.BoundReport
         "basis_dim": basis.dim,
     }
     return spinwave._report_from_pieces(
-        spec, two_s, beta_tilde, "exact", lead, corr_raw, {None: rem_raw}, True, info=info
+        spec, two_s, beta_tilde, "exact", lead, corr_raw, {}, True, info=info, rest=rem_raw
     )
 
 

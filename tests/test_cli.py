@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from magnon import cli, dispersion, lattice, spinwave
+from magnon._errors import ValidationError
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -293,19 +294,21 @@ def test_verify_perturbation_detected(capsys, monkeypatch):
 
 
 def test_float_list_parsing():
-    assert cli._float_list("1.0, 2.5,3") == [1.0, 2.5, 3.0]
+    assert cli._number_list("1.0, 2.5,3") == [1.0, 2.5, 3.0]
     # stray separators are tolerated, garbage is not
-    assert cli._float_list("1.0,,2.0") == [1.0, 2.0]
-    with pytest.raises(Exception):
-        cli._float_list("abc")
-    with pytest.raises(Exception):
-        cli._float_list(",")
+    assert cli._number_list("1.0,,2.0") == [1.0, 2.0]
+    with pytest.raises(ValidationError, match="cannot parse number list"):
+        cli._number_list("abc")
+    with pytest.raises(ValidationError, match="empty number list"):
+        cli._number_list(",")
 
 
 def test_int_list_parsing():
-    assert cli._int_list("4,8") == [4, 8]
-    with pytest.raises(Exception):
-        cli._int_list("4.5")
+    assert cli._number_list("4,8", int) == [4, 8]
+    with pytest.raises(ValidationError, match="cannot parse integer list"):
+        cli._number_list("4.5", int)
+    with pytest.raises(ValidationError, match="empty integer list"):
+        cli._number_list(" , ", int)
 
 
 def test_payload_bytes_do_not_depend_on_core_count(monkeypatch, capsys):

@@ -134,7 +134,6 @@ def test_expectation_j_matches_position_wick():
     want = total / (32.0 * s * s) / spec.n_sites
     got = diagrams.expectation_J(grid, bt, two_s)
     assert got.value == pytest.approx(want, rel=1e-10)
-    assert got.zero_mode_policy == "exclude"
 
 
 def test_biggest_error_dual_forms():

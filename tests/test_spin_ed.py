@@ -21,6 +21,15 @@ def test_spin_matrix_algebra(two_s):
     assert np.allclose(casimir, s * (s + 1.0) * np.eye(two_s + 1), atol=1e-13)
 
 
+def test_embed_puts_site_zero_least_significant():
+    rng = np.random.default_rng(7)
+    r = 3
+    a, b = rng.standard_normal((2, r, r))
+    got = spin_ed._embed({0: a, 2: b}, r, 3)
+    np.testing.assert_array_equal(got, np.kron(b, np.kron(np.eye(r), a)))
+    np.testing.assert_array_equal(spin_ed._embed({1: a}, r, 2), np.kron(a, np.eye(r)))
+
+
 def test_heisenberg_psd_and_ferromagnetic_ground():
     spec = lattice.LatticeSpec(1, 3)
     for two_s in (1, 2):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -43,6 +45,40 @@ def test_bound_report_consistency_enforced():
             total_upper_bound=0.4,
             **{**kwargs, "correction": 0.1},
         )
+
+
+def _field_by_field(rep):
+    return {
+        "d": rep.d,
+        "two_s": rep.two_s,
+        "beta_tilde": rep.beta_tilde,
+        "ell": rep.ell,
+        "boundary": rep.boundary,
+        "mode": rep.mode,
+        "leading": rep.leading,
+        "correction": rep.correction,
+        "error_terms": {
+            "components": dict(rep.error_terms.components),
+            "total": rep.error_terms.total,
+        },
+        "total_upper_bound": rep.total_upper_bound,
+        "hypothesis_ok": rep.hypothesis_ok,
+        "warnings": list(rep.warnings),
+        "info": {k: rep.info[k] for k in sorted(rep.info)},
+    }
+
+
+@pytest.mark.parametrize("route", ["exact", "analytic", "asymptotic"])
+def test_as_dict_dumps_like_the_field_by_field_dict(route):
+    if route == "asymptotic":
+        rep = spinwave.theorem_upper_bound(3, 1, 0.5)  # warns: clamped box, weight > 1/2
+    else:
+        spec = lattice.LatticeSpec(1, 3) if route == "exact" else lattice.LatticeSpec(2, 4)
+        rep = spinwave.dirichlet_box_bound(spec, 2 if route == "exact" else 4, 2.0, route)
+        rep = dataclasses.replace(rep, warnings=("first", "second"))
+    assert rep.mode == route and len(rep.warnings) == 2
+    dump = json.dumps(rep.as_dict(), sort_keys=True, indent=2)
+    assert dump == json.dumps(_field_by_field(rep), sort_keys=True, indent=2)
 
 
 def test_quartic_sine_sums_match_closed_forms():
@@ -135,7 +171,7 @@ def test_lattice_correction_finite_size_halving():
             )
             - cont
         )
-        for ell in (16, 32, 64)
+        for ell in (16, 32, 64, 128)
     ]
     for a, b in zip(errs, errs[1:]):
         assert 0.3 <= b / a <= 0.8

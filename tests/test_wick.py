@@ -159,7 +159,7 @@ def test_cross_term_bound_components():
     assert ctb.i2_bound > 0.0
     want = np.sqrt(ctb.one_minus_p) * (
         np.sqrt(2.0 * ctb.t2_exact + 2.0 * ctb.i2_bound)
-        + np.sqrt(2.0 * ctb.pt2p_bound + 2.0 * ctb.pi2p_bound)
+        + np.sqrt(2.0 * ctb.pt2p_bound + 2.0 * ctb.i2_bound)
         + np.sqrt(ctb.t2_exact)
     )
     assert ctb.value == pytest.approx(want, rel=1e-13)
