@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -49,7 +50,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _number_list(text: str, type_=float):
-    """Comma list of ``type_`` values; empty items are skipped."""
+    """Comma list of finite ``type_`` values; empty items are skipped."""
     kind = "integer" if type_ is int else "number"
     try:
         values = [type_(tok) for tok in str(text).split(",") if tok.strip()]
@@ -57,6 +58,8 @@ def _number_list(text: str, type_=float):
         raise ValidationError(f"cannot parse {kind} list from {text!r}") from exc
     if not values:
         raise ValidationError(f"empty {kind} list {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"non-finite {kind} in list {text!r}")
     return values
 
 

@@ -14,9 +14,13 @@ The objects computed:
   ``(12) <-> (34)`` symmetry turns into temperature-free ratios
   ``nu^2/delta`` off the degenerate shell plus the shell itself; its summand
   is invariant under the 48-element cubic group (axis permutations and
-  per-axis sign flips) acting on all momenta at once, so the outer ``k1``
-  sum runs over one representative per orbit, weighted by the orbit size
-  (34 orbits for the 511 nonzero modes at ``ell = 8``);
+  per-axis sign flips) acting on all momenta at once and symmetric under
+  ``k1 <-> k2``, so the ``(k1, k2)`` sum runs over orbits of the pair: one
+  ``k1`` per cubic orbit (34 orbits for the 511 nonzero modes at
+  ``ell = 8``) and, for each, one ``k2`` per orbit of its stabilizer, kept
+  only when the cubic orbit of ``k2`` is not below that of ``k1`` (3694
+  ``k2`` rows in all at ``ell = 8``, where full blocks would hold 17374;
+  811 for 4085 at ``ell = 6``, 12681 for 54945 at ``ell = 10``);
 * the right second-order diagram in closed form, its inner sum being
   proportional to the dispersion;
 * the scan that adds the leading piece to the reduced left diagram and
@@ -26,6 +30,8 @@ The objects computed:
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,11 +101,27 @@ class PeriodicGrid:
         self._delta_23 = e[:, None] - e[None, :]
         self._nu_23 = 2.0 * self._eps_diff[1:, 1:] - 2.0 * e[:, None]
         # Orbits of the nonzero modes under the cubic group (axis permutations
-        # and per-axis sign flips): folding n -> min(n, ell-n) and sorting the
-        # axes gives a canonical label, itself a member of the orbit.
-        folded = np.sort(np.minimum(labels, ell - labels), axis=1)
-        canon = (folded[:, 0] * ell + folded[:, 1]) * ell + folded[:, 2]
+        # and per-axis sign flips): the smallest flat label among a mode's 48
+        # images is its canonical label, itself a member of the orbit.
+        perms = np.array(list(itertools.permutations(range(3))))
+        signs = np.array(list(itertools.product((1, -1), repeat=3)))
+        moved = labels[:, perms][:, :, None, :] * signs[None, None, :, :] % ell
+        images = (moved @ np.array([ell * ell, ell, 1])).reshape(self.n_modes, 48).T
+        canon = images.min(axis=0)
         self.orbit_reps, self.orbit_weights = np.unique(canon[1:], return_counts=True)
+        # Rows of the left diagram's (k1, k2) sum: per representative r, one
+        # k2 per orbit of the stabilizer of r (keyed by its smallest image
+        # under that stabilizer), kept only when the cubic orbit of k2 is not
+        # below r's; the 1 <-> 2 exchange counts the others twice.
+        keys = np.stack([images[images[:, r] == r].min(axis=0) for r in self.orbit_reps])
+        keys += np.arange(self.orbit_reps.size)[:, None] * self.n_modes
+        keep = canon[None, :] >= self.orbit_reps[:, None]
+        pairs, mult = np.unique(keys[keep], return_counts=True)
+        rep_of, k2 = np.divmod(pairs, self.n_modes)
+        weights = mult * np.where(canon[k2] > self.orbit_reps[rep_of], 2.0, 1.0)
+        cuts = np.flatnonzero(np.diff(rep_of)) + 1
+        self.pair_rows = np.split(k2, cuts)
+        self.pair_weights = np.split(weights, cuts)
 
     def nonzero(self) -> np.ndarray:
         return np.arange(1, self.n_modes, dtype=np.int64)
@@ -184,12 +206,20 @@ def left_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramVa
     ``reduced_f1f2f3``, supported on ``|delta| > 1e-12``, and the shell term
     ``degenerate_delta0``.
 
-    The summand is invariant under the 48-element cubic group acting on all
-    four momenta at once, so the outer sum runs over one ``k1`` per orbit
-    (``grid.orbit_reps``), weighted by its orbit size.  For each one the
-    temperature-free block ``R = nu^2/delta`` over ``(k2, k3)``, zero off the
-    nondegenerate set, is built once and contracted with ``1`` and ``f3`` by
-    one matrix product; the shell is a sparse index list.
+    After the ``k3`` sum the summand ``F(k1, k2)`` is invariant under the
+    48-element cubic group acting on all momenta at once, and symmetric under
+    ``k1 <-> k2`` (so are ``delta`` and ``nu``).  The outer sum therefore runs
+    over one ``k1`` per orbit (``grid.orbit_reps``), weighted by its orbit
+    size, and the ``k2`` sum over the rows ``grid.pair_rows``: one ``k2`` per
+    orbit of the stabilizer of ``k1``, only where the cubic orbit of ``k2`` is
+    not below that of ``k1``, each weighted (``grid.pair_weights``) by its
+    stabilizer orbit size, times 2 when its cubic orbit is above ``k1``'s.
+    That leaves 811, 3694 and 12681 rows at ``ell`` 6, 8 and 10, against
+    4085, 17374 and 54945 for full ``(k2, k3)`` blocks.  For each ``k1`` the
+    temperature-free block ``R = nu^2/delta`` over its rows and all ``k3``,
+    zero off the nondegenerate set, is built once and contracted with ``1``
+    and ``f3`` by one matrix product; the shell is a sparse index list,
+    weighted like the rows.
     """
     s = two_s / 2.0
     f = occupations(grid, beta_tilde)
@@ -198,26 +228,29 @@ def left_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramVa
     ones_f3 = np.stack([np.ones_like(f_nz), f_nz], axis=1)
     reduced = np.zeros(2)
     degenerate = 0.0
-    for i1, weight in zip(grid.orbit_reps.tolist(), grid.orbit_weights.tolist()):
+    pair_sums = zip(grid.orbit_reps.tolist(), grid.orbit_weights.tolist(), grid.pair_rows,
+                    grid.pair_weights)
+    for i1, weight, k2, w2 in pair_sums:
         e1 = grid.eps[i1]
         wf1 = weight * float(f[i1])
-        k12 = grid.sum_idx[i1, 1:]
+        wf2 = w2 * f[k2]
+        k12 = grid.sum_idx[i1, k2]
         delta = grid._eps_diff[k12, 1:]  # eps4 for k4 = k1 + k2 - k3
         np.subtract(e1, delta, out=delta)
-        delta += grid._delta_23
-        nu = delta + grid._nu_23
+        delta += grid._delta_23[k2 - 1]
+        nu = delta + grid._nu_23[k2 - 1]
         nu += 2.0 * (grid._eps_diff[i1, 1:] - e1)
         # k4 = 0 where k3 = k1 + k2; an infinite delta drops it from both sets
         rows = np.flatnonzero(k12)
         delta[rows, k12[rows] - 1] = np.inf
         i2, i3 = np.nonzero(np.abs(delta) <= _DEGENERACY_TOL)
         i4 = grid.diff_idx[k12[i2], i3 + 1]
-        shell = nu[i2, i3] ** 2 * f_nz[i2] * g[i3 + 1] * g[i4]
+        shell = nu[i2, i3] ** 2 * wf2[i2] * g[i3 + 1] * g[i4]
         degenerate += wf1 * float(np.sum(shell))
         delta[i2, i3] = np.inf
         np.square(nu, out=nu)
         nu /= delta
-        reduced += wf1 * (f_nz @ (nu @ ones_f3))
+        reduced += wf1 * (wf2 @ (nu @ ones_f3))
     norm = 16.0 * s * s * grid.ell**9
     extras = {
         "reduced_f1f2": float(reduced[0]) / norm,
@@ -310,8 +343,8 @@ def cancellation_scan(
     residuals are checked on a seeded sample of momentum pairs.
     """
     bts = [float(b) for b in beta_tildes]
-    if any(b <= 0 for b in bts) or len(bts) == 0:
-        raise ValidationError("beta_tildes must be positive and nonempty")
+    if not bts or not all(0.0 < b < math.inf for b in bts):
+        raise ValidationError("beta_tildes must be positive, finite and nonempty")
     if sorted(set(bts)) != sorted(bts):
         raise ValidationError("beta_tildes must be distinct")
     if k3_samples < 0:

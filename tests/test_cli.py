@@ -303,6 +303,25 @@ def test_float_list_parsing():
         cli._number_list(",")
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1.0,inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["free-energy", "--d", "3", "--two-s", "2"],
+        ["diagrams", "--ell", "4", "--format", "json"],
+        ["correction", "--d", "3", "--ell", "4", "--two-s", "2"],
+        ["ed-compare", "--d", "1", "--ell", "3", "--two-s", "1"],
+        ["wick-verify", "--d", "1", "--ell", "3", "--two-s", "1"],
+    ],
+)
+def test_non_finite_beta_tilde_is_refused(capsys, argv, value):
+    code, out, err = run(capsys, argv + [f"--beta-tilde={value}"])
+    assert code == 2
+    assert out == ""
+    assert "non-finite number" in err
+    assert "Traceback" not in err
+
+
 def test_int_list_parsing():
     assert cli._number_list("4,8", int) == [4, 8]
     with pytest.raises(ValidationError, match="cannot parse integer list"):

@@ -297,9 +297,10 @@ def left_all_k1(grid, beta_tilde, two_s):
 
 
 @pytest.mark.parametrize("beta_tilde", [0.25, 1.0, 4.0, 16.0, 32.0])
-@pytest.mark.parametrize("ell", [4, 5, 6, 7])
+@pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
 def test_left_diagram_orbit_sum_matches_all_k1(ell, beta_tilde):
-    # odd and even ell: for even ell the label n = ell/2 folds onto itself
+    # odd and even ell: for even ell the label n = ell/2 folds onto itself;
+    # at ell = 3 every mode has a stabilizer of order at least 2
     grid = diagrams.PeriodicGrid(ell)
     got = diagrams.left_diagram(grid, beta_tilde, 2)
     want_value, want_extras = left_all_k1(grid, beta_tilde, 2)
@@ -311,33 +312,66 @@ def test_left_diagram_orbit_sum_matches_all_k1(ell, beta_tilde):
         assert got.extras[key] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+CUBIC_GROUP = [
+    (perm, signs)
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1, -1), repeat=3)
+]
+
+
+def cubic_image(label, element, ell):
+    perm, signs = element
+    return flat_label(*((signs[m] * label[perm[m]]) % ell for m in range(3)), ell)
+
+
 @pytest.mark.parametrize("ell", [4, 5, 6, 7])
 def test_grid_orbits(ell):
     # orbits rebuilt from the 6 axis permutations times the 8 sign flips
     grid = diagrams.PeriodicGrid(ell)
-    group = [
-        (perm, signs)
-        for perm in itertools.permutations(range(3))
-        for signs in itertools.product((1, -1), repeat=3)
-    ]
-    assert len(group) == 48
-
-    def image(label, element):
-        perm, signs = element
-        return flat_label(*((signs[m] * label[perm[m]]) % ell for m in range(3)), ell)
-
+    assert len(CUBIC_GROUP) == 48
     reps = grid.orbit_reps.tolist()
     weights = grid.orbit_weights.tolist()
     seen = set()
     for rep, weight in zip(reps, weights):
-        orbit = {image(grid.labels[rep], el) for el in group}
+        orbit = {cubic_image(grid.labels[rep], el, ell) for el in CUBIC_GROUP}
         for member in orbit:
-            assert {image(grid.labels[member], el) for el in group} == orbit
+            assert {cubic_image(grid.labels[member], el, ell) for el in CUBIC_GROUP} == orbit
         assert len(orbit) == weight
         assert not orbit & seen  # one representative per orbit
         seen |= orbit
     assert 0 not in seen
     assert len(seen) == sum(weights) == ell**3 - 1
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5, 6, 7])
+def test_pair_rows_cover_every_pair_once(ell):
+    # each (rep, row) stands for the ordered pairs (g r, g k2) and their swaps
+    grid = diagrams.PeriodicGrid(ell)
+    covered = set()
+    total = 0.0
+    for rep, weight, rows, row_weights in zip(
+        grid.orbit_reps.tolist(),
+        grid.orbit_weights.tolist(),
+        grid.pair_rows,
+        grid.pair_weights,
+    ):
+        r = grid.labels[rep]
+        stab = [el for el in CUBIC_GROUP if cubic_image(r, el, ell) == rep]
+        assert len(stab) * weight == 48
+        for k2, w2 in zip(rows.tolist(), row_weights.tolist()):
+            assert k2 != grid.zero_index
+            l2 = grid.labels[k2]
+            pairs = {(cubic_image(r, el, ell), cubic_image(l2, el, ell)) for el in CUBIC_GROUP}
+            # a k2 outside the orbit of r also stands for the swapped pairs
+            if rep not in {cubic_image(l2, el, ell) for el in CUBIC_GROUP}:
+                pairs |= {(b, a) for a, b in pairs}
+            assert weight * w2 == len(pairs)
+            assert not pairs & covered
+            covered |= pairs
+            total += weight * w2
+    nonzero = range(1, ell**3)
+    assert covered == {(a, b) for a in nonzero for b in nonzero}
+    assert total == (ell**3 - 1) ** 2
 
 
 def test_right_diagram_matches_brute():
@@ -471,6 +505,9 @@ def test_cancellation_scan_validation():
         diagrams.cancellation_scan(4, 2, [1.0, 1.0])
     with pytest.raises(ValidationError):
         diagrams.cancellation_scan(4, 2, [1.0, -2.0])
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="finite"):
+            diagrams.cancellation_scan(4, 2, [1.0, bad])
     with pytest.raises(ValidationError):
         diagrams.cancellation_scan(4, 2, [1.0], k3_samples=-1)
     with pytest.raises(CapacityError):
