@@ -129,8 +129,6 @@ class PeriodicGrid:
 
 def occupations(grid: PeriodicGrid, beta_tilde: float) -> np.ndarray:
     """Bose factors on the grid with the zero mode set to 0 (excluded)."""
-    if not beta_tilde > 0.0:
-        raise ValidationError("beta_tilde must be positive")
     f = np.zeros(grid.n_modes)
     f[1:] = dispersion.bose_from_energy(grid.eps[1:], beta_tilde)
     return f

@@ -52,7 +52,13 @@ def epsilon(k) -> np.ndarray:
 
 
 def bose_from_energy(eps, beta_tilde: float):
-    """Bose factor ``1/(e^{beta*eps} - 1)`` for strictly positive energies."""
+    """Bose factor ``1/(e^{beta*eps} - 1)`` for strictly positive energies.
+
+    The one Bose factor of the package: every occupation it gives is at a
+    positive, finite ``beta_tilde``.
+    """
+    if not 0.0 < beta_tilde < math.inf:
+        raise ValidationError("beta_tilde must be positive and finite")
     eps = np.asarray(eps, dtype=np.float64)
     if np.any(eps <= 1e-14):
         raise ValidationError("Bose factor diverges at zero energy (zero mode)")
@@ -130,8 +136,8 @@ def rho_upper_bound(d: int, beta_tilde: float, ell: int) -> float:
     outside that window the bound does not apply and this raises.
     """
     bt = float(beta_tilde)
-    if not bt > 0.0:
-        raise ValidationError("beta_tilde must be positive")
+    if not 0.0 < bt < math.inf:
+        raise ValidationError("beta_tilde must be positive and finite")
     if d == 3:
         return (math.pi**1.5 / 8.0) * quadrature.zeta(1.5) * bt**-1.5
     if d == 2:
@@ -151,27 +157,29 @@ def rho_small_beta_bound(beta_tilde: float) -> float:
     valid without any low-temperature hypothesis).
     """
     bt = float(beta_tilde)
-    if not bt > 0.0:
-        raise ValidationError("beta_tilde must be positive")
+    if not 0.0 < bt < math.inf:
+        raise ValidationError("beta_tilde must be positive and finite")
     return 8.0 * math.pi / bt
 
 
-def occupation_tail_bound(rho: float, two_s: int, form: str = "exact") -> float:
+def occupation_tail_bound(rho, two_s: int, form: str = "exact"):
     """Per-site probability bound for more than ``2S`` bosons on one site.
 
     ``form="exact"``: the geometric tail ``(rho/(1+rho))^(2S+1)``, exact for
     the single-site marginal of the quasi-free state with mean ``rho``.
     ``form="simple"``: the looser Chernoff-style bound ``(2S+1) e rho^(2S)``
     used to compose the closed-form box bound; it dominates the exact form
-    for every ``rho``.
+    for every ``rho``.  A float gives a float, an array one bound per entry.
     """
-    rho = float(rho)
-    if rho < 0.0:
+    occ = np.asarray(rho, dtype=np.float64)
+    if np.any(occ < 0.0):
         raise ValidationError("occupation must be nonnegative")
+    # a float keeps Python's float power, whose last bit can differ from numpy's
+    occ = float(occ) if occ.ndim == 0 else occ
     if form == "exact":
-        return (rho / (1.0 + rho)) ** (two_s + 1)
+        return (occ / (1.0 + occ)) ** (two_s + 1)
     if form == "simple":
-        return (two_s + 1) * math.e * rho**two_s
+        return (two_s + 1) * math.e * occ**two_s
     raise ValidationError(f"unknown tail-bound form {form!r}")
 
 

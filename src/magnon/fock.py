@@ -331,8 +331,8 @@ def gibbs_expectation_truncated(
 
     Returns ``(values, log_z)``.
     """
-    if not beta_tilde > 0.0:
-        raise ValidationError("beta_tilde must be positive")
+    if not 0.0 < beta_tilde < math.inf:
+        raise ValidationError("beta_tilde must be positive and finite")
     ham = hamiltonian if hamiltonian is not None else kinetic_dirichlet
     top = spec.n_sites * n_max if max_total is None else min(max_total, spec.n_sites * n_max)
     shift = math.inf

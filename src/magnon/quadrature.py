@@ -30,7 +30,6 @@ __all__ = [
     "leading_free_energy",
     "correction_integral",
     "dyson_coefficient",
-    "richardson_extrapolate",
     "riemann_lower_sum_check",
     "tensor_integral",
 ]
@@ -143,8 +142,8 @@ def leading_free_energy(d: int, beta_tilde: float) -> QuadratureResult:
     if d not in (1, 2, 3):
         raise ValidationError(f"dimension must be 1, 2 or 3, got {d}")
     bt = float(beta_tilde)
-    if not bt > 0.0:
-        raise ValidationError("beta_tilde must be positive")
+    if not 0.0 < bt < math.inf:
+        raise ValidationError("beta_tilde must be positive and finite")
 
     def integrand(pts):
         # log(1 - e^-x) = log(-expm1(-x)), stable for all x > 0
@@ -165,8 +164,8 @@ def correction_integral(d: int, beta_tilde: float) -> QuadratureResult:
     if d not in (1, 2, 3):
         raise ValidationError(f"dimension must be 1, 2 or 3, got {d}")
     bt = float(beta_tilde)
-    if not bt > 0.0:
-        raise ValidationError("beta_tilde must be positive")
+    if not 0.0 < bt < math.inf:
+        raise ValidationError("beta_tilde must be positive and finite")
 
     def integrand(pts):
         eps = dispersion.epsilon(pts)
@@ -187,31 +186,6 @@ def dyson_coefficient() -> float:
     coefficient of the d=3 free-energy expansion.
     """
     return 3.0 * zeta(2.5) ** 2 / (128.0 * (2.0 * np.pi) ** 3)
-
-
-def richardson_extrapolate(xs, ys, order: int = 1):
-    """Extrapolate ``ys`` to ``x -> 0`` assuming ``y = c0 + c1*x + ...``.
-
-    Performs ``order`` levels of polynomial elimination (Neville at zero).
-    Returns ``(limit, error_estimate)`` where the estimate is the change in
-    the last elimination step.
-    """
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
-    if len(xs) != len(ys) or len(xs) < order + 1:
-        raise ValidationError("need at least order+1 sample points")
-    if sorted(set(xs)) != sorted(xs):
-        raise ValidationError("sample points must be distinct")
-    cur = ys[:]
-    pts = xs[:]
-    for m in range(1, order + 1):
-        nxt = []
-        for i in range(len(cur) - 1):
-            x0, x1 = pts[i], pts[i + m]
-            nxt.append((x0 * cur[i + 1] - x1 * cur[i]) / (x0 - x1))
-        cur = nxt
-    prev = cur[-2] if len(cur) >= 2 else ys[-1]
-    return cur[-1], abs(cur[-1] - prev)
 
 
 def riemann_lower_sum_check(g, ell: int, n: int, d1: float, d2: float) -> RiemannCheck:

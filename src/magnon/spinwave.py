@@ -349,8 +349,8 @@ def dirichlet_box_bound(
     """
     if spec.boundary is not lattice.Boundary.DIRICHLET:
         raise ValidationError("box bounds are defined for Dirichlet boxes")
-    if not beta_tilde > 0.0:
-        raise ValidationError("beta_tilde must be positive")
+    if not 0.0 < beta_tilde < math.inf:
+        raise ValidationError("beta_tilde must be positive and finite")
     if not isinstance(two_s, int) or two_s < 1:
         raise ValidationError("two_s must be a positive integer")
     if projector_stats not in ("auto", "exact", "analytic"):
@@ -388,8 +388,8 @@ def theorem_upper_bound(
         raise ValidationError(f"unknown preset {preset!r}")
     if preset == "small-beta" and d != 3:
         raise ValidationError("the small-beta preset is a d=3 statement")
-    if not beta_tilde > 0.0:
-        raise ValidationError("beta_tilde must be positive")
+    if not 0.0 < beta_tilde < math.inf:
+        raise ValidationError("beta_tilde must be positive and finite")
     if not isinstance(two_s, int) or two_s < 1:
         raise ValidationError("two_s must be a positive integer")
     if not remainder_constant >= 0.0:

@@ -4,15 +4,18 @@ A monomial is a sequence of ladder operators ``(site, is_creator)`` in left to
 right operator order.  In a particle-number-conserving quasi-free state every
 expectation reduces to a sum over pairings of creators with annihilators: a
 creator left of its annihilator contributes ``rho(x, y)``, an annihilator
-left of its creator contributes ``delta_{xy} + rho(x, y)``.
+left of its creator contributes ``delta_{xy} + rho(x, y)``.  That pairing
+engine, ``wick_expectation``, is kept as the independent route to ``<I>``
+(``expectation_I_monomials``, run by ``wick-verify``) and as the tests' oracle.
 
-On top of the raw pairing engine this module provides the closed-form quartic
-correction in position space and the composed Cauchy-Schwarz bounds (hopping
-squared, interaction squared, projector cross terms, square-root remainder)
-that the rigorous box bound assembles.  Every one of them reads the
-two-point function only on a site or a bond: each is a polynomial in
-``(rho_xx, rho_yy, rho_xy)``, evaluated once over the ``(2, 2, n_bonds)``
-stack of bond blocks built from ``dispersion.two_point_diagonal`` and
+The bounds the rigorous box bound assembles (hopping squared, interaction
+squared, projector cross terms, square-root remainder) read the two-point
+function only on a site or a bond.  Each states its per-bond occupation
+polynomial in falling factorials with nonnegative coefficients, and the
+falling-factorial moments of a two-site block have a closed form in
+``(rho_xx, rho_yy, rho_xy^2)`` with nonnegative terms (``_moments``), so no
+term cancels.  Each is evaluated once over the ``(2, 2, n_bonds)`` stack of
+bond blocks built from ``dispersion.two_point_diagonal`` and
 ``dispersion.two_point_bonds``, which dominate the cost; no box size is
 capped, and no ``n_sites^2`` array is built.  Each bound is paired with a
 brute-force check against the capped boson oracle on small boxes.
@@ -21,6 +24,7 @@ brute-force check against the capped boson oracle on small boxes.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,7 +35,6 @@ from ._errors import ValidationError
 
 __all__ = [
     "wick_expectation",
-    "number_monomial",
     "expectation_I_position",
     "expectation_I_monomials",
     "projector_deficit",
@@ -84,20 +87,6 @@ def wick_expectation(monomial, rho):
     return total
 
 
-def number_monomial(site: int, power: int = 1):
-    """Ladder sequence for ``n_site^power``."""
-    return [(site, True), (site, False)] * power
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = (ka[0] + kb[0], ka[1] + kb[1])
-            out[key] = out.get(key, 0.0) + va * vb
-    return out
-
-
 # one analytic report reads the same blocks three times; a 3-D box of side
 # 64 takes 25 MB
 @lattice._memoized
@@ -114,19 +103,24 @@ def _bond_blocks(spec, beta_tilde: float) -> np.ndarray:
     return np.array([[diag[pairs[:, 0]], rxy], [rxy, diag[pairs[:, 1]]]])
 
 
-def _both_orders(blocks: np.ndarray) -> np.ndarray:
-    """Blocks of the ordered pairs: every bond ``(x, y)``, then every ``(y, x)``."""
-    return np.concatenate([blocks, blocks[::-1, ::-1]], axis=2)
-
-
 def _moments(blocks: np.ndarray, poly: dict) -> np.ndarray:
-    """Per-block expectation of a polynomial in ``(n_0, n_1)`` given as {(a, b): coef}."""
+    """Per-bond ``<p(n_x, n_y)> + <p(n_y, n_x)>``, ``poly`` in falling factorials.
+
+    ``poly`` is ``{(i, j): coef}`` for ``sum coef n_x^(i) n_y^(j)`` with
+    ``n^(i) = n (n - 1) ... (n - i + 1)``.  In a two-site block
+    ``[[r0, c], [c, r1]]``, ``<n_0^(i) n_1^(j)> / (i! j!)`` is the coefficient
+    of ``s0^i s1^j`` in ``1/((1 - r0 s0)(1 - r1 s1) - c^2 s0 s1)``:
+    ``<n_0^(i) n_1^(j)> = i! j! sum_m C(i, m) C(j, m) r0^(i-m) r1^(j-m) c^(2m)``.
+    Every term is nonnegative when every ``coef`` is, so none cancels.
+    """
+    (r0, c), (_, r1) = blocks
+    c2 = c * c
     total = np.zeros(blocks.shape[2])
-    for (a, b), coef in sorted(poly.items()):
-        if coef != 0.0:
-            total = total + coef * wick_expectation(
-                number_monomial(0, a) + number_monomial(1, b), blocks
-            )
+    for (i, j), coef in sorted(poly.items()):
+        scale = coef * math.factorial(i) * math.factorial(j)
+        for m in range(min(i, j) + 1):
+            pair = r0 ** (i - m) * r1 ** (j - m) + r1 ** (i - m) * r0 ** (j - m)
+            total += scale * math.comb(i, m) * math.comb(j, m) * pair * c2**m
     return total
 
 
@@ -173,7 +167,7 @@ def projector_deficit(spec, beta_tilde: float, two_s: int) -> float:
     occupation ``rho(x, x)``; see ``dispersion.occupation_tail_bound``.
     """
     occ = dispersion.two_point_diagonal(spec, beta_tilde)
-    return float(sum(dispersion.occupation_tail_bound(r, two_s) for r in np.sort(occ)))
+    return float(np.sum(dispersion.occupation_tail_bound(occ, two_s)))
 
 
 def hop_squared_moments(spec, beta_tilde: float) -> float:
@@ -181,11 +175,11 @@ def hop_squared_moments(spec, beta_tilde: float) -> float:
 
     The term-count Cauchy-Schwarz inequality gives
     ``M * sum over ordered pairs <(n_x + 1) n_y>`` with ``M`` the number of
-    ordered pairs.
+    ordered pairs; ``(n_x + 1) n_y = n_x n_y + n_y``.
     """
-    blocks = _both_orders(_bond_blocks(spec, beta_tilde))
-    per_pair = _moments(blocks, {(0, 1): 1.0, (1, 1): 1.0})
-    return blocks.shape[2] * float(np.sum(per_pair))
+    blocks = _bond_blocks(spec, beta_tilde)
+    per_bond = _moments(blocks, {(1, 1): 1, (0, 1): 1})
+    return 2 * blocks.shape[2] * float(np.sum(per_bond))
 
 
 def interaction_squared_bound(spec, two_s: int, beta_tilde: float) -> float:
@@ -200,15 +194,14 @@ def interaction_squared_bound(spec, two_s: int, beta_tilde: float) -> float:
     s = two_s / 2.0
     n_bonds = blocks.shape[2]
     # V-part: per ordered pair a*_x ((n_x + n_y)/4) a_y; its square reduces to
-    # ((n_x + n_y - 1)^2 / 16) (n_x + 1) n_y
-    base = {(1, 0): 1.0, (0, 1): 1.0, (0, 0): -1.0}
-    poly_v = _poly_mul(_poly_mul(base, base), {(1, 0): 1.0, (0, 0): 1.0})
-    poly_v = _poly_mul(poly_v, {(0, 1): 1.0})
-    v_sum = float(np.sum(_moments(_both_orders(blocks), poly_v))) / 16.0
-    v_bound = 2 * n_bonds * v_sum
-    # D-part: per unordered bond n_x n_y / 2
-    d_bound = n_bonds * float(np.sum(_moments(blocks, {(2, 2): 0.25})))
-    return (2.0 / (s * s)) * (v_bound + d_bound)
+    # (n_x + n_y - 1)^2 (n_x + 1) n_y / 16, counted 2 n_bonds times
+    v_part = {(3, 1): 1, (2, 2): 2, (1, 3): 1, (2, 1): 4, (1, 2): 5, (1, 1): 2, (0, 3): 1,
+              (0, 2): 1}
+    # D-part: per bond n_x n_y / 2, squared n_x^2 n_y^2 / 4 = 1/8 per order,
+    # counted n_bonds times
+    d_part = {(2, 2): 1, (2, 1): 1, (1, 2): 1, (1, 1): 1}
+    both = _moments(blocks, v_part) + _moments(blocks, d_part)
+    return n_bonds * float(np.sum(both)) / (4.0 * s * s)
 
 
 @dataclass(frozen=True)
@@ -258,12 +251,11 @@ def remainder_bound(spec, two_s: int, beta_tilde: float) -> float:
     ``(< n_x (n_x - 1)^2 > + < n_x n_y^2 >) / (8 S^2)``; the projector then
     drops at the price of the (caller-supplied) trace-ratio factor.
     """
-    blocks = _both_orders(_bond_blocks(spec, beta_tilde))
     s = two_s / 2.0
-    rho = blocks[0, 0]
-    per_pair = 6.0 * rho**3 + 2.0 * rho**2  # < n (n-1)^2 >
-    per_pair = per_pair + _moments(blocks, {(1, 2): 1.0})
-    return float(np.sum(per_pair)) / (8.0 * s * s)
+    # n_x (n_x - 1)^2 + n_x n_y^2 in falling factorials
+    poly = {(3, 0): 1, (2, 0): 1, (1, 2): 1, (1, 1): 1}
+    per_bond = _moments(_bond_blocks(spec, beta_tilde), poly)
+    return float(np.sum(per_bond)) / (8.0 * s * s)
 
 
 def cross_term_check(spec, two_s: int, beta_tilde: float, n_max: int):

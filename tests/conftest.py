@@ -7,6 +7,8 @@ independent routes.
 
 import numpy as np
 
+from magnon._errors import ValidationError
+
 # one line per acceptance criterion, replayed after the test summary so the
 # ledger survives output capture
 ACCEPTANCE_LINES: list = []
@@ -38,3 +40,28 @@ def dense_expectation(h: np.ndarray, beta: float, obs: np.ndarray) -> float:
 def random_symmetric(rng, n: int, scale: float = 1.0) -> np.ndarray:
     m = rng.standard_normal((n, n)) * scale
     return 0.5 * (m + m.T)
+
+
+def richardson_extrapolate(xs, ys, order: int = 1):
+    """Extrapolate ``ys`` to ``x -> 0`` assuming ``y = c0 + c1*x + ...``.
+
+    Performs ``order`` levels of polynomial elimination (Neville at zero).
+    Returns ``(limit, error_estimate)`` where the estimate is the change in
+    the last elimination step.
+    """
+    xs = [float(x) for x in xs]
+    ys = [float(y) for y in ys]
+    if len(xs) != len(ys) or len(xs) < order + 1:
+        raise ValidationError("need at least order+1 sample points")
+    if sorted(set(xs)) != sorted(xs):
+        raise ValidationError("sample points must be distinct")
+    cur = ys[:]
+    pts = xs[:]
+    for m in range(1, order + 1):
+        nxt = []
+        for i in range(len(cur) - 1):
+            x0, x1 = pts[i], pts[i + m]
+            nxt.append((x0 * cur[i + 1] - x1 * cur[i]) / (x0 - x1))
+        cur = nxt
+    prev = cur[-2] if len(cur) >= 2 else ys[-1]
+    return cur[-1], abs(cur[-1] - prev)

@@ -386,11 +386,16 @@ def two_point(spec, beta_tilde: float) -> np.ndarray:
     return 0.5 * (rho + rho.T)
 
 
+def number_monomial(site: int, power: int = 1):
+    """Ladder sequence for ``n_site^power``."""
+    return [(site, True), (site, False)] * power
+
+
 def occupation_moment(rho, powers: dict) -> float:
     """Mixed occupation moment ``< prod_x n_x^{p_x} >`` via pairings."""
     mono = []
     for site in sorted(powers):
-        mono.extend(wick.number_monomial(site, powers[site]))
+        mono.extend(number_monomial(site, powers[site]))
     return wick.wick_expectation(mono, rho)
 
 
@@ -432,12 +437,19 @@ def table_hop_squared_moments(spec, beta_tilde: float) -> float:
     return len(pairs) * per_pair
 
 
-def table_interaction_squared_bound(spec, two_s: int, beta_tilde: float) -> float:
+def table_interaction_squared_bound(spec, two_s: int, beta_tilde: float, unsigned=False) -> float:
+    """``wick.interaction_squared_bound`` from signed monomials of the dense table.
+
+    With ``unsigned`` every monomial term enters with its absolute value: the
+    scale of the rounding error of the signed sum.
+    """
     rho = two_point(spec, beta_tilde)
     s = two_s / 2.0
     n_bonds = len(lattice.nn_pairs(spec))
     # ((n_x + n_y - 1)^2 / 16) (n_x + 1) n_y, expanded by hand
     square = {(2, 0): 1.0, (0, 2): 1.0, (0, 0): 1.0, (1, 1): 2.0, (1, 0): -2.0, (0, 1): -2.0}
+    if unsigned:
+        square = {key: abs(coef) for key, coef in square.items()}
     poly_v = {}
     for (a, b), coef in square.items():
         for key in ((a + 1, b + 1), (a, b + 1)):

@@ -169,7 +169,7 @@ def test_criterion_07_dyson_coefficient():
     ys = [
         b**5 * quadrature.correction_integral(3, b).value ** 2 / 12.0 for b in bts
     ]
-    value, _ = quadrature.richardson_extrapolate(xs, ys, order=1)
+    value, _ = conftest.richardson_extrapolate(xs, ys, order=1)
     target = quadrature.dyson_coefficient()
     rel = abs(value - target) / target
     elapsed = time.monotonic() - t0

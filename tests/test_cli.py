@@ -322,6 +322,17 @@ def test_non_finite_beta_tilde_is_refused(capsys, argv, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_wick_verify_refuses_non_positive_beta_tilde(capsys, value):
+    code, out, err = run(
+        capsys,
+        ["wick-verify", "--d", "1", "--ell", "3", "--two-s", "2", f"--beta-tilde={value}"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "beta_tilde must be positive and finite" in err
+
+
 def test_int_list_parsing():
     assert cli._number_list("4,8", int) == [4, 8]
     with pytest.raises(ValidationError, match="cannot parse integer list"):

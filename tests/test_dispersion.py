@@ -95,6 +95,20 @@ def test_occupation_tail_exact_is_geometric_tail():
         dispersion.occupation_tail_bound(0.1, 1, form="bogus")
 
 
+def test_occupation_tail_takes_arrays():
+    rhos = np.random.default_rng(2).uniform(0.0, 40.0, size=200)
+    for form in ("exact", "simple"):
+        for two_s in (1, 2, 4, 5):
+            got = dispersion.occupation_tail_bound(rhos, two_s, form=form)
+            want = [dispersion.occupation_tail_bound(float(r), two_s, form=form) for r in rhos]
+            assert got.shape == rhos.shape
+            # numpy's power and Python's differ in the last bit
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+            assert type(dispersion.occupation_tail_bound(0.3, two_s, form=form)) is float
+    with pytest.raises(ValidationError):
+        dispersion.occupation_tail_bound(np.array([0.1, -1e-3]), 1)
+
+
 def test_one_minus_p_bound_example():
     # e * ell^d * (2S+1) * rho_bar^{2S} with the d=3 closed-form rho_bar
     got = dispersion.one_minus_p_bound(3, 4.0, 2, 1)

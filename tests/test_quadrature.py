@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import richardson_extrapolate
 
 from magnon import quadrature
 from magnon._errors import ValidationError
@@ -66,7 +67,7 @@ def test_leading_free_energy_asymptote():
         assert res.error_estimate < 1e-12
         xs.append(1.0 / bt)
         ys.append(bt**2.5 * res.value)
-    limit, _ = quadrature.richardson_extrapolate(xs, ys, order=2)
+    limit, _ = richardson_extrapolate(xs, ys, order=2)
     assert abs(limit - LEAD_3_LIMIT) < 1e-5 * abs(LEAD_3_LIMIT)
 
 
@@ -77,7 +78,7 @@ def test_correction_integral_asymptote():
         assert res.value > 0
         xs.append(1.0 / bt)
         ys.append(bt**2.5 * res.value)
-    limit, _ = quadrature.richardson_extrapolate(xs, ys, order=2)
+    limit, _ = richardson_extrapolate(xs, ys, order=2)
     assert abs(limit - CORR_3_LIMIT) < 1e-5 * CORR_3_LIMIT
 
 
@@ -95,18 +96,18 @@ def test_dyson_coefficient_frozen():
 def test_richardson_polynomial_exact():
     xs = [0.4, 0.2, 0.1, 0.05]
     ys = [2.0 + 3.0 * x + 4.0 * x * x for x in xs]
-    limit, err = quadrature.richardson_extrapolate(xs, ys, order=2)
+    limit, err = richardson_extrapolate(xs, ys, order=2)
     assert abs(limit - 2.0) < 1e-12
-    limit1, _ = quadrature.richardson_extrapolate(xs, ys, order=1)
+    limit1, _ = richardson_extrapolate(xs, ys, order=1)
     # order-1 leaves the quadratic term: residual 4*x3*x4 = 0.02 exactly
     assert abs(limit1 - 2.0) == pytest.approx(0.02, abs=1e-9)
 
 
 def test_richardson_validation():
     with pytest.raises(ValidationError):
-        quadrature.richardson_extrapolate([0.1], [1.0], order=1)
+        richardson_extrapolate([0.1], [1.0], order=1)
     with pytest.raises(ValidationError):
-        quadrature.richardson_extrapolate([0.1, 0.1, 0.2], [1, 2, 3], order=1)
+        richardson_extrapolate([0.1, 0.1, 0.2], [1, 2, 3], order=1)
 
 
 def test_riemann_lower_sum_constant_function():

@@ -1,3 +1,7 @@
+import itertools
+import math
+
+import mpmath
 import numpy as np
 import pytest
 import dense_oracles
@@ -255,9 +259,14 @@ def test_bond_bounds_match_table_oracle(d, ell, two_s, beta_tilde):
             0.0,
         ),
         (
+            # the oracle sums signed monomials; its rounding is relative to
+            # their unsigned sum (the closed form matches mpmath, see below)
             wick.interaction_squared_bound(spec, two_s, beta_tilde),
             dense_oracles.table_interaction_squared_bound(spec, two_s, beta_tilde),
-            0.0,
+            1e-13
+            * dense_oracles.table_interaction_squared_bound(
+                spec, two_s, beta_tilde, unsigned=True
+            ),
         ),
         (
             wick.remainder_bound(spec, two_s, beta_tilde),
@@ -300,3 +309,105 @@ def test_spectrum_and_bond_blocks_are_memoized_read_only():
         # recomputes the same read-only arrays
         for box in (spec, lattice.LatticeSpec(1, 3), spec):
             read_only_and_fresh(box)
+
+
+def _mp_number_moment(block, a: int, b: int):
+    """``<n_0^a n_1^b>`` of a two-site block by pairings, at mpmath's precision."""
+    mono = dense_oracles.number_monomial(0, a) + dense_oracles.number_monomial(1, b)
+    creators = [(pos, site) for pos, (site, c) in enumerate(mono) if c]
+    annihil = [(pos, site) for pos, (site, c) in enumerate(mono) if not c]
+    total = mpmath.mpf(0)
+    for perm in itertools.permutations(annihil):
+        prod = mpmath.mpf(1)
+        for (cpos, csite), (apos, asite) in zip(creators, perm):
+            prod *= block[asite][csite] + (1 if apos < cpos and asite == csite else 0)
+        total += prod
+    return total
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (a, b), u in p.items():
+        for (c, e), v in q.items():
+            out[(a + c, b + e)] = out.get((a + c, b + e), 0) + u * v
+    return out
+
+
+# per-pair polynomials {(a, b): coef} of n_x^a n_y^b, from their product forms
+_HOP = _poly_mul({(1, 0): 1, (0, 0): 1}, {(0, 1): 1})  # (n_x + 1) n_y
+_BASE = {(1, 0): 1, (0, 1): 1, (0, 0): -1}  # n_x + n_y - 1
+_V = _poly_mul(_poly_mul(_BASE, _BASE), _HOP)
+_D = {(2, 2): 1}  # n_x^2 n_y^2
+_X_DROP = {(1, 0): 1, (0, 0): -1}  # n_x - 1
+_R = _poly_mul({(1, 0): 1}, _poly_mul(_X_DROP, _X_DROP)) | {(1, 2): 1}  # + n_x n_y^2
+
+
+def _mp_bounds(blocks, two_s: int):
+    """Hop, interaction-squared and remainder bounds from the blocks, in 50 digits."""
+    n_bonds = blocks.shape[2]
+    with mpmath.workdps(50):
+        sums = [mpmath.mpf(0)] * 4
+        for b in range(n_bonds):
+            r0, c, r1 = (mpmath.mpf(float(v)) for v in blocks[[0, 0, 1], [0, 1, 1], b])
+            memo = {}
+
+            def moment(a, e):
+                if (a, e) not in memo:
+                    memo[(a, e)] = _mp_number_moment([[r0, c], [c, r1]], a, e)
+                return memo[(a, e)]
+
+            # over both orders of the bond: <p(n_y, n_x)> reads the swapped powers
+            sums = [
+                total + sum(coef * (moment(a, e) + moment(e, a)) for (a, e), coef in poly.items())
+                for total, poly in zip(sums, (_HOP, _V, _D, _R))
+            ]
+        hop, v, d, r = sums
+        s = mpmath.mpf(two_s) / 2
+        return (
+            float(2 * n_bonds * hop),
+            float((2 / s**2) * (2 * n_bonds * v / 16 + n_bonds * d / 8)),
+            float(r / (8 * s**2)),
+        )
+
+
+def _closed_form_bounds(spec, two_s: int, beta_tilde: float):
+    return (
+        wick.hop_squared_moments(spec, beta_tilde),
+        wick.interaction_squared_bound(spec, two_s, beta_tilde),
+        wick.remainder_bound(spec, two_s, beta_tilde),
+    )
+
+
+@pytest.mark.parametrize("d, ell", BOXES)
+@pytest.mark.parametrize("two_s, beta_tilde", [(1, 2.0), (3, 0.7), (4, 5.0)])
+def test_closed_form_bounds_match_mpmath(d, ell, two_s, beta_tilde):
+    spec = lattice.LatticeSpec(d, ell)
+    want = _mp_bounds(wick._bond_blocks(spec, beta_tilde), two_s)
+    for got, ref in zip(_closed_form_bounds(spec, two_s, beta_tilde), want):
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_closed_form_bounds_match_mpmath_on_random_blocks(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    n = 40
+    diag = rng.uniform(0.0, 3.0, size=(2, n))
+    off = rng.uniform(-1.0, 1.0, size=n) * np.sqrt(diag[0] * diag[1])
+    blocks = np.array([[diag[0], off], [off, diag[1]]])
+    monkeypatch.setattr(wick, "_bond_blocks", lambda spec, beta_tilde: blocks)
+    want = _mp_bounds(blocks, 3)
+    for got, ref in zip(_closed_form_bounds(lattice.LatticeSpec(1, 2), 3, 1.0), want):
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("d, ell", BOXES + [(3, 8), (3, 12)])
+def test_projector_deficit_is_the_per_site_sum(d, ell):
+    spec = lattice.LatticeSpec(d, ell)
+    for two_s, beta_tilde in ((1, 2.0), (3, 0.7), (4, 5.0)):
+        occ = dispersion.two_point_diagonal(spec, beta_tilde)
+        tails = [dispersion.occupation_tail_bound(float(r), two_s) for r in np.sort(occ)]
+        got = wick.projector_deficit(spec, beta_tilde, two_s)
+        assert got == pytest.approx(math.fsum(tails), rel=1e-15, abs=0.0)
+        if (d, ell) in BOXES:
+            # the ascending per-site loop drifts by about 1e-15 from ell = 8 on
+            assert got == pytest.approx(sum(tails), rel=1e-15, abs=0.0)
