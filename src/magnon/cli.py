@@ -241,6 +241,10 @@ def _cmd_ed_compare(args) -> int:
     return 0
 
 
+def _quartic_observable(sb, _, two_s):
+    return [fock.quartic(sb, two_s)]
+
+
 def _cmd_wick_verify(args) -> int:
     _require(args, "d", "ell", "two_s", "beta_tilde")
     bts = _number_list(args.beta_tilde)
@@ -274,7 +278,7 @@ def _cmd_wick_verify(args) -> int:
         errors = []
         for cut in cutoffs:
             (value,), _ = fock.gibbs_expectation_truncated(
-                spec, cut, bt, lambda sb, h: [fock.quartic(sb, args.two_s)]
+                spec, cut, bt, (_quartic_observable, args.two_s)
             )
             fock_values[str(cut)] = value
             errors.append(abs(value - position) / scale)
@@ -368,7 +372,7 @@ def _check_wick() -> tuple:
             worst = max(worst, abs(mode - pos) / max(abs(pos), 1e-300))
     spec = lattice.LatticeSpec(2, 2, lattice.Boundary.DIRICHLET)
     pos = wick.expectation_I_position(spec, 1, 2.0)
-    (val,), _ = fock.gibbs_expectation_truncated(spec, 8, 2.0, lambda sb, h: [fock.quartic(sb, 1)])
+    (val,), _ = fock.gibbs_expectation_truncated(spec, 8, 2.0, (_quartic_observable, 1))
     worst = max(worst, abs(val - pos) / max(abs(pos), 1e-300))
     return worst, 1e-10
 

@@ -21,7 +21,11 @@ the total number, so ``gibbs_expectation_truncated`` diagonalizes one
 fixed-total sector (``SectorBasis``) at a time, which also reaches capped
 spaces far beyond the cap.  The sector bases and their hop tables are kept
 in one table per box (``_sector_table``), memoized like the box's geometry:
-the traces of one box share them, and tracing another box drops them.
+the traces of one box share them, and tracing another box drops them.  A
+sector's eigenvalues and its observables' eigenbasis diagonals do not
+depend on the temperature, so each trace keeps them in a memo of at most
+``BASIS_CAP`` floats: tracing the same Hamiltonian and observables of a box
+at another temperature skips every eigensolve and gives the same bits.
 """
 
 from __future__ import annotations
@@ -295,23 +299,66 @@ def _sector_table(spec: lattice.LatticeSpec, n_max: int) -> dict:
     return {}
 
 
+# ``{key: [(w, diagonals) per sector]}`` of the traces seen, least recently
+# used first, holding at most ``BASIS_CAP`` floats in all
+_spectra_memo: dict = {}
+
+
+def _spectra_floats(spectra) -> int:
+    return sum(w.size * (1 + len(diags)) for w, diags in spectra)
+
+
+def _remember(key, spectra):
+    """Store ``spectra`` under ``key``, dropping the least recently used past the cap."""
+    _spectra_memo[key] = spectra
+    total = sum(_spectra_floats(s) for s in _spectra_memo.values())
+    while total > BASIS_CAP:
+        total -= _spectra_floats(_spectra_memo.pop(next(iter(_spectra_memo))))
+
+
+def _sector_spectrum(sb, hamiltonian: tuple, observables: Optional[tuple]):
+    """Eigenvalues ``w`` of one sector and each observable's eigenbasis diagonal.
+
+    The sector's Hamiltonian, eigenvectors and observables are dropped on
+    return, before the next sector is diagonalized.
+    """
+    fn, *params = hamiltonian
+    h = fn(sb, *params)
+    if observables is None:
+        return linalg.eigvalsh(h), []
+    w, v = linalg.eigh(h)
+    fn, *params = observables
+    diags = []
+    for a in fn(sb, h, *params):
+        a = np.asarray(a, dtype=np.float64)
+        if a.shape == (sb.dim,):
+            diags.append(a @ (v * v))
+        elif a.shape == (sb.dim, sb.dim):
+            diags.append(np.einsum("ij,ji->i", v.T @ a, v))
+        else:
+            raise ValidationError("observable has wrong sector dimension")
+    return w, diags
+
+
 def gibbs_expectation_truncated(
     spec: lattice.LatticeSpec,
     n_max: int,
     beta_tilde: float,
-    observables: Optional[Callable],
-    hamiltonian: Optional[Callable] = None,
+    observables: Optional[tuple],
+    hamiltonian: Optional[tuple] = None,
     max_total: Optional[int] = None,
 ):
     """Thermal expectations on the capped space via total-number sectors.
 
     The kinetic Hamiltonians, all expansion pieces and the spin Hamiltonian
     conserve total particle number, so ``tr(A e^{-beta H})`` splits over
-    sectors; each sector is diagonalized densely.  ``hamiltonian(sb)``
-    returns the dense Hamiltonian on a sector basis (default: the Dirichlet
-    kinetic form), at inverse temperature ``beta_tilde`` in its own energy
-    unit.  ``observables(sb, h)`` returns the list of observables on that
-    sector, given its Hamiltonian: each a dense matrix or, for a diagonal
+    sectors; each sector is diagonalized densely.  ``hamiltonian`` is a
+    tuple ``(fn, *params)``, and ``fn(sb, *params)`` returns the dense
+    Hamiltonian on a sector basis (default: the Dirichlet kinetic form), at
+    inverse temperature ``beta_tilde`` in its own energy unit.
+    ``observables`` is a tuple ``(fn, *params)`` too, and
+    ``fn(sb, h, *params)`` returns the list of observables on that sector,
+    given its Hamiltonian: each a dense matrix or, for a diagonal
     observable, the vector of its diagonal.  Both are called once per sector,
     so pieces shared between observables are built once.  With
     ``observables=None`` only ``log Z`` is wanted, and each sector needs
@@ -319,11 +366,22 @@ def gibbs_expectation_truncated(
     optionally caps the total number; with ground energies growing linearly
     in the sector number the neglected weight decays geometrically.
 
+    The trace runs in two passes.  The spectral pass, free of the
+    temperature, keeps each sector's eigenvalues and each observable's
+    diagonal in the eigenbasis.  It is memoized by ``(spec, n_max, top
+    sector, hamiltonian, observables)``, so the functions must be pure and
+    their parameters hashable: a trace seen before, at any temperature,
+    skips every eigensolve.  The memo holds at most ``BASIS_CAP`` floats in
+    all and drops the least recently used trace first; a trace that raises
+    leaves nothing in it.  The thermal pass weighs the stored spectra at
+    ``beta_tilde``; a hit runs the same thermal pass over the same arrays as
+    a miss, so both give the same bits.
+
     The sector bases, each with its cached hop table, are shared by every
-    trace of the same ``(spec, n_max)`` box: the spin-ED trace and the box
-    bound of one temperature, and all the temperatures of a scan, build them
-    once.  Only the box traced most recently is held; tracing another one
-    drops its sectors.  Callers must not write into a sector basis.
+    spectral pass of the same ``(spec, n_max)`` box: the spin-ED trace and
+    the box bound build them once.  Only the box traced most recently is
+    held; tracing another one drops its sectors.  Callers must not write
+    into a sector basis.
 
     Boltzmann weights are taken relative to the lowest eigenvalue seen so
     far, and earlier sums are rescaled when it drops, so nothing overflows
@@ -333,21 +391,30 @@ def gibbs_expectation_truncated(
     """
     if not 0.0 < beta_tilde < math.inf:
         raise ValidationError("beta_tilde must be positive and finite")
-    ham = hamiltonian if hamiltonian is not None else kinetic_dirichlet
+    # integers, so that a hit never answers where a miss would refuse
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ValidationError("n_max must be a positive integer")
+    if max_total is not None and not isinstance(max_total, int):
+        raise ValidationError("max_total must be an integer")
+    ham = hamiltonian if hamiltonian is not None else (kinetic_dirichlet,)
+    for arg in (ham,) if observables is None else (ham, observables):
+        if not (isinstance(arg, tuple) and arg and callable(arg[0])):
+            raise ValidationError("hamiltonian and observables are (function, *params) tuples")
     top = spec.n_sites * n_max if max_total is None else min(max_total, spec.n_sites * n_max)
+    key = (spec, n_max, top, ham, observables)
+    spectra = _spectra_memo.pop(key, None)
+    if spectra is None:
+        sectors = _sector_table(spec, n_max)
+        spectra = []
+        for n_total in range(top + 1):
+            sb = sectors.get(n_total)
+            if sb is None:
+                sb = sectors[n_total] = SectorBasis(spec, n_max, n_total)
+            spectra.append(_sector_spectrum(sb, ham, observables))
     shift = math.inf
     z = 0.0
     acc = 0.0  # becomes one sum per observable at the first sector
-    sectors = _sector_table(spec, n_max)
-    for n_total in range(top + 1):
-        sb = sectors.get(n_total)
-        if sb is None:
-            sb = sectors[n_total] = SectorBasis(spec, n_max, n_total)
-        h = ham(sb)
-        if observables is None:
-            w = linalg.eigvalsh(h)
-        else:
-            w, v = linalg.eigh(h)
+    for w, diags in spectra:
         if w[0] < shift:
             rescale = math.exp(-beta_tilde * (shift - w[0]))
             z *= rescale
@@ -355,20 +422,8 @@ def gibbs_expectation_truncated(
             shift = float(w[0])
         boltz = np.exp(-beta_tilde * (w - shift))
         z += float(boltz.sum())
-        if observables is None:
-            continue
-        sums = []
-        for a in observables(sb, h):
-            a = np.asarray(a, dtype=np.float64)
-            if a.shape == (sb.dim,):
-                diag = a @ (v * v)
-            elif a.shape == (sb.dim, sb.dim):
-                diag = np.einsum("ij,ji->i", v.T @ a, v)
-            else:
-                raise ValidationError("observable has wrong sector dimension")
-            sums.append(float(np.dot(boltz, diag)))
-        acc = acc + np.array(sums)
+        acc = acc + np.array([float(np.dot(boltz, diag)) for diag in diags])
     if not z > 0.0:
         raise ValidationError("partition function vanished")
-    values = [] if observables is None else [float(x) / z for x in acc]
-    return values, float(np.log(z)) - beta_tilde * shift
+    _remember(key, spectra)
+    return [float(x) / z for x in acc], float(np.log(z)) - beta_tilde * shift

@@ -13,10 +13,12 @@ table of one-unit moves along bonds.  It shares nothing of the boson
 expansion.  The free energy traces every sector through
 ``fock.gibbs_expectation_truncated`` by eigenvalues alone, within the global
 dimension cap on the whole space (spin 1/2 up to 12 sites, spin 1 up to 7
-sites).  The single-magnon check needs only the one-unit sector, of
-dimension ``ell^d``.  The dense Kronecker builders ``heisenberg_hamiltonian``
-and ``dirichlet_hamiltonian`` are the independent check of the boson image;
-both embed their single-site operators through one helper, ``_embed``.
+sites); the trace keeps those eigenvalues, so each box is diagonalized once
+for all its temperatures.  The single-magnon check needs only the one-unit
+sector, of dimension ``ell^d``.  The dense Kronecker builders
+``heisenberg_hamiltonian`` and ``dirichlet_hamiltonian`` are the independent
+check of the boson image; both embed their single-site operators through
+one helper, ``_embed``.
 """
 
 from __future__ import annotations
@@ -146,11 +148,7 @@ def free_energy_per_spin(spec: lattice.LatticeSpec, two_s: int, beta_tilde: floa
     s = two_s / 2.0
     beta = beta_tilde / s
     _, log_z = fock.gibbs_expectation_truncated(
-        spec,
-        two_s,
-        beta,
-        None,
-        hamiltonian=lambda sb: _sector_hamiltonian(sb, two_s),
+        spec, two_s, beta, None, hamiltonian=(_sector_hamiltonian, two_s)
     )
     return -log_z / (beta * spec.n_sites) / s
 

@@ -274,15 +274,16 @@ def _report_from_pieces(
     )
 
 
+def _exact_observables(sb, _, two_s):
+    """The quartic correction and the remainder beyond it on one sector."""
+    quart = fock.quartic(sb, two_s)
+    return [quart, fock.remainder_after_quartic(sb, two_s, fock.kinetic(sb), quart)]
+
+
 def _box_bound_exact(spec, two_s, beta_tilde) -> BoundReport:
     dim = fock._check_dense_space(spec, two_s)
-
-    def observables(sb, _):
-        quart = fock.quartic(sb, two_s)
-        return [quart, fock.remainder_after_quartic(sb, two_s, fock.kinetic(sb), quart)]
-
     (quart, rem), log_zp = fock.gibbs_expectation_truncated(
-        spec, two_s, beta_tilde, observables
+        spec, two_s, beta_tilde, (_exact_observables, two_s)
     )
     vol = spec.n_sites
     lead = -log_zp / (beta_tilde * vol)

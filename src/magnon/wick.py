@@ -258,6 +258,24 @@ def remainder_bound(spec, two_s: int, beta_tilde: float) -> float:
     return float(np.sum(per_bond)) / (8.0 * s * s)
 
 
+def _cross_term_observables(sb, td, two_s):
+    """``(T+I)(1-P)``, ``(1-P)(T+I)P`` and ``T(1-P)`` on one sector."""
+    a = td + fock.quartic(sb, two_s)
+    p = fock.projector_mask(sb, two_s).astype(np.float64)
+    return [a * (1.0 - p), (1.0 - p)[:, None] * a * p, td * (1.0 - p)]
+
+
+def _remainder_observables(sb, _, two_s):
+    """``R`` from the ``n_max = 2S`` sector embedded in ``sb``, and ``P``."""
+    small = fock.SectorBasis(sb.spec, two_s, sb.n_total)
+    idx = sb._locate(small.occupations)
+    r_big = np.zeros((sb.dim, sb.dim))
+    r_big[np.ix_(idx, idx)] = fock.remainder_after_quartic(
+        small, two_s, fock.kinetic(small), fock.quartic(small, two_s)
+    )
+    return [r_big, fock.projector_mask(sb, two_s).astype(np.float64)]
+
+
 def cross_term_check(spec, two_s: int, beta_tilde: float, n_max: int):
     """Brute-force lhs vs composed rhs for the projector cross terms.
 
@@ -268,13 +286,9 @@ def cross_term_check(spec, two_s: int, beta_tilde: float, n_max: int):
     so every observable is block diagonal in the total-number sectors.
     """
     fock._check_dense_space(spec, n_max)
-
-    def observables(sb, td):
-        a = td + fock.quartic(sb, two_s)
-        p = fock.projector_mask(sb, two_s).astype(np.float64)
-        return [a * (1.0 - p), (1.0 - p)[:, None] * a * p, td * (1.0 - p)]
-
-    vals, _ = fock.gibbs_expectation_truncated(spec, n_max, beta_tilde, observables)
+    vals, _ = fock.gibbs_expectation_truncated(
+        spec, n_max, beta_tilde, (_cross_term_observables, two_s)
+    )
     lhs = abs(vals[0]) + abs(vals[1]) + abs(vals[2])
     rhs = cross_term_bound(spec, two_s, beta_tilde).value
     return lhs, rhs
@@ -291,18 +305,8 @@ def remainder_check(spec, two_s: int, beta_tilde: float, n_max: int):
     if n_max < two_s:
         raise ValidationError("oracle cap must be at least 2S")
     fock._check_dense_space(spec, n_max)
-
-    def observables(sb, td):
-        small = fock.SectorBasis(spec, two_s, sb.n_total)
-        idx = sb._locate(small.occupations)
-        r_big = np.zeros((sb.dim, sb.dim))
-        r_big[np.ix_(idx, idx)] = fock.remainder_after_quartic(
-            small, two_s, fock.kinetic(small), fock.quartic(small, two_s)
-        )
-        return [r_big, fock.projector_mask(sb, two_s).astype(np.float64)]
-
     (r_mean, p_mean), _ = fock.gibbs_expectation_truncated(
-        spec, n_max, beta_tilde, observables
+        spec, n_max, beta_tilde, (_remainder_observables, two_s)
     )
     lhs = abs(r_mean) / p_mean
     n_p_exact = 1.0 / p_mean

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import re
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from magnon import cli, dispersion, lattice, spinwave
+from magnon import cli, dispersion, fock, lattice, spin_ed, spinwave
 from magnon._errors import ValidationError
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -141,7 +142,7 @@ def test_correction_table(capsys):
         assert r["bulk"] < 0.0
         assert r["continuum"] < 0.0
         want = spinwave.interaction_correction_lattice(spec, 2, r["beta_tilde"])
-        assert r["lattice"] == pytest.approx(want, rel=1e-13)
+        assert r["lattice"] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_ed_compare_margins(capsys):
@@ -164,6 +165,38 @@ def test_ed_compare_margins(capsys):
     for row in doc["rows"]:
         assert row["margin"] >= -1e-10
         assert row["ok"]
+
+
+@pytest.mark.parametrize("command", [["ed-compare"], ["free-energy", "--mode", "exact"]])
+def test_temperature_list_rows_match_single_calls(command, capsys, monkeypatch):
+    bts = ["0.7", "1.5", "3.0"]
+    argv = command + ["--d", "1", "--ell", "4", "--two-s", "2", "--format", "csv",
+                      "--beta-tilde"]
+    single = []
+    for bt in bts:
+        monkeypatch.setattr(fock, "_spectra_memo", {})  # each call traces from scratch
+        code, out, _ = run(capsys, argv + [bt])
+        assert code == 0
+        single.append(out.splitlines()[1])
+    monkeypatch.setattr(fock, "_spectra_memo", {})
+    built = collections.Counter()
+
+    def counting(fn):
+        def build(sb, *params):
+            built[fn.__name__, sb.n_total] += 1
+            return fn(sb, *params)
+
+        return build
+
+    for module, name in ((spin_ed, "_sector_hamiltonian"), (fock, "kinetic_dirichlet")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    code, out, _ = run(capsys, argv + [",".join(bts)])
+    assert code == 0
+    assert out.splitlines()[1:] == single
+    # every sector Hamiltonian of every trace is built once, for all temperatures
+    traces = {"ed-compare": 2, "free-energy": 1}[command[0]]
+    assert len(built) == traces * (4 * 2 + 1)
+    assert set(built.values()) == {1}
 
 
 def test_wick_verify_routes(capsys):

@@ -133,14 +133,14 @@ def test_expectation_j_matches_position_wick():
             total += t1 + t2 - 2.0 * t3 + t4 + t5
     want = total / (32.0 * s * s) / spec.n_sites
     got = diagrams.expectation_J(grid, bt, two_s)
-    assert got.value == pytest.approx(want, rel=1e-10)
+    assert got.value == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_biggest_error_dual_forms():
     grid = diagrams.PeriodicGrid(4)
     bt, two_s = 1.3, 2
     val = diagrams.biggest_error_term(grid, bt, two_s)
-    assert val.value == pytest.approx(val.extras["double_sum_form"], rel=1e-12)
+    assert val.value == pytest.approx(val.extras["double_sum_form"], rel=1e-12, abs=0.0)
     # brute double momentum sum
     f = diagrams.occupations(grid, bt)
     s = two_s / 2.0
@@ -149,7 +149,7 @@ def test_biggest_error_dual_forms():
         for i2 in grid.nonzero():
             acc += f[i1] * f[i2] * (12.0 - grid.eps[i1] - grid.eps[i2])
     want = acc / (16.0 * s * s * grid.ell**6)
-    assert val.value == pytest.approx(want, rel=1e-11)
+    assert val.value == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 def duhamel_kernel(delta, beta_tilde, p12, q):
@@ -196,7 +196,7 @@ def test_duhamel_kernel_branches():
     got = duhamel_kernel(deltas, bt, p12, q)
     for d, p, g in zip(deltas, p12, got):
         want = float(mp_duhamel(d, bt, p))
-        assert g == pytest.approx(want, rel=1e-10)
+        assert g == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def brute_left(grid, beta_tilde, two_s):
@@ -245,8 +245,8 @@ def test_left_diagram_matches_brute():
     bt, two_s = 2.0, 2
     got = diagrams.left_diagram(grid, bt, two_s)
     want_full, want_red = brute_left(grid, bt, two_s)
-    assert got.value == pytest.approx(want_full, rel=1e-11)
-    assert got.extras["reduced_f1f2"] == pytest.approx(want_red, rel=1e-11)
+    assert got.value == pytest.approx(want_full, rel=1e-11, abs=0.0)
+    assert got.extras["reduced_f1f2"] == pytest.approx(want_red, rel=1e-11, abs=0.0)
     assert got.value < 0.0
 
 
@@ -389,7 +389,7 @@ def test_right_diagram_matches_brute():
     s = two_s / 2.0
     want = -bt * acc / (2.0 * s * s * grid.ell**9)
     got = diagrams.right_diagram(grid, bt, two_s)
-    assert got.value == pytest.approx(want, rel=1e-11)
+    assert got.value == pytest.approx(want, rel=1e-11, abs=0.0)
     assert got.value < 0.0
 
 

@@ -1,16 +1,21 @@
 import itertools
+import math
 
 import dense_oracles
 import numpy as np
 import pytest
 from conftest import dense_expectation, dense_log_z
 
-from magnon import fock, lattice
+from magnon import cli, fock, lattice, linalg, spin_ed, spinwave, wick
 from magnon._errors import CapacityError, ValidationError
 
 
 def chain(n, ell=None):
     return lattice.LatticeSpec(1, n if ell is None else ell)
+
+
+def quartic_of(sb, h, two_s):
+    return [fock.quartic(sb, two_s)]
 
 
 def test_basis_enumeration_and_lookup():
@@ -179,25 +184,19 @@ def test_gibbs_expectation_truncated_matches_dense():
     quart = fock.quartic(basis, 1)
     want_q = dense_expectation(h, bt, quart)
     want_lz = dense_log_z(h, bt)
-    (got_q,), got_lz = fock.gibbs_expectation_truncated(
-        spec, n_max, bt, lambda sb, h: [fock.quartic(sb, 1)]
-    )
+    (got_q,), got_lz = fock.gibbs_expectation_truncated(spec, n_max, bt, (quartic_of, 1))
     assert got_q == pytest.approx(want_q, rel=1e-12, abs=1e-15)
-    assert got_lz == pytest.approx(want_lz, rel=1e-12)
+    assert got_lz == pytest.approx(want_lz, rel=1e-12, abs=0.0)
 
 
 def test_gibbs_expectation_truncated_sector_cap():
     spec = lattice.LatticeSpec(2, 2)
     bt = 3.0
-    full = fock.gibbs_expectation_truncated(
-        spec, 6, bt, lambda sb, h: [fock.quartic(sb, 1)]
-    )
-    capped = fock.gibbs_expectation_truncated(
-        spec, 6, bt, lambda sb, h: [fock.quartic(sb, 1)], max_total=10
-    )
+    full = fock.gibbs_expectation_truncated(spec, 6, bt, (quartic_of, 1))
+    capped = fock.gibbs_expectation_truncated(spec, 6, bt, (quartic_of, 1), max_total=10)
     # dropping sectors with > 10 total bosons changes nothing at this beta
-    assert capped[0][0] == pytest.approx(full[0][0], rel=1e-8)
-    assert capped[1] == pytest.approx(full[1], rel=1e-10)
+    assert capped[0][0] == pytest.approx(full[0][0], rel=1e-8, abs=0.0)
+    assert capped[1] == pytest.approx(full[1], rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -240,6 +239,10 @@ def test_sector_locate_matches_dict_oracle(spec, n_max):
         assert np.all(got[rows.sum(axis=1) != n_total] == -1)
 
 
+def shifted_kinetic(sb):
+    return fock.kinetic_dirichlet(sb) - (500.0 + sb.n_total) * np.eye(sb.dim)
+
+
 def test_gibbs_expectation_truncated_shifts_spectra():
     # a constant drop of 500 would overflow unshifted Boltzmann weights at
     # beta 3; the drop of 1 per boson lowers the minimum in every sector, so
@@ -254,8 +257,8 @@ def test_gibbs_expectation_truncated_shifts_spectra():
         spec,
         n_max,
         bt,
-        lambda sb, hs: [fock.quartic(sb, 1), sb.occupations[:, 0]],
-        hamiltonian=lambda sb: fock.kinetic_dirichlet(sb) - (500.0 + sb.n_total) * np.eye(sb.dim),
+        (lambda sb, hs: [fock.quartic(sb, 1), sb.occupations[:, 0]],),
+        hamiltonian=(shifted_kinetic,),
     )
     assert abs(got_lz - dense_log_z(h, bt)) <= 1e-13 * abs(got_lz)
     assert abs(got_q - dense_expectation(h, bt, quart)) < 1e-12
@@ -266,8 +269,13 @@ def test_gibbs_expectation_truncated_shifts_spectra():
 def test_gibbs_expectation_truncated_rejects_bad_observable():
     with pytest.raises(ValidationError):
         fock.gibbs_expectation_truncated(
-            chain(2), 2, 1.0, lambda sb, h: [np.zeros(sb.dim + 1)]
+            chain(2), 2, 1.0, (lambda sb, h: [np.zeros(sb.dim + 1)],)
         )
+    # the functions come as (function, *params) tuples, the memo's keys
+    with pytest.raises(ValidationError, match="tuples"):
+        fock.gibbs_expectation_truncated(chain(2), 2, 1.0, lambda sb, h: [])
+    with pytest.raises(ValidationError, match="tuples"):
+        fock.gibbs_expectation_truncated(chain(2), 2, 1.0, None, hamiltonian=fock.kinetic)
 
 
 # (d, ell): chains of 3 and 4 sites, the 2x2 and the 3x3 square
@@ -334,12 +342,11 @@ def test_hop_table_operators_match_monomial_oracle(spec, n_max):
 
 @pytest.mark.parametrize("spec, n_max", [(chain(4), 3), (lattice.LatticeSpec(2, 2), 4)])
 def test_log_z_only_matches_eigh_path(spec, n_max):
-    shifted = lambda sb: fock.kinetic_dirichlet(sb) - (500.0 + sb.n_total) * np.eye(sb.dim)
-    hp = lambda sb: fock.hp_hamiltonian(sb, n_max)
-    for ham in (None, shifted, hp):
+    hp = (fock.hp_hamiltonian, n_max)
+    for ham in (None, (shifted_kinetic,), hp):
         sectors = [fock.SectorBasis(spec, n_max, n) for n in range(spec.n_sites * n_max + 1)]
-        h_of = ham or fock.kinetic_dirichlet
-        w_max = max(np.abs(np.linalg.eigvalsh(h_of(sb))).max() for sb in sectors)
+        h_of, *params = ham or (fock.kinetic_dirichlet,)
+        w_max = max(np.abs(np.linalg.eigvalsh(h_of(sb, *params))).max() for sb in sectors)
         # at beta 200 unshifted weights would overflow
         for bt in (0.3, 2.0, 9.0, 200.0):
             # LAPACK's eigenvalues are backward stable, off by a small multiple of
@@ -348,7 +355,7 @@ def test_log_z_only_matches_eigh_path(spec, n_max):
             path_tol = 2.0 * bt * w_max * np.finfo(np.float64).eps
             values, lz = fock.gibbs_expectation_truncated(spec, n_max, bt, None, hamiltonian=ham)
             _, want = fock.gibbs_expectation_truncated(
-                spec, n_max, bt, lambda sb, h: [], hamiltonian=ham
+                spec, n_max, bt, (lambda sb, h: [],), hamiltonian=ham
             )
             assert values == []
             assert abs(lz - want) <= 2.0 * path_tol
@@ -414,3 +421,153 @@ def test_sector_rows_are_read_only():
     sb = fock.SectorBasis(chain(3), 2, 2)
     with pytest.raises(ValueError):
         sb.occupations[0, 0] = 1
+
+
+# --- the memo of sector spectra ---------------------------------------------
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """A fresh, empty spectra memo, and the list of sector eigensolves made."""
+    monkeypatch.setattr(fock, "_spectra_memo", {})
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(linalg, name)
+
+        def counting(m, _solve=solve):
+            solves.append(m.shape[0])
+            return _solve(m)
+
+        monkeypatch.setattr(linalg, name, counting)
+    return solves
+
+
+def _cross(spec, two_s, bt):
+    return wick.cross_term_check(spec, two_s, bt, 4)
+
+
+def _remainder(spec, two_s, bt):
+    return wick.remainder_check(spec, two_s, bt, 4)
+
+
+def _quartic_trace(spec, two_s, bt):
+    return fock.gibbs_expectation_truncated(spec, 5, bt, (cli._quartic_observable, two_s))
+
+
+def _exact_bound(spec, two_s, bt):
+    return spinwave.dirichlet_box_bound(spec, two_s, bt, "exact").as_dict()
+
+
+# one entry per caller family in src/: spin ED, the exact box bound, the
+# quartic trace of wick-verify and verify, the cross-term and remainder checks
+CALLERS = [spin_ed.free_energy_per_spin, _exact_bound, _quartic_trace, _cross, _remainder]
+
+
+@pytest.mark.parametrize("caller", CALLERS, ids=lambda f: f.__name__.strip("_"))
+def test_warm_trace_equals_cold_bit_for_bit(caller, eigensolves, monkeypatch):
+    spec = chain(3)
+    caller(spec, 2, 0.7)
+    cold_solves = len(eigensolves)
+    assert cold_solves > 0
+    warm = caller(spec, 2, 2.5)
+    assert len(eigensolves) == cold_solves  # every spectrum came from the memo
+    monkeypatch.setattr(fock, "_spectra_memo", {})
+    cold = caller(spec, 2, 2.5)
+    assert len(eigensolves) == 2 * cold_solves
+    assert repr(warm) == repr(cold)  # repr: every float to the last bit
+
+
+def test_each_input_of_a_trace_gets_its_own_spectra(eigensolves, monkeypatch):
+    spec = chain(3)
+
+    def fresh(*args, **kwargs):
+        """Whether a trace is new to the memo: it runs eigensolves."""
+        before = len(eigensolves)
+        out = fock.gibbs_expectation_truncated(*args, **kwargs)
+        return out, len(eigensolves) > before
+
+    base, new = fresh(spec, 3, 1.0, (quartic_of, 1))
+    assert new
+    assert fresh(spec, 3, 2.0, (quartic_of, 1))[1] is False
+    variants = [
+        ((spec, 3, 1.0, (quartic_of, 2)), {}),  # two_s
+        ((spec, 2, 1.0, (quartic_of, 1)), {}),  # n_max
+        ((spec, 3, 1.0, (quartic_of, 1)), {"max_total": 4}),  # max_total
+    ]
+    for args, kwargs in variants:
+        out, new = fresh(*args, **kwargs)
+        assert new and out != base
+    # the boundary, on the spin Hamiltonian, which takes both
+    ed = (spin_ed._sector_hamiltonian, 1)
+    dirichlet, new = fresh(spec, 1, 1.0, None, hamiltonian=ed)
+    assert new
+    periodic = lattice.LatticeSpec(1, 3, lattice.Boundary.PERIODIC)
+    out, new = fresh(periodic, 1, 1.0, None, hamiltonian=ed)
+    assert new and out != dirichlet
+    # a Hamiltonian function patched into its module is a new trace too
+    monkeypatch.setattr(fock, "kinetic_dirichlet", lambda sb: 2.0 * fock.kinetic(sb))
+    out, new = fresh(spec, 3, 1.0, (quartic_of, 1))
+    assert new and out != base
+    monkeypatch.setattr(spin_ed, "_sector_hamiltonian", lambda sb, two_s: np.zeros((sb.dim,) * 2))
+    before = len(eigensolves)
+    # zero energy: each of the 2^3 states weighs 1
+    assert spin_ed.free_energy_per_spin(spec, 1, 1.0) == pytest.approx(
+        -np.log(2.0), rel=1e-15, abs=0.0
+    )
+    assert len(eigensolves) > before
+
+
+def _two_observables(sb, h, two_s):
+    return [fock.quartic(sb, two_s), sb.occupations[:, 0]]
+
+
+def test_memo_holds_at_most_basis_cap_floats(eigensolves, monkeypatch):
+    spec = chain(3)
+    # 1 + 2 floats per row of the 4^3 rows of the capped space
+    per_trace = 3 * 4**3
+    monkeypatch.setattr(fock, "BASIS_CAP", 2 * per_trace)
+    for two_s in (1, 2, 3):
+        fock.gibbs_expectation_truncated(spec, 3, 1.0, (_two_observables, two_s))
+        held = sum(fock._spectra_floats(s) for s in fock._spectra_memo.values())
+        assert held <= fock.BASIS_CAP
+    # the oldest trace was dropped, the two latest are kept
+    assert [key[3:] for key in fock._spectra_memo] == [
+        ((fock.kinetic_dirichlet,), (_two_observables, two_s)) for two_s in (2, 3)
+    ]
+    # a hit makes its trace the most recent one
+    fock.gibbs_expectation_truncated(spec, 3, 2.0, (_two_observables, 2))
+    assert list(fock._spectra_memo)[-1][4] == (_two_observables, 2)
+    assert len(eigensolves) == 3 * (spec.n_sites * 3 + 1)
+    # a trace larger than the whole store is not kept
+    monkeypatch.setattr(fock, "BASIS_CAP", per_trace - 1)
+    fock.gibbs_expectation_truncated(spec, 3, 1.0, (_two_observables, 4))
+    assert fock._spectra_memo == {}
+
+
+def test_a_trace_that_raises_leaves_no_spectra(eigensolves):
+    with pytest.raises(ValidationError, match="wrong sector dimension"):
+        fock.gibbs_expectation_truncated(
+            chain(2), 2, 1.0, (lambda sb, h: [np.zeros(sb.dim + 1)],)
+        )
+    assert fock._spectra_memo == {}
+    del eigensolves[:]
+    # 20 sites, one boson each at most: the sector of 4 bosons has 4845 rows,
+    # past the dense cap, after four sectors were diagonalized
+    with pytest.raises(CapacityError):
+        fock.gibbs_expectation_truncated(chain(20), 1, 1.0, None)
+    assert len(eigensolves) == 4
+    assert fock._spectra_memo == {}
+
+
+def test_a_hit_runs_every_check(eigensolves):
+    spec = chain(2)
+    fock.gibbs_expectation_truncated(spec, 2, 1.0, None)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="beta_tilde"):
+            fock.gibbs_expectation_truncated(spec, 2, bad, None)
+    # 2.0 == 2 as a key, but a float cap is refused before the lookup
+    with pytest.raises(ValidationError, match="n_max"):
+        fock.gibbs_expectation_truncated(spec, 2.0, 1.0, None)
+    with pytest.raises(ValidationError, match="max_total"):
+        fock.gibbs_expectation_truncated(spec, 2, 1.0, None, max_total=4.0)
+    assert len(eigensolves) == spec.n_sites * 2 + 1

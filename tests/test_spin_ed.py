@@ -88,7 +88,7 @@ def test_free_energy_limits():
     # infinite temperature: f/S -> -log(2S+1)/beta_tilde
     bt = 1e-4
     f = spin_ed.free_energy_per_spin(spec, two_s, bt)
-    assert f == pytest.approx(-np.log(two_s + 1.0) / bt, rel=1e-3)
+    assert f == pytest.approx(-np.log(two_s + 1.0) / bt, rel=1e-3, abs=0.0)
     # zero temperature, Dirichlet: ground energy is 0 so f/S -> 0
     assert abs(spin_ed.free_energy_per_spin(spec, two_s, 200.0)) < 1e-8
 
@@ -102,11 +102,11 @@ def test_exact_free_energy_is_log_trace():
     beta = bt / s
     want = -dense_log_z(h, beta) / (beta * spec.n_sites)
     assert exact_free_energy(h, beta, spec.n_sites) == pytest.approx(
-        want, rel=1e-13
+        want, rel=1e-13, abs=0.0
     )
     # per-spin form divides out S
     assert spin_ed.free_energy_per_spin(spec, two_s, bt) == pytest.approx(
-        want / s, rel=1e-13
+        want / s, rel=1e-13, abs=0.0
     )
 
 
@@ -155,7 +155,7 @@ def test_spin_vs_boson_free_energy():
     want = -dense_log_z(hb, bt / s) / (bt / s * spec.n_sites)
     hd = spin_ed.dirichlet_hamiltonian(spec, two_s)
     got = exact_free_energy(hd, bt / s, spec.n_sites)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def _sector_indices(sb, two_s):
@@ -275,16 +275,17 @@ def test_ed_and_box_bound_traces_share_sector_bases(monkeypatch, capsys):
             "--beta-tilde", "1.5,3.0"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    # each sector is built once for both traces of both temperatures
+    # each sector is built once, and each of its two Hamiltonians once: the
+    # second temperature reuses both traces' spectra
     assert sorted(built) == [(spec, 2, n) for n in range(9)]
-    assert len(seen["ed"]) == len(seen["bound"]) == 2 * 9
+    assert len(seen["ed"]) == len(seen["bound"]) == 9
     assert all(a is b for a, b in zip(seen["ed"], seen["bound"]))
-    assert all(a is b for a, b in zip(seen["ed"][:9], seen["ed"][9:]))
     assert fock._sector_table(spec, 2) is table
-    assert all(table[n] is sb for n, sb in enumerate(seen["ed"][:9]))
+    assert all(table[n] is sb for n, sb in enumerate(seen["ed"]))
 
 
 def test_remainder_check_keeps_the_traced_box(monkeypatch):
+    monkeypatch.setattr(fock, "_spectra_memo", {})  # whatever ran before
     spec = lattice.LatticeSpec(1, 3)
     wick.remainder_check(spec, 2, 2.0, 4)
     table = fock._sector_table(spec, 4)
@@ -298,9 +299,13 @@ def test_remainder_check_keeps_the_traced_box(monkeypatch):
         init(self, spec_, n_max, n_total)
 
     monkeypatch.setattr(fock.SectorBasis, "__init__", counting_init)
+    # another temperature reuses the spectra: nothing is built
     wick.remainder_check(spec, 2, 3.0, 4)
-    # only the small n_max = 2S sectors of the remainder are built again,
-    # outside the table, which still holds the traced box
-    assert built and set(built) == {2}
+    assert built == []
+    # another 2S is a new trace of the same box: only its small n_max = 2S
+    # sectors of the remainder are built, outside the table, which still
+    # holds the traced box
+    wick.remainder_check(spec, 3, 3.0, 4)
+    assert built and set(built) == {3}
     assert fock._sector_table(spec, 4) is table
     assert all(table[n] is sb for n, sb in kept.items())

@@ -114,7 +114,7 @@ def test_t_squared_matches_dense():
     td = fock.kinetic_dirichlet(basis)
     want = dense_expectation(td, bt, td @ td) / spec.n_sites**2
     got = wick.cross_term_bound(spec, 2, bt).t2_exact / spec.n_sites**2
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_leading_discrete_matches_dense():
@@ -124,7 +124,7 @@ def test_leading_discrete_matches_dense():
     td = fock.kinetic_dirichlet(basis)
     want = -dense_log_z(td, bt) / (bt * spec.n_sites)
     got = spinwave.free_energy_leading_discrete(spec, bt)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert got < 0.0
 
 
@@ -290,10 +290,10 @@ def test_theorem_bound_structure():
     # remainder term carries the stated parameter scaling
     s = 4.0
     want = 4.0**-3 / (s * s)
-    assert rep.error_terms.components["higher_order"] == pytest.approx(want, rel=1e-12)
+    assert rep.error_terms.components["higher_order"] == pytest.approx(want, rel=1e-12, abs=0.0)
     doubled = spinwave.theorem_upper_bound(3, 8, 4.0, remainder_constant=2.0)
     assert doubled.error_terms.components["higher_order"] == pytest.approx(
-        2.0 * want, rel=1e-12
+        2.0 * want, rel=1e-12, abs=0.0
     )
 
 
@@ -301,7 +301,7 @@ def test_theorem_bound_d2_log_factor():
     rep = spinwave.theorem_upper_bound(2, 8, 4.0)
     s = 4.0
     want = 4.0**-2 * math.log(s * 4.0) ** 3 / (s * s)
-    assert rep.error_terms.components["higher_order"] == pytest.approx(want, rel=1e-12)
+    assert rep.error_terms.components["higher_order"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_theorem_hypothesis_flagged_not_raised():

@@ -48,12 +48,12 @@ def test_pairing_degree_four_closed_forms():
     rho = np.array([[0.4, 0.15], [0.15, 0.25]])
     nx, ny, rxy = rho[0, 0], rho[1, 1], rho[0, 1]
     got = dense_oracles.occupation_moment(rho, {0: 1, 1: 1})
-    assert got == pytest.approx(nx * ny + rxy * rxy, rel=1e-14)
+    assert got == pytest.approx(nx * ny + rxy * rxy, rel=1e-14, abs=0.0)
     assert dense_oracles.occupation_moment(rho, {0: 2}) == pytest.approx(
-        2 * nx**2 + nx, rel=1e-14
+        2 * nx**2 + nx, rel=1e-14, abs=0.0
     )
     assert dense_oracles.occupation_moment(rho, {0: 3}) == pytest.approx(
-        6 * nx**3 + 6 * nx**2 + nx, rel=1e-14
+        6 * nx**3 + 6 * nx**2 + nx, rel=1e-14, abs=0.0
     )
 
 
@@ -100,8 +100,12 @@ def test_interaction_routes_agree_with_dense():
     want = float(np.trace(quart @ gibbs))
     pos = wick.expectation_I_position(spec, two_s, bt)
     mono = wick.expectation_I_monomials(spec, two_s, bt)
-    assert pos == pytest.approx(want, rel=1e-10)
-    assert mono == pytest.approx(pos, rel=1e-12)
+    assert pos == pytest.approx(want, rel=1e-10, abs=0.0)
+    # <I> (-7.6e-9 here) cancels between monomial terms of 1e-3; rounding is
+    # relative to their unsigned sum, not to <I>
+    terms = wick._interaction_monomials(0, 1)
+    unsigned = sum(abs(c * wick.wick_expectation(m, table)) for c, m in terms) / (2.0 * two_s)
+    assert mono == pytest.approx(pos, rel=1e-12, abs=1e-13 * unsigned)
 
 
 def one_minus_p(spec, two_s, beta_tilde, n_max):
@@ -110,7 +114,7 @@ def one_minus_p(spec, two_s, beta_tilde, n_max):
         spec,
         n_max,
         beta_tilde,
-        lambda sb, h: [1.0 - fock.projector_mask(sb, two_s).astype(np.float64)],
+        (lambda sb, h: [1.0 - fock.projector_mask(sb, two_s).astype(np.float64)],),
     )
     return w
 
@@ -166,7 +170,7 @@ def test_cross_term_bound_components():
         + np.sqrt(2.0 * ctb.pt2p_bound + 2.0 * ctb.i2_bound)
         + np.sqrt(ctb.t2_exact)
     )
-    assert ctb.value == pytest.approx(want, rel=1e-13)
+    assert ctb.value == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("beta_tilde", [2.0, 4.0])
@@ -228,7 +232,8 @@ def test_bond_stack_matches_single_blocks_and_is_left_unchanged():
         assert np.array_equal(stack, before)
         assert got.shape == (5,)
         for b in range(5):
-            assert got[b] == pytest.approx(wick.wick_expectation(mono, stack[:, :, b]), rel=1e-15)
+            want = wick.wick_expectation(mono, stack[:, :, b])
+            assert got[b] == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 BOXES = [(1, 2), (1, 6), (2, 3), (2, 4), (3, 2), (3, 3)]
