@@ -1,8 +1,13 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy and input rules shared across the package.
 
 Kept in one private module so every public module can raise the same types
-without import cycles.
+and apply the same rules without import cycles.  The rules are written once
+here: ``inverse_temperature`` (``beta_tilde`` positive and finite), ``spin``
+(``2S`` a positive integer; returns ``S``) and ``cutoff`` (a per-site boson
+cap ``n_max`` a positive integer).
 """
+
+import math
 
 
 class MagnonError(Exception):
@@ -28,3 +33,25 @@ class HypothesisError(MagnonError):
     that can degrade gracefully (e.g. report writers) catch this and flag the
     result rather than fail.
     """
+
+
+def inverse_temperature(beta_tilde) -> float:
+    """``beta_tilde`` as a float; it must be positive and finite."""
+    bt = float(beta_tilde)
+    if not 0.0 < bt < math.inf:
+        raise ValidationError("beta_tilde must be positive and finite")
+    return bt
+
+
+def spin(two_s) -> float:
+    """The spin ``S`` of ``two_s = 2S``, which must be a positive integer."""
+    if not isinstance(two_s, int) or two_s < 1:
+        raise ValidationError("two_s must be a positive integer")
+    return two_s / 2.0
+
+
+def cutoff(n_max) -> int:
+    """The per-site boson cap ``n_max``, which must be a positive integer."""
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ValidationError("n_max must be a positive integer")
+    return n_max

@@ -13,7 +13,8 @@ timestamps, CSV in scientific notation with 17 significant digits and ``\\n``
 line endings, so identical configs produce identical bytes.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or validation
-error (including capacity refusals), 3 numerical failure.
+error (including capacity refusals and a ``--two-s`` that is not a positive
+integer), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -394,10 +395,9 @@ def _check_rho() -> tuple:
 def _check_riemann() -> tuple:
     worst = -np.inf
     for n in (2, 3):
-        def g(k, _bt=2.0):
-            return dispersion.epsilon(k) / np.expm1(_bt * np.maximum(dispersion.epsilon(k), 1e-300))
-
-        res = quadrature.riemann_lower_sum_check(g, 8, n, d1=0.5, d2=np.sqrt(n))
+        res = quadrature.riemann_lower_sum_check(
+            lambda k: quadrature._thermal_energy(k, 2.0), 8, n, d1=0.5, d2=np.sqrt(n)
+        )
         worst = max(worst, -res.margin)
     return worst, 0.0
 

@@ -31,13 +31,12 @@ The objects computed:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dispersion, lattice
-from ._errors import CapacityError, ValidationError
+from ._errors import CapacityError, ValidationError, inverse_temperature, spin
 
 __all__ = [
     "ELL_CAP",
@@ -156,7 +155,7 @@ def expectation_J(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramV
     ``(1/4S^2) * sum over axes of ((rho + rho^2) m_i - m_i^3)`` with
     ``rho`` the mean occupation and ``m_i`` the cosine-weighted mean.
     """
-    s = two_s / 2.0
+    s = spin(two_s)
     f = occupations(grid, beta_tilde)
     rho = _mean_occupation(grid, f)
     m = _axis_means(grid, f)
@@ -172,7 +171,7 @@ def biggest_error_term(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> Dia
     ``(1/(16 S^2 ell^6)) sum_{k1,k2 != 0} f1 f2 (12 - eps1 - eps2)``, the
     shape in which it cancels against the left diagram.
     """
-    s = two_s / 2.0
+    s = spin(two_s)
     f = occupations(grid, beta_tilde)
     rho = _mean_occupation(grid, f)
     m = _axis_means(grid, f)
@@ -219,7 +218,7 @@ def left_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramVa
     and ``f3`` by one matrix product; the shell is a sparse index list,
     weighted like the rows.
     """
-    s = two_s / 2.0
+    s = spin(two_s)
     f = occupations(grid, beta_tilde)
     g = 1.0 + f
     f_nz = f[1:]
@@ -270,7 +269,7 @@ def right_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramV
     evaluated as ``sum f eps / 6``, which is equal by the same symmetry and
     free of cancellation.
     """
-    s = two_s / 2.0
+    s = spin(two_s)
     f = occupations(grid, beta_tilde)
     eps = grid.eps
     fc = float(np.dot(f, eps)) / 6.0
@@ -340,13 +339,14 @@ def cancellation_scan(
     log-log slopes of the decaying columns are fitted; ``k3`` identity
     residuals are checked on a seeded sample of momentum pairs.
     """
-    bts = [float(b) for b in beta_tildes]
-    if not bts or not all(0.0 < b < math.inf for b in bts):
-        raise ValidationError("beta_tildes must be positive, finite and nonempty")
+    bts = [inverse_temperature(b) for b in beta_tildes]
+    if not bts:
+        raise ValidationError("beta_tildes must be nonempty")
     if sorted(set(bts)) != sorted(bts):
         raise ValidationError("beta_tildes must be distinct")
     if k3_samples < 0:
         raise ValidationError("k3_samples must be nonnegative")
+    spin(two_s)
     grid = PeriodicGrid(ell, allow_large=allow_large)
     rows = []
     for bt in bts:

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import lattice, quadrature
-from ._errors import HypothesisError, ValidationError
+from ._errors import HypothesisError, ValidationError, inverse_temperature, spin
 
 __all__ = [
     "epsilon",
@@ -54,15 +54,15 @@ def epsilon(k) -> np.ndarray:
 def bose_from_energy(eps, beta_tilde: float):
     """Bose factor ``1/(e^{beta*eps} - 1)`` for strictly positive energies.
 
-    The one Bose factor of the package: every occupation it gives is at a
-    positive, finite ``beta_tilde``.
+    Energies at or below ``1e-14`` are refused as zero modes, so the zone
+    integrand of ``quadrature.correction_integral``, whose nodes near
+    ``k = 0`` sit below that guard, keeps its own ``eps * f`` form.
     """
-    if not 0.0 < beta_tilde < math.inf:
-        raise ValidationError("beta_tilde must be positive and finite")
+    bt = inverse_temperature(beta_tilde)
     eps = np.asarray(eps, dtype=np.float64)
     if np.any(eps <= 1e-14):
         raise ValidationError("Bose factor diverges at zero energy (zero mode)")
-    x = float(beta_tilde) * eps
+    x = bt * eps
     # e^-x/(1 - e^-x): overflow-free for large x, exact for small x
     return np.exp(-x) / (-np.expm1(-x))
 
@@ -90,13 +90,18 @@ def _contract_axes(modes: np.ndarray, tables) -> np.ndarray:
     return out
 
 
+def _sine_matrix(ell: int) -> np.ndarray:
+    """Orthogonal 1d sine transform ``phi[x, k]``, sites and modes ``1..ell``."""
+    grid = np.arange(1, ell + 1)
+    return np.sqrt(2.0 / (ell + 1)) * np.sin(np.pi * np.outer(grid, grid) / (ell + 1))
+
+
 def _sine_products(spec: lattice.LatticeSpec, beta_tilde: float):
     """Bose factors on the ``(ell,)*d`` mode grid and the 1d sine modes ``phi[x, k]``."""
     if spec.boundary is not lattice.Boundary.DIRICHLET:
         raise ValidationError("the two-point function is defined for Dirichlet boxes")
     _, f = _dirichlet_spectrum(spec, beta_tilde)
-    phi = lattice.eigenfunction_matrix(lattice.LatticeSpec(1, spec.ell))
-    return f.reshape((spec.ell,) * spec.d), phi
+    return f.reshape((spec.ell,) * spec.d), _sine_matrix(spec.ell)
 
 
 def two_point_diagonal(spec: lattice.LatticeSpec, beta_tilde: float) -> np.ndarray:
@@ -135,9 +140,7 @@ def rho_upper_bound(d: int, beta_tilde: float, ell: int) -> float:
     d=2: ``4 pi log(ell) / beta``, valid when ``2*beta > 1 > 2*beta/(ell+1)``;
     outside that window the bound does not apply and this raises.
     """
-    bt = float(beta_tilde)
-    if not 0.0 < bt < math.inf:
-        raise ValidationError("beta_tilde must be positive and finite")
+    bt = inverse_temperature(beta_tilde)
     if d == 3:
         return (math.pi**1.5 / 8.0) * quadrature.zeta(1.5) * bt**-1.5
     if d == 2:
@@ -156,31 +159,22 @@ def rho_small_beta_bound(beta_tilde: float) -> float:
     Complements ``rho_upper_bound`` when ``beta_tilde`` is small (it stays
     valid without any low-temperature hypothesis).
     """
-    bt = float(beta_tilde)
-    if not 0.0 < bt < math.inf:
-        raise ValidationError("beta_tilde must be positive and finite")
+    bt = inverse_temperature(beta_tilde)
     return 8.0 * math.pi / bt
 
 
-def occupation_tail_bound(rho, two_s: int, form: str = "exact"):
-    """Per-site probability bound for more than ``2S`` bosons on one site.
+def occupation_tail_bound(rho, two_s: int):
+    """Per-site probability of more than ``2S`` bosons on one site.
 
-    ``form="exact"``: the geometric tail ``(rho/(1+rho))^(2S+1)``, exact for
-    the single-site marginal of the quasi-free state with mean ``rho``.
-    ``form="simple"``: the looser Chernoff-style bound ``(2S+1) e rho^(2S)``
-    used to compose the closed-form box bound; it dominates the exact form
-    for every ``rho``.  A float gives a float, an array one bound per entry.
+    The geometric tail ``(rho/(1+rho))^(2S+1)``, exact for the single-site
+    marginal of the quasi-free state with mean ``rho``; one bound per entry
+    of ``rho``.
     """
+    spin(two_s)
     occ = np.asarray(rho, dtype=np.float64)
     if np.any(occ < 0.0):
         raise ValidationError("occupation must be nonnegative")
-    # a float keeps Python's float power, whose last bit can differ from numpy's
-    occ = float(occ) if occ.ndim == 0 else occ
-    if form == "exact":
-        return (occ / (1.0 + occ)) ** (two_s + 1)
-    if form == "simple":
-        return (two_s + 1) * math.e * occ**two_s
-    raise ValidationError(f"unknown tail-bound form {form!r}")
+    return (occ / (1.0 + occ)) ** (two_s + 1)
 
 
 def one_minus_p_bound(
@@ -188,13 +182,14 @@ def one_minus_p_bound(
 ) -> float:
     """Closed-form bound on the weight outside the low-occupation subspace.
 
-    Union bound over sites with the simple per-site tail
-    (``occupation_tail_bound(..., form="simple")``):
-    ``e * ell^d * (2S+1) * rho_bar^(2S)`` where ``rho_bar`` is the uniform
-    occupation bound (``rho_upper_bound`` unless an explicit ``rho_bound`` is
-    supplied, e.g. the high-temperature one).
+    Union bound over sites with the Chernoff-style per-site tail
+    ``(2S+1) e rho^(2S)``, which dominates ``occupation_tail_bound`` for
+    every ``rho``: ``e * ell^d * (2S+1) * rho_bar^(2S)`` where ``rho_bar`` is
+    the uniform occupation bound (``rho_upper_bound`` unless an explicit
+    ``rho_bound`` is supplied, e.g. the high-temperature one).
     """
-    if two_s < 1:
-        raise ValidationError("two_s must be a positive integer")
+    spin(two_s)
     rho_bar = rho_upper_bound(d, beta_tilde, ell) if rho_bound is None else float(rho_bound)
-    return ell**d * occupation_tail_bound(rho_bar, two_s, form="simple")
+    if rho_bar < 0.0:
+        raise ValidationError("occupation must be nonnegative")
+    return ell**d * ((two_s + 1) * math.e * rho_bar**two_s)

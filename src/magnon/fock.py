@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import lattice, linalg
-from ._errors import CapacityError, ValidationError
+from ._errors import CapacityError, ValidationError, cutoff, inverse_temperature, spin
 
 __all__ = [
     "BASIS_CAP",
@@ -58,10 +58,8 @@ class FockBasis:
     """Full occupation basis with per-site cap ``n_max``."""
 
     def __init__(self, spec: lattice.LatticeSpec, n_max: int):
-        if not isinstance(n_max, int) or n_max < 1:
-            raise ValidationError("n_max must be a positive integer")
         self.spec = spec
-        self.n_max = n_max
+        self.n_max = cutoff(n_max)
         self.n_sites = spec.n_sites
         radix = n_max + 1
         dim = radix**self.n_sites
@@ -94,10 +92,10 @@ class SectorBasis:
     """
 
     def __init__(self, spec: lattice.LatticeSpec, n_max: int, n_total: int):
-        if n_max < 1 or n_total < 0:
-            raise ValidationError("need n_max >= 1 and n_total >= 0")
         self.spec = spec
-        self.n_max = n_max
+        self.n_max = cutoff(n_max)
+        if n_total < 0:
+            raise ValidationError("n_total must be nonnegative")
         self.n_sites = spec.n_sites
         self.n_total = n_total
         # counts[m, t]: compositions of t into m parts in [0, n_max]
@@ -253,7 +251,7 @@ def quartic(basis, two_s: int) -> np.ndarray:
     and ``(n_y-1) sqrt((n_x+1) n_y)``, the next two ``x -> y``; the last one
     is diagonal.
     """
-    s = two_s / 2.0
+    s = spin(two_s)
     return _hop_operator(
         basis,
         -_bond_diagonal(basis, lambda ni, nj: (ni * nj).astype(np.float64)) / s,
@@ -269,9 +267,9 @@ def hp_hamiltonian(basis, two_s: int) -> np.ndarray:
     ``n_max <= 2S`` so all square roots are real; with ``n_max == 2S`` the
     matrix equals the spin Hamiltonian exactly.
     """
+    s = spin(two_s)
     if basis.n_max > two_s:
         raise ValidationError("hp_hamiltonian needs n_max <= two_s for real amplitudes")
-    s = two_s / 2.0
     return _hop_operator(
         basis,
         _bond_diagonal(basis, lambda ni, nj: s * (ni + nj) - (ni * nj).astype(np.float64)),
@@ -285,11 +283,12 @@ def remainder_after_quartic(basis, two_s: int, kin: np.ndarray, quart: np.ndarra
 
     Exact by subtraction; needs ``n_max <= 2S`` like ``hp_hamiltonian``.
     """
-    return hp_hamiltonian(basis, two_s) / (two_s / 2.0) - kin - quart
+    return hp_hamiltonian(basis, two_s) / spin(two_s) - kin - quart
 
 
 def projector_mask(basis, two_s: int) -> np.ndarray:
     """Boolean mask of states with every site occupation at most ``2S``."""
+    spin(two_s)
     return (basis.occupations <= two_s).all(axis=1)
 
 
@@ -389,11 +388,9 @@ def gibbs_expectation_truncated(
 
     Returns ``(values, log_z)``.
     """
-    if not 0.0 < beta_tilde < math.inf:
-        raise ValidationError("beta_tilde must be positive and finite")
+    beta_tilde = inverse_temperature(beta_tilde)
     # integers, so that a hit never answers where a miss would refuse
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValidationError("n_max must be a positive integer")
+    cutoff(n_max)
     if max_total is not None and not isinstance(max_total, int):
         raise ValidationError("max_total must be an integer")
     ham = hamiltonian if hamiltonian is not None else (kinetic_dirichlet,)

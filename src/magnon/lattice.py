@@ -1,4 +1,4 @@
-"""Finite boxes, their bond structure, and the eigenmodes of the hopping matrix.
+"""Finite boxes, their bonds, and the momenta that diagonalize the hopping matrix.
 
 A Dirichlet box of side ``ell`` in ``d`` dimensions has sites ``{1..ell}^d``.
 Freezing the spins just outside the box turns each bond that would leave it
@@ -40,7 +40,6 @@ __all__ = [
     "boundary_multiplicity",
     "dirichlet_modes",
     "periodic_modes",
-    "eigenfunction_matrix",
 ]
 
 
@@ -172,22 +171,4 @@ def periodic_modes(spec: LatticeSpec) -> np.ndarray:
     k = labels * (2.0 * np.pi / spec.ell)
     k = np.where(k > np.pi, k - 2.0 * np.pi, k)
     return k
-
-
-def eigenfunction_matrix(spec: LatticeSpec) -> np.ndarray:
-    """Orthogonal matrix ``Phi[site, mode]`` of all sine modes.
-
-    Built as a Kronecker product of the 1d sine transform, so rows follow the
-    ``sites`` order and columns the ``dirichlet_modes`` order.
-    """
-    if spec.boundary is not Boundary.DIRICHLET:
-        raise ValidationError("sine modes belong to Dirichlet boxes")
-    grid = np.arange(1, spec.ell + 1)
-    phi1 = np.sqrt(2.0 / (spec.ell + 1)) * np.sin(
-        np.pi * np.outer(grid, grid) / (spec.ell + 1)
-    )
-    out = phi1
-    for _ in range(spec.d - 1):
-        out = np.kron(out, phi1)
-    return out
 

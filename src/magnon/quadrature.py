@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dispersion
-from ._errors import ValidationError
+from ._errors import ValidationError, inverse_temperature
 
 __all__ = [
     "QuadratureResult",
@@ -132,6 +132,15 @@ def tensor_integral(fn, dim: int, n_gl: int = 16, depth: int = 24):
     return total, evals
 
 
+def _zone_integral(d: int, integrand, scale: float) -> QuadratureResult:
+    """``scale`` times the integral over ``[0, pi]^d``: fine-mesh value, coarse-mesh error."""
+    if d not in (1, 2, 3):
+        raise ValidationError(f"dimension must be 1, 2 or 3, got {d}")
+    coarse, n1 = tensor_integral(integrand, d, n_gl=16, depth=24)
+    fine, n2 = tensor_integral(integrand, d, n_gl=24, depth=30)
+    return QuadratureResult(fine * scale, abs(fine - coarse) * scale, n1 + n2)
+
+
 def leading_free_energy(d: int, beta_tilde: float) -> QuadratureResult:
     """Leading spin-wave free energy per site, in units of the spin.
 
@@ -139,20 +148,21 @@ def leading_free_energy(d: int, beta_tilde: float) -> QuadratureResult:
     with measure ``dk/(2pi)^d``.  Negative; behaves like ``-c_d *
     beta^{-1-d/2}`` for large ``beta_tilde``.
     """
-    if d not in (1, 2, 3):
-        raise ValidationError(f"dimension must be 1, 2 or 3, got {d}")
-    bt = float(beta_tilde)
-    if not 0.0 < bt < math.inf:
-        raise ValidationError("beta_tilde must be positive and finite")
+    bt = inverse_temperature(beta_tilde)
 
     def integrand(pts):
         # log(1 - e^-x) = log(-expm1(-x)), stable for all x > 0
         return np.log(-np.expm1(-bt * dispersion.epsilon(pts)))
 
-    coarse, n1 = tensor_integral(integrand, d, n_gl=16, depth=24)
-    fine, n2 = tensor_integral(integrand, d, n_gl=24, depth=30)
-    scale = 1.0 / (bt * np.pi**d)
-    return QuadratureResult(fine * scale, abs(fine - coarse) * scale, n1 + n2)
+    return _zone_integral(d, integrand, 1.0 / (bt * np.pi**d))
+
+
+def _thermal_energy(pts, beta_tilde: float) -> np.ndarray:
+    """Integrand ``eps(k) f(k)`` of ``correction_integral``, finite at every ``k != 0``."""
+    eps = dispersion.epsilon(pts)
+    x = beta_tilde * eps
+    # eps/(e^x - 1) = eps e^-x / (1 - e^-x), overflow-free for large x
+    return eps * np.exp(-x) / (-np.expm1(-x))
 
 
 def correction_integral(d: int, beta_tilde: float) -> QuadratureResult:
@@ -161,22 +171,8 @@ def correction_integral(d: int, beta_tilde: float) -> QuadratureResult:
     ``f`` is the Bose factor at inverse temperature ``beta_tilde``.  Positive;
     behaves like ``c_d * beta^{-1-d/2}`` for large ``beta_tilde``.
     """
-    if d not in (1, 2, 3):
-        raise ValidationError(f"dimension must be 1, 2 or 3, got {d}")
-    bt = float(beta_tilde)
-    if not 0.0 < bt < math.inf:
-        raise ValidationError("beta_tilde must be positive and finite")
-
-    def integrand(pts):
-        eps = dispersion.epsilon(pts)
-        x = bt * eps
-        # eps/(e^x - 1) = eps e^-x / (1 - e^-x), overflow-free for large x
-        return eps * np.exp(-x) / (-np.expm1(-x))
-
-    coarse, n1 = tensor_integral(integrand, d, n_gl=16, depth=24)
-    fine, n2 = tensor_integral(integrand, d, n_gl=24, depth=30)
-    scale = 1.0 / np.pi**d
-    return QuadratureResult(fine * scale, abs(fine - coarse) * scale, n1 + n2)
+    bt = inverse_temperature(beta_tilde)
+    return _zone_integral(d, lambda pts: _thermal_energy(pts, bt), 1.0 / np.pi**d)
 
 
 def dyson_coefficient() -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dispersion, fock, lattice
-from ._errors import ValidationError
+from ._errors import ValidationError, spin
 
 __all__ = [
     "SpinMatrices",
@@ -51,9 +51,7 @@ class SpinMatrices:
 
 
 def spin_matrices(two_s: int) -> SpinMatrices:
-    if not isinstance(two_s, int) or two_s < 1:
-        raise ValidationError("two_s must be a positive integer")
-    s = two_s / 2.0
+    s = spin(two_s)
     n = np.arange(two_s + 1, dtype=np.float64)
     s3 = np.diag(n - s)
     sp = np.zeros((two_s + 1, two_s + 1))
@@ -78,9 +76,9 @@ def _embed(ops: dict, r: int, n_sites: int) -> np.ndarray:
 
 def heisenberg_hamiltonian(spec: lattice.LatticeSpec, two_s: int) -> np.ndarray:
     """Dense ``sum over bonds of (S^2 - S_x . S_y)``, real symmetric, PSD."""
+    s = spin(two_s)
     dim = fock._check_dense_space(spec, two_s)
     sm = spin_matrices(two_s)
-    s = two_s / 2.0
     h = np.zeros((dim, dim))
     pairs = lattice.nn_pairs(spec).tolist()
     for i, j in pairs:
@@ -97,10 +95,10 @@ def dirichlet_hamiltonian(spec: lattice.LatticeSpec, two_s: int) -> np.ndarray:
     Each frozen bond at site ``x`` adds ``S^2 + S*S^3_x``; the per-site count
     is the frozen-bond multiplicity.
     """
+    s = spin(two_s)
     dim = fock._check_dense_space(spec, two_s)
     mult = lattice.boundary_multiplicity(spec)
     sm = spin_matrices(two_s)
-    s = two_s / 2.0
     h = heisenberg_hamiltonian(spec, two_s)
     for x in np.nonzero(mult)[0].tolist():
         h += mult[x] * s * _embed({x: sm.s3}, two_s + 1, spec.n_sites)
@@ -111,7 +109,7 @@ def dirichlet_hamiltonian(spec: lattice.LatticeSpec, two_s: int) -> np.ndarray:
 def _diagonal(sb, two_s: int):
     """Diagonal of H on the rows of a sector basis: ``S^2 - S^3_x S^3_y`` per bond,
     plus ``S^2 + S*S^3_x`` per frozen bond on Dirichlet boxes."""
-    s = two_s / 2.0
+    s = spin(two_s)
     diag = fock._bond_diagonal(sb, lambda ni, nj: s * s - (ni - s) * (nj - s))
     if sb.spec.boundary is lattice.Boundary.DIRICHLET:
         mult = lattice.boundary_multiplicity(sb.spec)
@@ -144,8 +142,8 @@ def free_energy_per_spin(spec: lattice.LatticeSpec, two_s: int, beta_tilde: floa
     taken sector by sector in total ``S^3``, which H conserves.  Dirichlet
     boxes carry the frozen-bond penalty.
     """
+    s = spin(two_s)
     fock._check_dense_space(spec, two_s)
-    s = two_s / 2.0
     beta = beta_tilde / s
     _, log_z = fock.gibbs_expectation_truncated(
         spec, two_s, beta, None, hamiltonian=(_sector_hamiltonian, two_s)
@@ -162,6 +160,7 @@ def magnon_check(spec: lattice.LatticeSpec, two_s: int, k) -> float:
     stays in the one-unit sector and H restricted to that sector, of
     dimension ``ell^d``, gives the residual exactly.
     """
+    s = spin(two_s)
     if spec.boundary is not lattice.Boundary.PERIODIC:
         raise ValidationError("the magnon check runs on periodic boxes")
     k = np.asarray(k, dtype=np.float64)
@@ -176,7 +175,7 @@ def magnon_check(spec: lattice.LatticeSpec, two_s: int, k) -> float:
     # row of the state with its single unit on site x
     rows = sb._locate(np.eye(spec.n_sites, dtype=np.int64))
     phase = lattice.sites(spec) @ k
-    target = two_s / 2.0 * float(dispersion.epsilon(k))
+    target = s * float(dispersion.epsilon(k))
     norm = spec.n_sites ** -0.5
     res2 = 0.0
     nrm2 = 0.0
@@ -196,9 +195,9 @@ def hp_equivalence_check(spec: lattice.LatticeSpec, two_s: int) -> float:
     Uses the uncapped identification ``n_max = 2S``; the two matrices agree
     to rounding error.  Dirichlet boxes compare the penalized pair.
     """
+    s = spin(two_s)
     basis = fock.FockBasis(spec, two_s)
     hp = fock.hp_hamiltonian(basis, two_s)
-    s = two_s / 2.0
     if spec.boundary is lattice.Boundary.DIRICHLET:
         h_spin = dirichlet_hamiltonian(spec, two_s)
         mult = lattice.boundary_multiplicity(spec).astype(np.float64)

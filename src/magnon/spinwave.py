@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import dispersion, fock, lattice, quadrature, wick
-from ._errors import CapacityError, HypothesisError, ValidationError
+from ._errors import CapacityError, HypothesisError, ValidationError, inverse_temperature, spin
 
 __all__ = [
     "ErrorBudget",
@@ -196,7 +196,7 @@ def interaction_correction_lattice(
     if spec.boundary is not lattice.Boundary.DIRICHLET:
         raise ValidationError("the lattice correction is defined on Dirichlet boxes")
     ell, d = spec.ell, spec.d
-    s = two_s / 2.0
+    s = spin(two_s)
     _, f = dispersion._dirichlet_spectrum(spec, beta_tilde)
     f_t = f.reshape((ell,) * d)
     g, comb = _axis_tables(ell)
@@ -218,9 +218,9 @@ def interaction_correction_bulk(
     """
     if spec.d == 1:
         raise ValidationError("the bulk form of the correction needs d in {2, 3}")
+    s = spin(two_s)
     _, f = dispersion._dirichlet_spectrum(spec, beta_tilde)
     k1 = lattice.dirichlet_modes(spec)[:, 0]
-    s = two_s / 2.0
     m1 = float(np.sum(f * (1.0 - np.cos(k1)))) / (spec.ell + 1) ** spec.d
     return -(spec.d / s) * m1 * m1
 
@@ -232,7 +232,7 @@ def interaction_correction_continuum(d: int, two_s: int, beta_tilde: float) -> f
     """
     if d not in (2, 3):
         raise ValidationError("the continuum correction needs d in {2, 3}")
-    s = two_s / 2.0
+    s = spin(two_s)
     c = quadrature.correction_integral(d, beta_tilde).value
     return -c * c / (4.0 * d * s)
 
@@ -350,10 +350,8 @@ def dirichlet_box_bound(
     """
     if spec.boundary is not lattice.Boundary.DIRICHLET:
         raise ValidationError("box bounds are defined for Dirichlet boxes")
-    if not 0.0 < beta_tilde < math.inf:
-        raise ValidationError("beta_tilde must be positive and finite")
-    if not isinstance(two_s, int) or two_s < 1:
-        raise ValidationError("two_s must be a positive integer")
+    inverse_temperature(beta_tilde)
+    spin(two_s)
     if projector_stats not in ("auto", "exact", "analytic"):
         raise ValidationError(f"unknown projector_stats {projector_stats!r}")
     if projector_stats == "auto":
@@ -389,13 +387,10 @@ def theorem_upper_bound(
         raise ValidationError(f"unknown preset {preset!r}")
     if preset == "small-beta" and d != 3:
         raise ValidationError("the small-beta preset is a d=3 statement")
-    if not 0.0 < beta_tilde < math.inf:
-        raise ValidationError("beta_tilde must be positive and finite")
-    if not isinstance(two_s, int) or two_s < 1:
-        raise ValidationError("two_s must be a positive integer")
+    inverse_temperature(beta_tilde)
+    s = spin(two_s)
     if not remainder_constant >= 0.0:
         raise ValidationError("remainder_constant must be nonnegative")
-    s = two_s / 2.0
     warn = []
     ell_raw = s * s if preset == "small-beta" else beta_tilde**d * s * s
     ell = int(round(ell_raw))

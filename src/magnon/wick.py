@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dispersion, fock, lattice
-from ._errors import ValidationError
+from ._errors import ValidationError, spin
 
 __all__ = [
     "wick_expectation",
@@ -130,8 +130,8 @@ def expectation_I_position(spec, two_s: int, beta_tilde: float) -> float:
     Per unordered bond, Wick contraction of the quartic term gives
     ``((rho_xx + rho_yy) rho_xy - rho_xx rho_yy - rho_xy^2) / S``.
     """
+    s = spin(two_s)
     (rxx, rxy), (_, ryy) = _bond_blocks(spec, beta_tilde)
-    s = two_s / 2.0
     return float(np.sum((rxx + ryy) * rxy - rxx * ryy - rxy**2)) / s
 
 
@@ -152,8 +152,8 @@ def expectation_I_monomials(spec, two_s: int, beta_tilde: float) -> float:
     An independent route to ``expectation_I_position``, used by
     ``wick-verify`` and the tests.
     """
+    s = spin(two_s)
     blocks = _bond_blocks(spec, beta_tilde)
-    s = two_s / 2.0
     per_bond = sum(
         coef * wick_expectation(mono, blocks) for coef, mono in _interaction_monomials(0, 1)
     )
@@ -166,6 +166,7 @@ def projector_deficit(spec, beta_tilde: float, two_s: int) -> float:
     Union bound over sites with the exact geometric per-site tail at the
     occupation ``rho(x, x)``; see ``dispersion.occupation_tail_bound``.
     """
+    spin(two_s)
     occ = dispersion.two_point_diagonal(spec, beta_tilde)
     return float(np.sum(dispersion.occupation_tail_bound(occ, two_s)))
 
@@ -190,8 +191,8 @@ def interaction_squared_bound(spec, two_s: int, beta_tilde: float) -> float:
     operators reduce to nonnegative diagonal occupation polynomials, which is
     also why the same number dominates the projected moment.
     """
+    s = spin(two_s)
     blocks = _bond_blocks(spec, beta_tilde)
-    s = two_s / 2.0
     n_bonds = blocks.shape[2]
     # V-part: per ordered pair a*_x ((n_x + n_y)/4) a_y; its square reduces to
     # (n_x + n_y - 1)^2 (n_x + 1) n_y / 16, counted 2 n_bonds times
@@ -251,7 +252,7 @@ def remainder_bound(spec, two_s: int, beta_tilde: float) -> float:
     ``(< n_x (n_x - 1)^2 > + < n_x n_y^2 >) / (8 S^2)``; the projector then
     drops at the price of the (caller-supplied) trace-ratio factor.
     """
-    s = two_s / 2.0
+    s = spin(two_s)
     # n_x (n_x - 1)^2 + n_x n_y^2 in falling factorials
     poly = {(3, 0): 1, (2, 0): 1, (1, 2): 1, (1, 1): 1}
     per_bond = _moments(_bond_blocks(spec, beta_tilde), poly)
@@ -285,6 +286,7 @@ def cross_term_check(spec, two_s: int, beta_tilde: float, n_max: int):
     to the per-site cap of the oracle (tests shrink it).  ``P`` is diagonal,
     so every observable is block diagonal in the total-number sectors.
     """
+    spin(two_s)
     fock._check_dense_space(spec, n_max)
     vals, _ = fock.gibbs_expectation_truncated(
         spec, n_max, beta_tilde, (_cross_term_observables, two_s)
@@ -302,6 +304,7 @@ def remainder_check(spec, two_s: int, beta_tilde: float, n_max: int):
     embedded into the larger capped sector on which the Gibbs weight is
     computed.
     """
+    spin(two_s)
     if n_max < two_s:
         raise ValidationError("oracle cap must be at least 2S")
     fock._check_dense_space(spec, n_max)

@@ -16,8 +16,9 @@ routes.
 
 The package evaluates every Wick bound once over the two-point blocks of all
 bonds (``wick._bond_blocks``).  The ``table_*`` oracles here build the dense
-``ell^d x ell^d`` two-point table (``two_point``) and loop over the bonds one
-by one through ``occupation_moment``, as the bounds did before.
+``ell^d x ell^d`` two-point table (``two_point``) from the dense sine-mode
+matrix (``eigenfunction_matrix``) and loop over the bonds one by one through
+``occupation_moment``, as the bounds did before.
 """
 
 from dataclasses import dataclass
@@ -378,9 +379,27 @@ def eigenfunction(spec, k, x) -> float:
     return float((2.0 / (spec.ell + 1)) ** (spec.d / 2.0) * np.prod(np.sin(x * k)))
 
 
+def eigenfunction_matrix(spec) -> np.ndarray:
+    """Orthogonal matrix ``Phi[site, mode]`` of all sine modes, ``ell^d x ell^d``.
+
+    Built as a Kronecker product of the 1d sine transform, so rows follow the
+    ``sites`` order and columns the ``dirichlet_modes`` order.
+    """
+    if spec.boundary is not lattice.Boundary.DIRICHLET:
+        raise ValidationError("sine modes belong to Dirichlet boxes")
+    grid = np.arange(1, spec.ell + 1)
+    phi1 = np.sqrt(2.0 / (spec.ell + 1)) * np.sin(
+        np.pi * np.outer(grid, grid) / (spec.ell + 1)
+    )
+    out = phi1
+    for _ in range(spec.d - 1):
+        out = np.kron(out, phi1)
+    return out
+
+
 def two_point(spec, beta_tilde: float) -> np.ndarray:
     """Dense two-point table ``rho[x, y] = sum_k phi_k(x) phi_k(y) f(k)``."""
-    phi = lattice.eigenfunction_matrix(spec)
+    phi = eigenfunction_matrix(spec)
     f = dispersion.bose_from_energy(dispersion.epsilon(lattice.dirichlet_modes(spec)), beta_tilde)
     rho = (phi * f) @ phi.T
     return 0.5 * (rho + rho.T)

@@ -355,6 +355,26 @@ def test_non_finite_beta_tilde_is_refused(capsys, argv, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["free-energy", "--d", "3"],
+        ["free-energy", "--d", "1", "--ell", "3"],
+        ["correction", "--d", "3", "--ell", "4"],
+        ["ed-compare", "--d", "1", "--ell", "3"],
+        ["wick-verify", "--d", "1", "--ell", "3"],
+        ["diagrams", "--ell", "4"],
+    ],
+)
+def test_invalid_two_s_is_refused(capsys, argv, value):
+    code, out, err = run(capsys, argv + ["--beta-tilde", "2.0", f"--two-s={value}"])
+    assert code == 2
+    assert out == ""
+    assert "two_s must be a positive integer" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["-1", "0"])
 def test_wick_verify_refuses_non_positive_beta_tilde(capsys, value):
     code, out, err = run(

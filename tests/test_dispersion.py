@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import dense_oracles
 
 from magnon import dispersion, lattice
 from magnon._errors import HypothesisError, ValidationError
@@ -30,7 +31,7 @@ def test_two_point_against_direct_sum(d, ell):
     spec = lattice.LatticeSpec(d, ell)
     bt = 1.7
     # naive dense route
-    phi = lattice.eigenfunction_matrix(spec)
+    phi = dense_oracles.eigenfunction_matrix(spec)
     f = dispersion.bose_from_energy(dispersion.epsilon(lattice.dirichlet_modes(spec)), bt)
     want = (phi * f) @ phi.T
     pairs = lattice.nn_pairs(spec)
@@ -87,24 +88,21 @@ def test_occupation_tail_exact_is_geometric_tail():
             ns = np.arange(0, 4000)
             probs = (1 - q) * q**ns
             brute = float(probs[ns > two_s].sum())
-            got = dispersion.occupation_tail_bound(rho, two_s, form="exact")
+            got = dispersion.occupation_tail_bound(rho, two_s)
             assert got == pytest.approx(brute, rel=1e-10, abs=0.0)
-            simple = dispersion.occupation_tail_bound(rho, two_s, form="simple")
-            assert simple >= got  # the cruder form always dominates
-    with pytest.raises(ValidationError):
-        dispersion.occupation_tail_bound(0.1, 1, form="bogus")
+            # the Chernoff-style tail of the closed-form bound dominates it
+            simple = dispersion.one_minus_p_bound(3, 1.0, 1, two_s, rho_bound=rho)
+            assert simple >= got
 
 
 def test_occupation_tail_takes_arrays():
     rhos = np.random.default_rng(2).uniform(0.0, 40.0, size=200)
-    for form in ("exact", "simple"):
-        for two_s in (1, 2, 4, 5):
-            got = dispersion.occupation_tail_bound(rhos, two_s, form=form)
-            want = [dispersion.occupation_tail_bound(float(r), two_s, form=form) for r in rhos]
-            assert got.shape == rhos.shape
-            # numpy's power and Python's differ in the last bit
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
-            assert type(dispersion.occupation_tail_bound(0.3, two_s, form=form)) is float
+    for two_s in (1, 2, 4, 5):
+        got = dispersion.occupation_tail_bound(rhos, two_s)
+        want = [dispersion.occupation_tail_bound(float(r), two_s) for r in rhos]
+        assert got.shape == rhos.shape
+        # numpy's scalar power and its array power differ in the last bit
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
     with pytest.raises(ValidationError):
         dispersion.occupation_tail_bound(np.array([0.1, -1e-3]), 1)
 
@@ -118,3 +116,5 @@ def test_one_minus_p_bound_example():
     # explicit rho_bound override
     got2 = dispersion.one_minus_p_bound(3, 4.0, 2, 2, rho_bound=0.1)
     assert abs(got2 - np.e * 8 * 3 * 0.01) < 1e-12
+    with pytest.raises(ValidationError, match="occupation must be nonnegative"):
+        dispersion.one_minus_p_bound(3, 4.0, 2, 1, rho_bound=-1e-3)

@@ -104,13 +104,13 @@ def test_periodic_modes_zero_first_and_range():
 
 def test_eigenfunction_matrix_orthonormal():
     for spec in all_specs(max_sites=216):
-        v = lattice.eigenfunction_matrix(spec)
+        v = dense_oracles.eigenfunction_matrix(spec)
         assert np.allclose(v.T @ v, np.eye(spec.n_sites), atol=1e-12)
 
 
 def test_eigenfunction_matches_matrix_and_validates():
     spec = lattice.LatticeSpec(2, 3)
-    v = lattice.eigenfunction_matrix(spec)
+    v = dense_oracles.eigenfunction_matrix(spec)
     modes = lattice.dirichlet_modes(spec)
     pts = lattice.sites(spec)
     for ki in (0, 4, 8):
@@ -124,7 +124,7 @@ def test_one_particle_kinetic_diagonalized_by_sine_modes():
     # the confining kinetic operator must reproduce the dispersion exactly
     for spec in all_specs(max_sites=216):
         t = dense_oracles.one_particle_kinetic(spec)
-        v = lattice.eigenfunction_matrix(spec)
+        v = dense_oracles.eigenfunction_matrix(spec)
         eps = dispersion.epsilon(lattice.dirichlet_modes(spec))
         off = v.T @ t @ v - np.diag(eps)
         assert np.max(np.abs(off)) < 1e-12

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import math
 import pkgutil
 
@@ -52,3 +53,79 @@ _TEMPERATURE_ENTRIES = {
 def test_temperature_must_be_positive_and_finite(entry, value):
     with pytest.raises(ValidationError, match="beta_tilde must be positive"):
         _TEMPERATURE_ENTRIES[entry](value)
+
+
+_RING = lattice.LatticeSpec(1, 3, lattice.Boundary.PERIODIC)
+_BASIS = fock.FockBasis(_BOX, 1)
+# every public entry that takes 2S, called at ``two_s``
+_SPIN_ENTRIES = {
+    "occupation_tail_bound": lambda ts: dispersion.occupation_tail_bound(0.1, ts),
+    "one_minus_p_bound": lambda ts: dispersion.one_minus_p_bound(3, 2.0, 8, ts),
+    "quartic": lambda ts: fock.quartic(_BASIS, ts),
+    "hp_hamiltonian": lambda ts: fock.hp_hamiltonian(_BASIS, ts),
+    "remainder_after_quartic": lambda ts: fock.remainder_after_quartic(_BASIS, ts, 0.0, 0.0),
+    "projector_mask": lambda ts: fock.projector_mask(_BASIS, ts),
+    "spin_matrices": lambda ts: spin_ed.spin_matrices(ts),
+    "heisenberg_hamiltonian": lambda ts: spin_ed.heisenberg_hamiltonian(_BOX, ts),
+    "dirichlet_hamiltonian": lambda ts: spin_ed.dirichlet_hamiltonian(_BOX, ts),
+    "free_energy_per_spin": lambda ts: spin_ed.free_energy_per_spin(_BOX, ts, 2.0),
+    "magnon_check": lambda ts: spin_ed.magnon_check(_RING, ts, [0.0]),
+    "hp_equivalence_check": lambda ts: spin_ed.hp_equivalence_check(_BOX, ts),
+    "expectation_I_position": lambda ts: wick.expectation_I_position(_BOX, ts, 2.0),
+    "expectation_I_monomials": lambda ts: wick.expectation_I_monomials(_BOX, ts, 2.0),
+    "projector_deficit": lambda ts: wick.projector_deficit(_BOX, 2.0, ts),
+    "interaction_squared_bound": lambda ts: wick.interaction_squared_bound(_BOX, ts, 2.0),
+    "cross_term_bound": lambda ts: wick.cross_term_bound(_BOX, ts, 2.0),
+    "remainder_bound": lambda ts: wick.remainder_bound(_BOX, ts, 2.0),
+    "cross_term_check": lambda ts: wick.cross_term_check(_BOX, ts, 2.0, 2),
+    "remainder_check": lambda ts: wick.remainder_check(_BOX, ts, 2.0, 2),
+    "interaction_correction_lattice": lambda ts: spinwave.interaction_correction_lattice(
+        _BOX, ts, 2.0
+    ),
+    "interaction_correction_bulk": lambda ts: spinwave.interaction_correction_bulk(
+        lattice.LatticeSpec(2, 3), ts, 2.0
+    ),
+    "interaction_correction_continuum": lambda ts: spinwave.interaction_correction_continuum(
+        3, ts, 2.0
+    ),
+    "dirichlet_box_bound": lambda ts: spinwave.dirichlet_box_bound(_BOX, ts, 2.0),
+    "theorem_upper_bound": lambda ts: spinwave.theorem_upper_bound(3, ts, 2.0),
+    "expectation_J": lambda ts: diagrams.expectation_J(_TORUS, 2.0, ts),
+    "biggest_error_term": lambda ts: diagrams.biggest_error_term(_TORUS, 2.0, ts),
+    "left_diagram": lambda ts: diagrams.left_diagram(_TORUS, 2.0, ts),
+    "right_diagram": lambda ts: diagrams.right_diagram(_TORUS, 2.0, ts),
+    "cancellation_scan": lambda ts: diagrams.cancellation_scan(4, ts, [2.0]),
+}
+
+
+def test_spin_table_covers_every_public_entry():
+    takes_two_s = {
+        name
+        for mod in (dispersion, fock, spin_ed, wick, spinwave, diagrams)
+        for name in mod.__all__
+        if inspect.isfunction(getattr(mod, name))
+        and "two_s" in inspect.signature(getattr(mod, name)).parameters
+    }
+    assert takes_two_s == set(_SPIN_ENTRIES)
+
+
+@pytest.mark.parametrize("value", [0, -2, 1.5])
+@pytest.mark.parametrize("entry", sorted(_SPIN_ENTRIES))
+def test_spin_must_be_a_positive_integer(entry, value):
+    with pytest.raises(ValidationError, match="two_s must be a positive integer"):
+        _SPIN_ENTRIES[entry](value)
+
+
+# every public entry that takes a per-site boson cap, called at ``n_max``
+_CUTOFF_ENTRIES = {
+    "FockBasis": lambda n: fock.FockBasis(_BOX, n),
+    "SectorBasis": lambda n: fock.SectorBasis(_BOX, n, 1),
+    "gibbs_expectation_truncated": lambda n: fock.gibbs_expectation_truncated(_BOX, n, 2.0, None),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.0])
+@pytest.mark.parametrize("entry", sorted(_CUTOFF_ENTRIES))
+def test_cutoff_must_be_a_positive_integer(entry, value):
+    with pytest.raises(ValidationError, match="n_max must be a positive integer"):
+        _CUTOFF_ENTRIES[entry](value)

@@ -126,7 +126,8 @@ def test_projector_deficit_dominates_exact():
         exact = one_minus_p(spec, two_s, bt, n_max=12)
         bound = wick.projector_deficit(spec, bt, two_s)
         occ = dispersion.two_point_diagonal(spec, bt)
-        simple = sum(dispersion.occupation_tail_bound(r, two_s, form="simple") for r in occ)
+        # the per-site Chernoff-style tail of the closed-form bound
+        simple = sum(dispersion.one_minus_p_bound(1, bt, 1, two_s, rho_bound=r) for r in occ)
         assert simple >= bound >= exact > 0.0
 
 
