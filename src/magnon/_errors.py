@@ -4,7 +4,9 @@ Kept in one private module so every public module can raise the same types
 and apply the same rules without import cycles.  The rules are written once
 here: ``inverse_temperature`` (``beta_tilde`` positive and finite), ``spin``
 (``2S`` a positive integer; returns ``S``) and ``cutoff`` (a per-site boson
-cap ``n_max`` a positive integer).
+cap ``n_max`` a positive integer).  ``integer`` is the one integer test
+behind these and every other count the package takes: a ``bool`` is refused,
+though Python counts it as an ``int``.
 """
 
 import math
@@ -43,15 +45,21 @@ def inverse_temperature(beta_tilde) -> float:
     return bt
 
 
+def integer(value, message: str, low: int = 1, high: float = math.inf) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``) in ``[low, high]``.
+
+    Anything else raises ``ValidationError(message)``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        raise ValidationError(message)
+    return value
+
+
 def spin(two_s) -> float:
     """The spin ``S`` of ``two_s = 2S``, which must be a positive integer."""
-    if not isinstance(two_s, int) or two_s < 1:
-        raise ValidationError("two_s must be a positive integer")
-    return two_s / 2.0
+    return integer(two_s, "two_s must be a positive integer") / 2.0
 
 
 def cutoff(n_max) -> int:
     """The per-site boson cap ``n_max``, which must be a positive integer."""
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValidationError("n_max must be a positive integer")
-    return n_max
+    return integer(n_max, "n_max must be a positive integer")

@@ -315,14 +315,7 @@ def _cmd_diagrams(args) -> int:
         _refuse(args, "applies only to --format csv", "slopes")
     two_s = args.two_s if args.two_s is not None else 2
     bts = _number_list(args.beta_tilde)
-    scan = diagrams.cancellation_scan(
-        args.ell,
-        two_s,
-        bts,
-        allow_large=bool(args.force),
-        k3_samples=args.k3_samples if args.k3_samples is not None else 100,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    scan = diagrams.cancellation_scan(args.ell, two_s, bts, allow_large=bool(args.force))
     columns = ("beta_tilde", "biggest_error", "left_f1f2", "combined")
     _emit(args, columns, scan.rows, rows=list(scan.rows), slopes=scan.slopes,
           k3_residual_max=scan.k3_residual_max, zero_mode_policy=scan.zero_mode_policy)
@@ -482,8 +475,6 @@ _COMMANDS = (
     ("diagrams", "second-order diagram cancellation scan", _cmd_diagrams, (
         _ELL, _TWO_S, _BETA_TILDES,
         ("force", bool, None, "override the ell cap"),
-        ("seed", int, None, None),
-        ("k3_samples", int, None, None),
         _FORMAT,
         ("slopes", str, None, "also write the JSON summary here (csv format only)"),
     )),

@@ -30,13 +30,12 @@ at another temperature skips every eigensolve and gives the same bits.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import lattice, linalg
-from ._errors import CapacityError, ValidationError, cutoff, inverse_temperature, spin
+from ._errors import CapacityError, ValidationError, cutoff, integer, inverse_temperature, spin
 
 __all__ = [
     "BASIS_CAP",
@@ -64,7 +63,8 @@ class FockBasis:
         radix = n_max + 1
         dim = radix**self.n_sites
         if dim > BASIS_CAP:
-            raise CapacityError(f"basis dimension {dim} exceeds cap {BASIS_CAP}")
+            # the power: a large box's dimension has more digits than Python prints
+            raise CapacityError(f"basis dimension {radix}^{self.n_sites} exceeds cap {BASIS_CAP}")
         self.dim = dim
         self.strides = radix ** np.arange(self.n_sites, dtype=np.int64)
         idx = np.arange(dim, dtype=np.int64)
@@ -94,10 +94,8 @@ class SectorBasis:
     def __init__(self, spec: lattice.LatticeSpec, n_max: int, n_total: int):
         self.spec = spec
         self.n_max = cutoff(n_max)
-        if n_total < 0:
-            raise ValidationError("n_total must be nonnegative")
+        self.n_total = integer(n_total, "n_total must be a nonnegative integer", 0)
         self.n_sites = spec.n_sites
-        self.n_total = n_total
         # counts[m, t]: compositions of t into m parts in [0, n_max]
         counts = np.zeros((self.n_sites + 1, n_total + 1), dtype=np.int64)
         counts[0, 0] = 1
@@ -382,17 +380,17 @@ def gibbs_expectation_truncated(
     held; tracing another one drops its sectors.  Callers must not write
     into a sector basis.
 
-    Boltzmann weights are taken relative to the lowest eigenvalue seen so
-    far, and earlier sums are rescaled when it drops, so nothing overflows
-    however large ``beta_tilde`` is.
+    Boltzmann weights are taken relative to the lowest eigenvalue of all
+    the stored spectra, so each is at most 1 and nothing overflows however
+    large ``beta_tilde`` is.
 
     Returns ``(values, log_z)``.
     """
     beta_tilde = inverse_temperature(beta_tilde)
     # integers, so that a hit never answers where a miss would refuse
     cutoff(n_max)
-    if max_total is not None and not isinstance(max_total, int):
-        raise ValidationError("max_total must be an integer")
+    if max_total is not None:
+        integer(max_total, "max_total must be a nonnegative integer", 0)
     ham = hamiltonian if hamiltonian is not None else (kinetic_dirichlet,)
     for arg in (ham,) if observables is None else (ham, observables):
         if not (isinstance(arg, tuple) and arg and callable(arg[0])):
@@ -408,19 +406,12 @@ def gibbs_expectation_truncated(
             if sb is None:
                 sb = sectors[n_total] = SectorBasis(spec, n_max, n_total)
             spectra.append(_sector_spectrum(sb, ham, observables))
-    shift = math.inf
+    shift = min(float(w[0]) for w, _ in spectra)
     z = 0.0
-    acc = 0.0  # becomes one sum per observable at the first sector
+    acc = np.zeros(len(spectra[0][1]))
     for w, diags in spectra:
-        if w[0] < shift:
-            rescale = math.exp(-beta_tilde * (shift - w[0]))
-            z *= rescale
-            acc = acc * rescale
-            shift = float(w[0])
         boltz = np.exp(-beta_tilde * (w - shift))
         z += float(boltz.sum())
-        acc = acc + np.array([float(np.dot(boltz, diag)) for diag in diags])
-    if not z > 0.0:
-        raise ValidationError("partition function vanished")
+        acc += [float(np.dot(boltz, diag)) for diag in diags]
     _remember(key, spectra)
     return [float(x) / z for x in acc], float(np.log(z)) - beta_tilde * shift

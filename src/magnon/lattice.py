@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import ValidationError
+from ._errors import ValidationError, integer
 
 __all__ = [
     "Boundary",
@@ -62,10 +62,8 @@ class LatticeSpec:
     boundary: Boundary = Boundary.DIRICHLET
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d not in (1, 2, 3):
-            raise ValidationError(f"dimension must be 1, 2 or 3, got {self.d!r}")
-        if not isinstance(self.ell, int) or self.ell < 1:
-            raise ValidationError(f"side length must be a positive integer, got {self.ell!r}")
+        integer(self.d, f"dimension must be 1, 2 or 3, got {self.d!r}", 1, 3)
+        integer(self.ell, f"side length must be a positive integer, got {self.ell!r}")
         bc = Boundary(self.boundary)
         object.__setattr__(self, "boundary", bc)
         if bc is Boundary.PERIODIC and self.ell < 3:

@@ -6,9 +6,9 @@ machine.  Thermal traces are sector-blocked: every Hamiltonian traced in
 this package conserves the total boson number (total ``S^3``), so
 ``fock.gibbs_expectation_truncated`` calls ``eigh`` once per sector of a
 trace it has not seen before, at any temperature, and shifts the spectra by
-their running minimum, so nothing overflows no matter how large ``beta``
-is.  A trace that needs only ``log Z`` (the spin free energy) calls
-``eigvalsh`` instead, which runs the same checks and skips the
+the lowest eigenvalue of all its sectors, so nothing overflows no matter how
+large ``beta`` is.  A trace that needs only ``log Z`` (the spin free energy)
+calls ``eigvalsh`` instead, which runs the same checks and skips the
 eigenvectors.  Both check the cap, finiteness and symmetry of their input,
 then solve it as given when it is exactly symmetric (every hop-table
 operator is: a move and its reverse take their amplitude from the same

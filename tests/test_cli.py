@@ -233,8 +233,6 @@ def test_diagrams_csv_contract(tmp_path, capsys):
             "4",
             "--beta-tilde",
             "1.0,2.0",
-            "--k3-samples",
-            "5",
             "--output",
             str(out),
         ],
@@ -259,8 +257,6 @@ def test_diagrams_slopes_summary(tmp_path, capsys):
             "3",
             "--beta-tilde",
             "0.8,1.0,1.3,1.7",
-            "--k3-samples",
-            "5",
             "--output",
             str(out),
             "--slopes",
@@ -482,8 +478,8 @@ FULL_SETTINGS = {
     "diagrams": (
         "diagrams",
         "",
-        {"ell": "3", "two_s": "2", "beta_tilde": "1.0,2.0", "force": True, "seed": "3",
-         "k3_samples": "5", "format": "csv", "slopes": "slopes.json", "output": "out.csv"},
+        {"ell": "3", "two_s": "2", "beta_tilde": "1.0,2.0", "force": True,
+         "format": "csv", "slopes": "slopes.json", "output": "out.csv"},
     ),
     "verify": ("verify", "", {"only": "trig", "output": "out.txt"}),
 }
@@ -532,12 +528,12 @@ def test_echoed_config_holds_only_computation_options(tmp_path, capsys):
     out, slopes = tmp_path / "scan.csv", tmp_path / "slopes.json"
     code, _, _ = run(
         capsys,
-        ["diagrams", "--ell", "3", "--beta-tilde", "1.0", "--k3-samples", "2", "--force",
+        ["diagrams", "--ell", "3", "--beta-tilde", "1.0", "--force",
          "--format", "csv", "--slopes", str(slopes), "--output", str(out)],
     )
     assert code == 0
     assert json.loads(slopes.read_text())["config"] == {
-        "ell": 3, "beta_tilde": "1.0", "k3_samples": 2, "force": True,
+        "ell": 3, "beta_tilde": "1.0", "force": True,
     }
 
 
@@ -577,6 +573,15 @@ def test_zero_mode_option_is_gone(capsys):
     assert "--zero-mode" in err
 
 
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--k3-samples", "5"]])
+def test_sampling_options_are_gone(capsys, option):
+    # the k3 identity is bounded over every pair, so nothing is sampled
+    code, out, err = run(capsys, ["diagrams", "--ell", "5", "--beta-tilde", "2"] + option)
+    assert code == 2
+    assert out == ""
+    assert option[0] in err
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize(
     "base, dest, value",
@@ -584,7 +589,7 @@ def test_zero_mode_option_is_gone(capsys):
         ("free-energy --d 3 --two-s 4 --beta-tilde 2.0", "mode", "auto"),
         ("free-energy --d 1 --ell 3 --two-s 1 --beta-tilde 2.0", "preset", "small-beta"),
         ("free-energy --d 1 --ell 3 --two-s 1 --beta-tilde 2.0", "remainder_constant", "5"),
-        ("diagrams --ell 3 --beta-tilde 1.0 --k3-samples 2 --format json", "slopes", "s.json"),
+        ("diagrams --ell 3 --beta-tilde 1.0 --format json", "slopes", "s.json"),
         ("wick-verify --d 1 --ell 3 --two-s 2", "beta_tilde", "1,2"),
     ],
 )

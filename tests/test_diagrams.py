@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import mpmath as mp
@@ -10,6 +11,11 @@ from magnon._errors import CapacityError, ValidationError
 
 def flat_label(l1, l2, l3, ell):
     return (l1 * ell + l2) * ell + l3
+
+
+def nonzero(grid):
+    """Labels of the nonzero modes; the zero mode is label 0."""
+    return np.arange(1, grid.n_modes)
 
 
 def vertex_nu(k1, k2, k3, k4):
@@ -39,7 +45,7 @@ def test_grid_validation():
 
 def test_grid_geometry():
     grid = diagrams.PeriodicGrid(4)
-    assert grid.zero_index == 0
+    assert np.array_equal(grid.labels[0], [0, 0, 0])  # label 0 is the zero mode
     assert np.all(grid.kvecs > -np.pi) and np.all(grid.kvecs <= np.pi)
     assert np.allclose(grid.kvecs[0], 0.0)
     # epsilon agrees with the dispersion evaluated on the mapped vectors
@@ -68,8 +74,8 @@ def test_sum_diff_tables():
 def test_occupations():
     grid = diagrams.PeriodicGrid(4)
     f = diagrams.occupations(grid, 2.0)
-    assert f[grid.zero_index] == 0.0
-    nz = grid.nonzero()
+    assert f[0] == 0.0
+    nz = nonzero(grid)
     want = 1.0 / np.expm1(2.0 * grid.eps[nz])
     assert np.allclose(f[nz], want, rtol=1e-14)
     with pytest.raises(ValidationError):
@@ -145,8 +151,8 @@ def test_biggest_error_dual_forms():
     f = diagrams.occupations(grid, bt)
     s = two_s / 2.0
     acc = 0.0
-    for i1 in grid.nonzero():
-        for i2 in grid.nonzero():
+    for i1 in nonzero(grid):
+        for i2 in nonzero(grid):
             acc += f[i1] * f[i2] * (12.0 - grid.eps[i1] - grid.eps[i2])
     want = acc / (16.0 * s * s * grid.ell**6)
     assert val.value == pytest.approx(want, rel=1e-11, abs=0.0)
@@ -255,16 +261,16 @@ def left_all_k1(grid, beta_tilde, two_s):
     s = two_s / 2.0
     f = diagrams.occupations(grid, beta_tilde)
     g = 1.0 + f
-    g[grid.zero_index] = 0.0
+    g[0] = 0.0
     eps = grid.eps
-    nz = grid.nonzero()
+    nz = nonzero(grid)
     full = 0.0
     red_f1f2 = 0.0
     red_f1f2f3 = 0.0
     degenerate = 0.0
     for i1 in nz:
         i4 = grid.diff_idx[grid.sum_idx[i1, nz][:, None], nz[None, :]]
-        ok = i4 != grid.zero_index
+        ok = i4 != 0
         e1 = eps[i1]
         e2 = eps[nz][:, None]
         e3 = eps[nz][None, :]
@@ -359,7 +365,7 @@ def test_pair_rows_cover_every_pair_once(ell):
         stab = [el for el in CUBIC_GROUP if cubic_image(r, el, ell) == rep]
         assert len(stab) * weight == 48
         for k2, w2 in zip(rows.tolist(), row_weights.tolist()):
-            assert k2 != grid.zero_index
+            assert k2 != 0
             l2 = grid.labels[k2]
             pairs = {(cubic_image(r, el, ell), cubic_image(l2, el, ell)) for el in CUBIC_GROUP}
             # a k2 outside the orbit of r also stands for the swapped pairs
@@ -379,7 +385,7 @@ def test_right_diagram_matches_brute():
     bt, two_s = 2.0, 2
     f = diagrams.occupations(grid, bt)
     eps = grid.eps
-    nz = grid.nonzero()
+    nz = nonzero(grid)
     acc = 0.0
     for i2 in nz:
         g = 0.0
@@ -397,7 +403,7 @@ def right_table_form(grid, beta_tilde, two_s):
     """The right diagram with ``G(k2)`` summed over an ``ell^6`` table."""
     s = two_s / 2.0
     f = diagrams.occupations(grid, beta_tilde)
-    nz = grid.nonzero()
+    nz = nonzero(grid)
     eps = grid.eps
     e2k = eps[grid.diff_idx[nz[:, None], nz[None, :]]]
     inner = e2k - eps[nz][None, :] - eps[nz][:, None]
@@ -416,32 +422,46 @@ def test_right_diagram_closed_form_matches_table(ell):
         assert got.extras["g_max"] == pytest.approx(want_g_max, rel=1e-13, abs=0.0)
 
 
+def k3_residuals(grid):
+    """Oracle: the ``k3`` identity summed term by term for every nonzero pair.
+
+    Returns the ``(n - 1, n - 1)`` relative residuals of the direct sums and
+    of the same sums through the table's row sums ``R``.
+    """
+    e = grid._eps_diff
+    nz = nonzero(grid)
+    k12 = grid.sum_idx[nz[:, None], nz[None, :]]
+    terms = 12.0 + 3.0 * grid.eps + 3.0 * e[k12] - 4.0 * e[nz][None, :] - 4.0 * e[nz][:, None]
+    n = grid.n_modes
+    direct = np.abs(terms.sum(axis=-1)) / (12.0 * n)
+    r, e_sum = e.sum(axis=1), grid.eps.sum()
+    by_rows = np.abs(12.0 * n + 3.0 * e_sum + 3.0 * r[k12] - 4.0 * r[nz][None, :]
+                     - 4.0 * r[nz][:, None]) / (12.0 * n)
+    return direct, by_rows
+
+
 @pytest.mark.parametrize("ell", [3, 4])
 def test_k3_identity_all_pairs(ell):
     grid = diagrams.PeriodicGrid(ell)
-    worst = 0.0
-    for i1 in grid.nonzero():
-        for i2 in grid.nonzero():
-            worst = max(worst, diagrams.k3_identity_residual(grid, int(i1), int(i2)))
-    assert worst < 1e-12
+    direct, by_rows = k3_residuals(grid)
+    bound = diagrams.k3_identity_residual(grid)
+    assert direct.max() < 1e-12
+    assert bound < 1e-12
+    assert by_rows.max() <= bound + 1e-15
 
 
-def test_k3_identity_batched_matches_scalar_calls():
-    grid = diagrams.PeriodicGrid(6)
-    rng = np.random.default_rng(8)
-    i1, i2 = rng.integers(1, grid.n_modes, size=(2, 200))
-    got = diagrams.k3_identity_residual(grid, i1, i2)
-    want = [diagrams.k3_identity_residual(grid, int(a), int(b)) for a, b in zip(i1, i2)]
-    assert got.shape == (200,)
-    assert np.array_equal(got, want)
-
-
-def test_k3_identity_rejects_zero_mode():
-    grid = diagrams.PeriodicGrid(3)
-    with pytest.raises(ValidationError):
-        diagrams.k3_identity_residual(grid, 0, 5)
-    with pytest.raises(ValidationError):
-        diagrams.k3_identity_residual(grid, np.array([3, 7]), np.array([5, 0]))
+def test_k3_identity_sees_a_broken_row(monkeypatch):
+    # a copied grid with one entry of its eps(k_a - k_b) table moved
+    grid = copy.copy(diagrams.PeriodicGrid(3))
+    grid._eps_diff = grid._eps_diff.copy()
+    grid._eps_diff[5, 2] += 1e-6
+    direct, by_rows = k3_residuals(grid)
+    bound = diagrams.k3_identity_residual(grid)
+    assert direct.max() > 1e-9  # the broken row breaks the identity for some pair
+    assert by_rows.max() <= bound + 1e-15
+    monkeypatch.setattr(diagrams, "PeriodicGrid", lambda ell, allow_large=False: grid)
+    res = diagrams.cancellation_scan(3, 2, [1.0])
+    assert res.k3_residual_max == bound > 1e-9
 
 
 def test_fit_loglog_slope():
@@ -460,7 +480,7 @@ def test_fit_loglog_slope():
 
 def test_cancellation_scan_structure():
     bts = [0.8, 1.0, 1.25, 1.6]
-    res = diagrams.cancellation_scan(4, 2, bts, k3_samples=20, seed=1)
+    res = diagrams.cancellation_scan(4, 2, bts)
     assert res.ell == 4 and res.two_s == 2
     assert len(res.rows) == 4
     keys = {
@@ -482,21 +502,17 @@ def test_cancellation_scan_structure():
     }
     for fit in res.slopes.values():
         assert set(fit) == {"slope", "r_squared"}
+    assert res.k3_residual_max == diagrams.k3_identity_residual(diagrams.PeriodicGrid(4))
     assert res.k3_residual_max < 1e-12
-    # the batched check draws the pairs the alternating scalar draws give
-    grid = diagrams.PeriodicGrid(4)
-    rng = np.random.default_rng(1)
-    pairs = [(int(rng.choice(grid.nonzero())), int(rng.choice(grid.nonzero()))) for _ in range(20)]
-    assert res.k3_residual_max == max(diagrams.k3_identity_residual(grid, *p) for p in pairs)
     assert res.zero_mode_policy == "exclude"
-    # deterministic for a fixed seed
-    res2 = diagrams.cancellation_scan(4, 2, bts, k3_samples=20, seed=1)
+    # deterministic
+    res2 = diagrams.cancellation_scan(4, 2, bts)
     assert res2.rows == res.rows
     assert res2.k3_residual_max == res.k3_residual_max
 
 
 def test_cancellation_scan_few_points_no_slopes():
-    res = diagrams.cancellation_scan(3, 2, [1.0, 2.0], k3_samples=5)
+    res = diagrams.cancellation_scan(3, 2, [1.0, 2.0])
     assert res.slopes == {}
 
 
@@ -508,7 +524,5 @@ def test_cancellation_scan_validation():
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValidationError, match="finite"):
             diagrams.cancellation_scan(4, 2, [1.0, bad])
-    with pytest.raises(ValidationError):
-        diagrams.cancellation_scan(4, 2, [1.0], k3_samples=-1)
     with pytest.raises(CapacityError):
         diagrams.cancellation_scan(12, 2, [1.0, 2.0])

@@ -52,6 +52,9 @@ def test_sector_basis():
 def test_basis_cap():
     with pytest.raises(CapacityError):
         fock.FockBasis(lattice.LatticeSpec(3, 3), 2)  # 3^27 states
+    # 2^27000 has more digits than Python turns into text; the refusal names the power
+    with pytest.raises(CapacityError, match=r"2\^27000"):
+        fock.FockBasis(lattice.LatticeSpec(3, 30), 1)
 
 
 def test_dense_space_rule():
@@ -245,8 +248,8 @@ def shifted_kinetic(sb):
 
 def test_gibbs_expectation_truncated_shifts_spectra():
     # a constant drop of 500 would overflow unshifted Boltzmann weights at
-    # beta 3; the drop of 1 per boson lowers the minimum in every sector, so
-    # each earlier sum gets rescaled
+    # beta 3; with the drop of 1 per boson the lowest eigenvalue sits in
+    # sector 6, so the one shift is not taken from sector 0
     spec = chain(3)
     n_max, bt = 4, 3.0
     basis = fock.FockBasis(spec, n_max)

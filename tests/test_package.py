@@ -109,7 +109,7 @@ def test_spin_table_covers_every_public_entry():
     assert takes_two_s == set(_SPIN_ENTRIES)
 
 
-@pytest.mark.parametrize("value", [0, -2, 1.5])
+@pytest.mark.parametrize("value", [0, -2, 1.5, True])
 @pytest.mark.parametrize("entry", sorted(_SPIN_ENTRIES))
 def test_spin_must_be_a_positive_integer(entry, value):
     with pytest.raises(ValidationError, match="two_s must be a positive integer"):
@@ -124,8 +124,29 @@ _CUTOFF_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("value", [0, -1, 2.0])
+@pytest.mark.parametrize("value", [0, -1, 2.0, True])
 @pytest.mark.parametrize("entry", sorted(_CUTOFF_ENTRIES))
 def test_cutoff_must_be_a_positive_integer(entry, value):
     with pytest.raises(ValidationError, match="n_max must be a positive integer"):
         _CUTOFF_ENTRIES[entry](value)
+
+
+# every other integer input, called at ``value``, and the message of its refusal
+_COUNT_ENTRIES = {
+    "LatticeSpec.d": (lambda v: lattice.LatticeSpec(v, 3), "dimension must be 1, 2 or 3"),
+    "LatticeSpec.ell": (lambda v: lattice.LatticeSpec(1, v), "side length must be a positive"),
+    "PeriodicGrid": (lambda v: diagrams.PeriodicGrid(v), "needs an integer ell >= 3"),
+    "SectorBasis": (lambda v: fock.SectorBasis(_BOX, 2, v), "n_total must be a nonnegative"),
+    "max_total": (
+        lambda v: fock.gibbs_expectation_truncated(_BOX, 2, 2.0, None, max_total=v),
+        "max_total must be a nonnegative integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [-1, 2.0, True])
+@pytest.mark.parametrize("entry", sorted(_COUNT_ENTRIES))
+def test_counts_must_be_integers(entry, value):
+    make, message = _COUNT_ENTRIES[entry]
+    with pytest.raises(ValidationError, match=message):
+        make(value)

@@ -141,6 +141,12 @@ def test_hp_equivalence_check():
     assert spin_ed.hp_equivalence_check(spec, 2) < 1e-12
 
 
+def test_hp_equivalence_check_refuses_a_huge_box():
+    # the refusal names the power 2^27000, which has too many digits to print
+    with pytest.raises(CapacityError, match=r"2\^27000"):
+        spin_ed.hp_equivalence_check(lattice.LatticeSpec(3, 30), 1)
+
+
 def test_spin_vs_boson_free_energy():
     # spin trace equals the boson trace on the capped basis at n_max = 2S
     spec = lattice.LatticeSpec(1, 3)
