@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__, diagrams, dispersion, fock, lattice, quadrature, spin_ed, spinwave, wick
-from ._errors import CapacityError, HypothesisError, NumericalError, ValidationError
+from ._errors import CapacityError, HypothesisError, NumericalError, ValidationError, spin
 
 __all__ = ["main", "build_parser"]
 
@@ -242,8 +242,24 @@ def _cmd_ed_compare(args) -> int:
     return 0
 
 
-def _quartic_observable(sb, _, two_s):
-    return [fock.quartic(sb, two_s)]
+def _quartic_observable(sb, _):
+    """``S I`` on one sector: the quartic at ``S = 1``, which is free of the spin."""
+    return [fock.quartic(sb, 2)]
+
+
+def _fock_quartic(spec, n_max: int, beta_tilde: float, two_s: int) -> float:
+    """Kinetic-Gibbs expectation of the quartic ``I`` on the capped space.
+
+    The trace is of the spin-free ``S I``, divided by ``S`` after the thermal
+    pass, so every spin shares one spectral pass per box and cutoff.  At
+    ``2S`` in {1, 2, 4} the division is exact and the value has the bits of a
+    trace of ``I`` itself; at other spins it differs by the trace's rounding.
+    """
+    s = spin(two_s)
+    (value,), _ = fock.gibbs_expectation_truncated(
+        spec, n_max, beta_tilde, (_quartic_observable,)
+    )
+    return value / s
 
 
 def _cmd_wick_verify(args) -> int:
@@ -278,9 +294,7 @@ def _cmd_wick_verify(args) -> int:
             raise ValidationError("cutoffs must be strictly increasing")
         errors = []
         for cut in cutoffs:
-            (value,), _ = fock.gibbs_expectation_truncated(
-                spec, cut, bt, (_quartic_observable, args.two_s)
-            )
+            value = _fock_quartic(spec, cut, bt, args.two_s)
             fock_values[str(cut)] = value
             errors.append(abs(value - position) / scale)
         for lo, hi in zip(errors, errors[1:]):
@@ -366,7 +380,7 @@ def _check_wick() -> tuple:
             worst = max(worst, abs(mode - pos) / max(abs(pos), 1e-300))
     spec = lattice.LatticeSpec(2, 2, lattice.Boundary.DIRICHLET)
     pos = wick.expectation_I_position(spec, 1, 2.0)
-    (val,), _ = fock.gibbs_expectation_truncated(spec, 8, 2.0, (_quartic_observable, 1))
+    val = _fock_quartic(spec, 8, 2.0, 1)
     worst = max(worst, abs(val - pos) / max(abs(pos), 1e-300))
     return worst, 1e-10
 
@@ -451,12 +465,12 @@ _CONFIG = ("config", str, None, "flat key=value config file; flags override")
 _OUTPUT = ("output", str, None, "output path ('-' or omit for stdout)")
 
 _COMMANDS = (
-    ("free-energy", "certified upper bound on f/S", _cmd_free_energy, (
+    ("free-energy", "upper bound on f/S (asymptotic without --ell)", _cmd_free_energy, (
         _D,
         ("ell", int, None, "explicit box side (default: matched to beta, S)"),
         _TWO_S, _BETA_TILDES, _MODE,
         ("preset", str, ("small-beta",), None),
-        ("remainder_constant", float, None, None),
+        ("remainder_constant", float, None, "assumed, not proved (default 1.0)"),
         _FORMAT,
     )),
     ("correction", "quartic correction: lattice, bulk, continuum", _cmd_correction, (

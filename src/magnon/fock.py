@@ -25,7 +25,11 @@ the traces of one box share them, and tracing another box drops them.  A
 sector's eigenvalues and its observables' eigenbasis diagonals do not
 depend on the temperature, so each trace keeps them in a memo of at most
 ``BASIS_CAP`` floats: tracing the same Hamiltonian and observables of a box
-at another temperature skips every eigensolve and gives the same bits.
+at another temperature skips every eigensolve and gives the same bits.  The
+memo key holds the observables' parameters, so a trace that should serve
+every spin leaves the spin out of them: the CLI's quartic trace
+(``wick-verify``, ``verify``) is of ``quartic`` at ``2S = 2``, which is
+``S I``, and divides by ``S`` after the thermal pass.
 """
 
 from __future__ import annotations
@@ -53,6 +57,18 @@ __all__ = [
 BASIS_CAP = 2**20
 
 
+def _max_sites(radix: int, cap: int) -> int:
+    """The most sites whose space ``radix^sites`` fits under ``cap``.
+
+    Found by integer multiplication, in at most ``log2(cap)`` steps, so a
+    huge box is refused without its dimension ever being formed.
+    """
+    sites, dim = 0, radix
+    while dim <= cap:
+        sites, dim = sites + 1, dim * radix
+    return sites
+
+
 class FockBasis:
     """Full occupation basis with per-site cap ``n_max``."""
 
@@ -61,11 +77,10 @@ class FockBasis:
         self.n_max = cutoff(n_max)
         self.n_sites = spec.n_sites
         radix = n_max + 1
-        dim = radix**self.n_sites
-        if dim > BASIS_CAP:
+        if self.n_sites > _max_sites(radix, BASIS_CAP):
             # the power: a large box's dimension has more digits than Python prints
             raise CapacityError(f"basis dimension {radix}^{self.n_sites} exceeds cap {BASIS_CAP}")
-        self.dim = dim
+        self.dim = dim = radix**self.n_sites
         self.strides = radix ** np.arange(self.n_sites, dtype=np.int64)
         idx = np.arange(dim, dtype=np.int64)
         self.occupations = (idx[:, None] // self.strides[None, :]) % radix
@@ -162,14 +177,13 @@ def _check_dense_space(spec: lattice.LatticeSpec, n_max: int) -> int:
     The one cap rule of every dense route over a whole space: above
     ``linalg.DENSE_DIM_CAP`` it raises ``CapacityError``.
     """
-    dim = (n_max + 1) ** spec.n_sites
-    if dim > linalg.DENSE_DIM_CAP:
+    if spec.n_sites > _max_sites(n_max + 1, linalg.DENSE_DIM_CAP):
         # the power: a large box's dimension has more digits than Python prints
         raise CapacityError(
             f"space dimension {n_max + 1}^{spec.n_sites} exceeds dense cap "
             f"{linalg.DENSE_DIM_CAP}"
         )
-    return dim
+    return (n_max + 1) ** spec.n_sites
 
 
 def _hop_table(basis):
@@ -368,11 +382,14 @@ def gibbs_expectation_truncated(
     diagonal in the eigenbasis.  It is memoized by ``(spec, n_max, top
     sector, hamiltonian, observables)``, so the functions must be pure and
     their parameters hashable: a trace seen before, at any temperature,
-    skips every eigensolve.  The memo holds at most ``BASIS_CAP`` floats in
-    all and drops the least recently used trace first; a trace that raises
-    leaves nothing in it.  The thermal pass weighs the stored spectra at
-    ``beta_tilde``; a hit runs the same thermal pass over the same arrays as
-    a miss, so both give the same bits.
+    skips every eigensolve.  Each parameter splits the key: an observable
+    built at each spin gets one spectral pass per spin, so a caller that can
+    scale the spin out after the thermal pass traces the spin-free operator
+    (the CLI's quartic trace is ``S I``, keyed without the spin).  The memo
+    holds at most ``BASIS_CAP`` floats in all and drops the least recently
+    used trace first; a trace that raises leaves nothing in it.  The thermal
+    pass weighs the stored spectra at ``beta_tilde``; a hit runs the same
+    thermal pass over the same arrays as a miss, so both give the same bits.
 
     The sector bases, each with its cached hop table, are shared by every
     spectral pass of the same ``(spec, n_max)`` box: the spin-ED trace and

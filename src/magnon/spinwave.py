@@ -78,7 +78,14 @@ class ErrorBudget:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A certified upper bound on ``f/S`` with its decomposition."""
+    """An upper bound on ``f/S`` with its decomposition.
+
+    The box routes (``mode`` ``"exact"`` or ``"analytic"``) bound the box's
+    ``f/S``.  The asymptotic report (``mode="asymptotic"``) is not certified:
+    its ``higher_order`` entry rests on the assumed ``remainder_constant``
+    (1.0 by default), and its ``quadrature`` entry is the difference between
+    a coarse and a finer mesh, an estimate rather than a bound.
+    """
 
     d: int
     two_s: int
@@ -377,9 +384,12 @@ def theorem_upper_bound(
     The box side is tied to the parameters (``ell = round(beta^d S^2)``, or
     ``round(S^2)`` under ``preset="small-beta"``), the leading and correction
     terms are Brillouin-zone integrals, and the higher-order remainder enters
-    as ``remainder_constant * beta^{-d} log(S beta)^{3(3-d)} / S^2``.  When
-    the low-occupation hypothesis fails at these parameters the report is
-    still produced, flagged with ``hypothesis_ok=False``.
+    as ``remainder_constant * beta^{-d} log(S beta)^{3(3-d)} / S^2``.  The
+    report is asymptotic, not certified: ``remainder_constant`` (1.0 by
+    default) is assumed, not proved, and the ``quadrature`` entry is a
+    mesh-difference estimate of the leading integral's error.  When the
+    low-occupation hypothesis fails at these parameters the report is still
+    produced, flagged with ``hypothesis_ok=False``.
     """
     if d not in (2, 3):
         raise ValidationError("the asymptotic bound covers d in {2, 3}")

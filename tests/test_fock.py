@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import time
 
 import dense_oracles
 import numpy as np
@@ -64,6 +66,24 @@ def test_dense_space_rule():
     # 2^27000 has more digits than Python turns into text; the refusal names the power
     with pytest.raises(CapacityError, match=r"2\^27000"):
         fock._check_dense_space(lattice.LatticeSpec(3, 30), 1)
+
+
+def test_a_huge_box_is_refused_at_once():
+    # 3^27000000 states: a power whose digits take seconds to form, so the cap counts digits
+    spec = lattice.LatticeSpec(3, 300)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=r"3\^27000000 exceeds cap"):
+        fock.FockBasis(spec, 2)
+    with pytest.raises(CapacityError, match=r"3\^27000000 exceeds dense cap"):
+        fock._check_dense_space(spec, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("radix", [2, 3, 5, 4097])
+def test_max_sites_is_the_largest_power_under_the_cap(radix):
+    for cap in (1, 4095, 4096, 2**20):
+        sites = fock._max_sites(radix, cap)
+        assert radix**sites <= cap < radix ** (sites + 1)
 
 
 def test_single_site_ladder_oracle():
@@ -454,7 +474,7 @@ def _remainder(spec, two_s, bt):
 
 
 def _quartic_trace(spec, two_s, bt):
-    return fock.gibbs_expectation_truncated(spec, 5, bt, (cli._quartic_observable, two_s))
+    return cli._fock_quartic(spec, 5, bt, two_s)
 
 
 def _exact_bound(spec, two_s, bt):
@@ -478,6 +498,25 @@ def test_warm_trace_equals_cold_bit_for_bit(caller, eigensolves, monkeypatch):
     cold = caller(spec, 2, 2.5)
     assert len(eigensolves) == 2 * cold_solves
     assert repr(warm) == repr(cold)  # repr: every float to the last bit
+
+
+def test_wick_verify_traces_the_quartic_once_for_every_spin(eigensolves, capsys):
+    spec = lattice.LatticeSpec(2, 2)
+    values = {}
+    for two_s in (1, 2, 3, 4):
+        before = len(eigensolves)
+        cli.main(["wick-verify", "--d", "2", "--ell", "2", "--two-s", str(two_s),
+                  "--beta-tilde", "3.0", "--cutoffs", "3,5"])
+        values[two_s] = json.loads(capsys.readouterr().out)["values"]["fock"]
+        # the first spin diagonalizes the sectors, every later one reads the memo
+        assert (len(eigensolves) > before) == (two_s == 1)
+    for two_s, by_cutoff in values.items():
+        for cut in (3, 5):
+            (direct,), _ = fock.gibbs_expectation_truncated(spec, cut, 3.0, (quartic_of, two_s))
+            if two_s == 3:  # divided by 3/2, which rounds
+                assert by_cutoff[str(cut)] == pytest.approx(direct, rel=1e-10, abs=0.0)
+            else:  # divided by a power of two, which is exact
+                assert repr(by_cutoff[str(cut)]) == repr(direct)
 
 
 def test_each_input_of_a_trace_gets_its_own_spectra(eigensolves, monkeypatch):
