@@ -8,9 +8,11 @@ config file holds flat ``key=value`` lines whose keys are the flag names with
 held to the flags' types and choices.  Options a run would ignore exit 2:
 ``free-energy --mode`` without ``--ell``, ``--preset`` or
 ``--remainder-constant`` with ``--ell``, and ``diagrams --slopes`` with
-``--format json``.  Output is deterministic: JSON with sorted keys and no
-timestamps, CSV in scientific notation with 17 significant digits and ``\\n``
-line endings, so identical configs produce identical bytes.
+``--format json``.  So does a ``--slopes`` that names where the CSV goes:
+the ``--output`` file, or standard output (``-``) when ``--output`` is not
+given.  Output is deterministic: JSON with sorted keys and no timestamps,
+CSV in scientific notation with 17 significant digits and ``\\n`` line
+endings, so identical configs produce identical bytes.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or validation
 error (including capacity refusals and a ``--two-s`` that is not a positive
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -128,6 +131,11 @@ def _write_text(text: str, path) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _target(path) -> str:
+    """Where ``_write_text`` writes ``path``: ``-`` for stdout, else the resolved file."""
+    return "-" if path in (None, "-") else os.path.realpath(path)
 
 
 def _csv_cell(value) -> str:
@@ -327,6 +335,8 @@ def _cmd_diagrams(args) -> int:
     args.format = args.format or "csv"  # a scan is plot-ready CSV by default
     if args.format == "json":
         _refuse(args, "applies only to --format csv", "slopes")
+    elif args.slopes is not None and _target(args.slopes) == _target(args.output):
+        _refuse(args, "names where the CSV goes", "slopes")
     two_s = args.two_s if args.two_s is not None else 2
     bts = _number_list(args.beta_tilde)
     scan = diagrams.cancellation_scan(args.ell, two_s, bts, allow_large=bool(args.force))

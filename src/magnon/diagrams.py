@@ -12,7 +12,8 @@ The objects computed:
 * its leading piece (the "biggest error term"), carrying the slowest decay;
 * the left second-order diagram, a Duhamel double sum that its
   ``(12) <-> (34)`` symmetry turns into temperature-free ratios
-  ``nu^2/delta`` off the degenerate shell plus the shell itself; its summand
+  ``nu^2/delta`` off the degenerate shell plus the shell itself, weighted
+  by Bose factors that are constant on each cubic orbit; its summand
   is invariant under the 48-element cubic group (axis permutations and
   per-axis sign flips) acting on all momenta at once and symmetric under
   ``k1 <-> k2``, so the ``(k1, k2)`` sum runs over orbits of the pair: one
@@ -20,24 +21,38 @@ The objects computed:
   ``ell = 8``) and, for each, one ``k2`` per orbit of its stabilizer, kept
   only when the cubic orbit of ``k2`` is not below that of ``k1`` (3694
   ``k2`` rows in all at ``ell = 8``, where full blocks would hold 17374;
-  811 for 4085 at ``ell = 6``, 12681 for 54945 at ``ell = 10``);
+  811 for 4085 at ``ell = 6``, 12681 for 54945 at ``ell = 10``), and those
+  sums are aggregated once per grid into a kernel over the orbits (9, 19,
+  19, 34 and 55 at ``ell`` 5, 6, 7, 8 and 10), which each temperature
+  contracts with the orbits' Bose factors;
 * the right second-order diagram in closed form, its inner sum being
   proportional to the dispersion;
 * the scan that adds the leading piece to the reduced left diagram and
   measures how the sum decays, with a bound, over every momentum pair, on
   the residual of the exact lattice identity that makes the leading parts
-  cancel.
+  cancel.  What a scan reads of a torus is kept per ``ell`` in a bounded
+  memo without the ``ell^6`` tables, so scanning a torus again, at any
+  temperatures, costs only the thermal passes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dispersion, lattice
-from ._errors import CapacityError, ValidationError, integer, inverse_temperature, spin
+from . import dispersion, fock, lattice
+from ._errors import (
+    CapacityError,
+    NumericalError,
+    ValidationError,
+    integer,
+    inverse_temperature,
+    spin,
+)
 
 __all__ = [
     "ELL_CAP",
@@ -59,16 +74,20 @@ ELL_CAP = 10
 _DEGENERACY_TOL = 1e-12
 
 
+def _check_ell(ell, allow_large: bool) -> None:
+    integer(ell, "the torus grid needs an integer ell >= 3", 3)
+    if ell > ELL_CAP and not allow_large:
+        raise CapacityError(
+            f"ell={ell} exceeds the diagram grid cap {ELL_CAP}; "
+            "override with allow_large (--force on the command line)"
+        )
+
+
 class PeriodicGrid:
     """Geometry of the d=3 torus momentum grid with O(1) sum/difference lookups."""
 
     def __init__(self, ell: int, allow_large: bool = False):
-        integer(ell, "the torus grid needs an integer ell >= 3", 3)
-        if ell > ELL_CAP and not allow_large:
-            raise CapacityError(
-                f"ell={ell} exceeds the diagram grid cap {ELL_CAP}; "
-                "override with allow_large (--force on the command line)"
-            )
+        _check_ell(ell, allow_large)
         self.ell = ell
         self.n_modes = ell**3
         spec = lattice.LatticeSpec(3, ell, lattice.Boundary.PERIODIC)
@@ -108,6 +127,9 @@ class PeriodicGrid:
         images = (moved @ np.array([ell * ell, ell, 1])).reshape(self.n_modes, 48).T
         canon = images.min(axis=0)
         self.orbit_reps, self.orbit_weights = np.unique(canon[1:], return_counts=True)
+        # each mode's orbit index; the zero mode, in no orbit, gets -1
+        self.orbit_of = np.searchsorted(self.orbit_reps, canon)
+        self.orbit_of[0] = -1
         # Rows of the left diagram's (k1, k2) sum: per representative r, one
         # k2 per orbit of the stabilizer of r (keyed by its smallest image
         # under that stabilizer), kept only when the cubic orbit of k2 is not
@@ -121,6 +143,11 @@ class PeriodicGrid:
         cuts = np.flatnonzero(np.diff(rep_of)) + 1
         self.pair_rows = np.split(k2, cuts)
         self.pair_weights = np.split(weights, cuts)
+
+    @functools.cached_property
+    def left_kernel(self) -> "_LeftKernel":
+        """The left diagram's temperature-free kernel, built at the first use."""
+        return _left_kernel(self)
 
 
 def occupations(grid: PeriodicGrid, beta_tilde: float) -> np.ndarray:
@@ -180,6 +207,64 @@ def biggest_error_term(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> Dia
     return DiagramValue(value, extras)
 
 
+@dataclass(frozen=True)
+class _LeftKernel:
+    """The left diagram's temperature-free sums, indexed by cubic orbits of the modes.
+
+    Every weight of the pair-orbit sum is folded in.  ``f1f2f3[o1, o2, o3]``
+    sums ``R = nu^2/delta``, zero on the degenerate shell, over the ``(k1,
+    k2, k3)`` in the orbits ``o1, o2, o3``, and ``f1f2`` is its sum over
+    ``o3``.  Column ``j`` of ``shell`` holds the orbits ``o1, o2, o3`` of
+    the shell terms (``delta = 0``) that they label, no two columns alike,
+    and the orbit ``o4`` of one of their ``k4``: on the shell every such
+    ``k4`` has the energy ``eps1 + eps2 - eps3``, hence the same Bose
+    factor.  ``shell_weight[j]`` is the sum of those terms' ``nu^2``.
+    """
+
+    f1f2: np.ndarray
+    f1f2f3: np.ndarray
+    shell: np.ndarray
+    shell_weight: np.ndarray
+
+
+def _left_kernel(grid: PeriodicGrid) -> _LeftKernel:
+    """Sum ``nu^2/delta`` and the shell by orbit, one ``k1`` orbit at a time."""
+    n_orb = grid.orbit_reps.size
+    orbit_of = grid.orbit_of
+    # (k3, o3) indicator over the nonzero modes: one product sums a block's
+    # columns by orbit, and its rows at k2 pick out the orbit of k2
+    one_hot = (orbit_of[1:, None] == np.arange(n_orb)).astype(np.float64)
+    f1f2f3 = np.empty((n_orb, n_orb, n_orb))
+    shell_sums = np.empty((n_orb, n_orb * n_orb))
+    shell_o4 = np.zeros((n_orb, n_orb * n_orb), dtype=np.intp)
+    pair_sums = zip(grid.orbit_reps.tolist(), grid.orbit_weights.tolist(), grid.pair_rows,
+                    grid.pair_weights)
+    for o1, (i1, weight, k2, w2) in enumerate(pair_sums):
+        e1 = grid.eps[i1]
+        k12 = grid.sum_idx[i1, k2]
+        delta = grid._eps_diff[k12, 1:]  # eps4 for k4 = k1 + k2 - k3
+        np.subtract(e1, delta, out=delta)
+        delta += grid._delta_23[k2 - 1]
+        nu = delta + grid._nu_23[k2 - 1]
+        nu += 2.0 * (grid._eps_diff[i1, 1:] - e1)
+        # k4 = 0 where k3 = k1 + k2; an infinite delta drops it from both sets
+        rows = np.flatnonzero(k12)
+        delta[rows, k12[rows] - 1] = np.inf
+        i2, i3 = np.divmod(np.flatnonzero(np.abs(delta) <= _DEGENERACY_TOL), delta.shape[1])
+        i4 = grid.diff_idx[k12[i2], i3 + 1]
+        o23 = orbit_of[k2[i2]] * n_orb + orbit_of[i3 + 1]
+        shell_sums[o1] = weight * np.bincount(o23, nu[i2, i3] ** 2 * w2[i2], n_orb * n_orb)
+        # any k4 of an (o1, o2, o3) stands for all: they share one energy
+        shell_o4[o1, o23] = orbit_of[i4]
+        delta[i2, i3] = np.inf
+        np.square(nu, out=nu)
+        nu /= delta
+        f1f2f3[o1] = (one_hot[k2 - 1].T * (weight * w2)) @ (nu @ one_hot)
+    at = np.flatnonzero(shell_sums)
+    shell = np.array([*np.unravel_index(at, f1f2f3.shape), shell_o4.reshape(-1)[at]])
+    return _LeftKernel(f1f2f3.sum(axis=2), f1f2f3, shell, shell_sums.reshape(-1)[at])
+
+
 def left_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramValue:
     """Left second-order diagram, summed through its ``(12) <-> (34)`` identity.
 
@@ -209,46 +294,31 @@ def left_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramVa
     not below that of ``k1``, each weighted (``grid.pair_weights``) by its
     stabilizer orbit size, times 2 when its cubic orbit is above ``k1``'s.
     That leaves 811, 3694 and 12681 rows at ``ell`` 6, 8 and 10, against
-    4085, 17374 and 54945 for full ``(k2, k3)`` blocks.  For each ``k1`` the
-    temperature-free block ``R = nu^2/delta`` over its rows and all ``k3``,
-    zero off the nondegenerate set, is built once and contracted with ``1``
-    and ``f3`` by one matrix product; the shell is a sparse index list,
-    weighted like the rows.
+    4085, 17374 and 54945 for full ``(k2, k3)`` blocks.
+
+    The temperature enters only through the Bose factors, which depend on
+    ``eps`` alone and so are constant on each cubic orbit.  The sums are
+    therefore split in two.  ``grid.left_kernel`` (``_LeftKernel``), built
+    once per grid, contracts each ``k1`` orbit's temperature-free block
+    ``R = nu^2/delta`` over its rows and all ``k3``, zero off the
+    nondegenerate set, with the orbit indicator of ``k3`` in one matrix
+    product and sums its rows by the orbit of ``k2``; the shell entries are
+    summed by the orbits of ``k1, k2, k3``, which fix the energy of ``k4``.
+    The thermal pass, run here, contracts that kernel with the Bose factor
+    of each orbit: ``reduced_f1f2 = sum K0[o1,o2] f f``, ``reduced_f1f2f3 =
+    2 sum K1[o1,o2,o3] f f f`` and the shell ``sum S[o1..o4] f f (1+f)(1+f)``.
+    Its cost is independent of the number of pair rows.
     """
     s = spin(two_s)
-    f = occupations(grid, beta_tilde)
+    f = occupations(grid, beta_tilde)[grid.orbit_reps]
     g = 1.0 + f
-    f_nz = f[1:]
-    ones_f3 = np.stack([np.ones_like(f_nz), f_nz], axis=1)
-    reduced = np.zeros(2)
-    degenerate = 0.0
-    pair_sums = zip(grid.orbit_reps.tolist(), grid.orbit_weights.tolist(), grid.pair_rows,
-                    grid.pair_weights)
-    for i1, weight, k2, w2 in pair_sums:
-        e1 = grid.eps[i1]
-        wf1 = weight * float(f[i1])
-        wf2 = w2 * f[k2]
-        k12 = grid.sum_idx[i1, k2]
-        delta = grid._eps_diff[k12, 1:]  # eps4 for k4 = k1 + k2 - k3
-        np.subtract(e1, delta, out=delta)
-        delta += grid._delta_23[k2 - 1]
-        nu = delta + grid._nu_23[k2 - 1]
-        nu += 2.0 * (grid._eps_diff[i1, 1:] - e1)
-        # k4 = 0 where k3 = k1 + k2; an infinite delta drops it from both sets
-        rows = np.flatnonzero(k12)
-        delta[rows, k12[rows] - 1] = np.inf
-        i2, i3 = np.nonzero(np.abs(delta) <= _DEGENERACY_TOL)
-        i4 = grid.diff_idx[k12[i2], i3 + 1]
-        shell = nu[i2, i3] ** 2 * wf2[i2] * g[i3 + 1] * g[i4]
-        degenerate += wf1 * float(np.sum(shell))
-        delta[i2, i3] = np.inf
-        np.square(nu, out=nu)
-        nu /= delta
-        reduced += wf1 * (wf2 @ (nu @ ones_f3))
+    kernel = grid.left_kernel
+    o1, o2, o3, o4 = kernel.shell
+    degenerate = float(np.dot(kernel.shell_weight, f[o1] * f[o2] * g[o3] * g[o4]))
     norm = 16.0 * s * s * grid.ell**9
     extras = {
-        "reduced_f1f2": float(reduced[0]) / norm,
-        "reduced_f1f2f3": 2.0 * float(reduced[1]) / norm,
+        "reduced_f1f2": float(f @ kernel.f1f2 @ f) / norm,
+        "reduced_f1f2f3": 2.0 * float(f @ (kernel.f1f2f3 @ f) @ f) / norm,
         "degenerate_delta0": -beta_tilde * degenerate / (2.0 * norm),
     }
     value = extras["reduced_f1f2"] + extras["reduced_f1f2f3"] + extras["degenerate_delta0"]
@@ -321,6 +391,31 @@ class ScanResult:
     zero_mode_policy: str = "exclude"
 
 
+@dataclass(frozen=True)
+class _Torus:
+    """What a scan reads of one torus: its geometry, left kernel and ``k3`` bound."""
+
+    ell: int
+    n_modes: int
+    kvecs: np.ndarray
+    eps: np.ndarray
+    orbit_reps: np.ndarray
+    left_kernel: _LeftKernel
+    k3_residual: float
+
+
+def _torus_floats(torus: _Torus) -> int:
+    kernel = torus.left_kernel
+    arrays = (torus.kvecs, torus.eps, torus.orbit_reps, kernel.f1f2, kernel.f1f2f3,
+              kernel.shell, kernel.shell_weight)
+    return sum(a.size for a in arrays)
+
+
+# ``{ell: _Torus}`` of the tori scanned, least recently used first, holding
+# at most ``fock.BASIS_CAP`` floats in all and no ``ell^6`` table
+_tori: dict = {}
+
+
 def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = False) -> ScanResult:
     """Scan ``beta_tilde`` and measure the decay of the cancelling combination.
 
@@ -330,6 +425,18 @@ def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = Fal
     remainder of the sextic correction.  With at least four temperatures the
     log-log slopes of the decaying columns are fitted.  ``k3_residual_max``
     is ``k3_identity_residual``'s bound over every nonzero momentum pair.
+
+    Everything a scan reads of the torus is free of the temperature, so it
+    is kept per ``ell`` in a memo: the modes' momenta and energies, the cubic
+    orbits, the left diagram's kernel (``PeriodicGrid.left_kernel``) and the
+    ``k3`` bound.  The grid's ``ell^6`` tables are dropped once the kernel is
+    built.  The memo holds at most ``fock.BASIS_CAP`` floats in all and drops
+    the least recently used torus first; the inputs are checked before it is
+    read, so a warm memo refuses whatever a cold one refuses.  Each
+    temperature is then one thermal pass, the same for a hit as for a miss,
+    so a row's bits do not depend on the other temperatures of the scan or
+    on the scans before it.  A row value that is not finite (a temperature
+    so high that the Bose factors overflow) raises ``NumericalError``.
     """
     bts = [inverse_temperature(b) for b in beta_tildes]
     if not bts:
@@ -337,13 +444,21 @@ def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = Fal
     if sorted(set(bts)) != sorted(bts):
         raise ValidationError("beta_tildes must be distinct")
     spin(two_s)
-    grid = PeriodicGrid(ell, allow_large=allow_large)
+    _check_ell(ell, allow_large)
+    torus = _tori.pop(ell, None)
+    if torus is None:
+        grid = PeriodicGrid(ell, allow_large=allow_large)
+        torus = _Torus(ell, grid.n_modes, grid.kvecs, grid.eps, grid.orbit_reps,
+                       grid.left_kernel, k3_identity_residual(grid))
+        del grid  # its ell^6 tables go before the thermal pass
+    lattice._remember(_tori, ell, torus, _torus_floats, fock.BASIS_CAP)
     rows = []
     for bt in bts:
-        big = biggest_error_term(grid, bt, two_s)
-        left = left_diagram(grid, bt, two_s)
-        right = right_diagram(grid, bt, two_s)
-        sext = expectation_J(grid, bt, two_s)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            big = biggest_error_term(torus, bt, two_s)
+            left = left_diagram(torus, bt, two_s)
+            right = right_diagram(torus, bt, two_s)
+            sext = expectation_J(torus, bt, two_s)
         left_f1f2 = left.extras["reduced_f1f2"]
         rows.append(
             {
@@ -356,6 +471,8 @@ def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = Fal
                 "left_full": left.value,
             }
         )
+        if not all(math.isfinite(v) for v in rows[-1].values()):
+            raise NumericalError(f"diagram values are not finite at beta_tilde={bt!r}")
     slopes = {}
     if len(bts) >= 4:
         xs = [r["beta_tilde"] for r in rows]
@@ -364,4 +481,4 @@ def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = Fal
             if all(abs(y) > 0.0 for y in ys):
                 slope, r2 = fit_loglog_slope(xs, ys)
                 slopes[col] = {"slope": slope, "r_squared": r2}
-    return ScanResult(ell, two_s, tuple(rows), slopes, k3_identity_residual(grid))
+    return ScanResult(ell, two_s, tuple(rows), slopes, torus.k3_residual)

@@ -319,14 +319,6 @@ def _spectra_floats(spectra) -> int:
     return sum(w.size * (1 + len(diags)) for w, diags in spectra)
 
 
-def _remember(key, spectra):
-    """Store ``spectra`` under ``key``, dropping the least recently used past the cap."""
-    _spectra_memo[key] = spectra
-    total = sum(_spectra_floats(s) for s in _spectra_memo.values())
-    while total > BASIS_CAP:
-        total -= _spectra_floats(_spectra_memo.pop(next(iter(_spectra_memo))))
-
-
 def _sector_spectrum(sb, hamiltonian: tuple, observables: Optional[tuple]):
     """Eigenvalues ``w`` of one sector and each observable's eigenbasis diagonal.
 
@@ -430,5 +422,5 @@ def gibbs_expectation_truncated(
         boltz = np.exp(-beta_tilde * (w - shift))
         z += float(boltz.sum())
         acc += [float(np.dot(boltz, diag)) for diag in diags]
-    _remember(key, spectra)
+    lattice._remember(_spectra_memo, key, spectra, _spectra_floats, BASIS_CAP)
     return [float(x) / z for x in acc], float(np.log(z)) - beta_tilde * shift

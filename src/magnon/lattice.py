@@ -19,7 +19,8 @@ A box's geometry (``sites``, ``nn_pairs``, ``boundary_multiplicity``) is a
 pure function of its frozen, hashable ``LatticeSpec``, so each is memoized
 for the box asked about most recently (``_memoized``).  The arrays are
 shared between callers and therefore read-only: writing into one raises
-``ValueError``.
+``ValueError``.  Larger per-box data, kept for several boxes at once, is
+held in memos bounded by a float count (``_remember``).
 """
 
 from __future__ import annotations
@@ -98,6 +99,19 @@ def _memoized(fn):
         return cached(*args, **kwargs)
 
     return wrapper
+
+
+def _remember(memo: dict, key, value, floats, cap: int) -> None:
+    """Store ``value`` under ``key``, dropping the least recently used past ``cap`` floats.
+
+    ``memo`` is kept least recently used first: a caller pops an entry when
+    it reads it and stores it again here.  ``floats(value)`` counts the
+    floats an entry holds.
+    """
+    memo[key] = value
+    total = sum(floats(v) for v in memo.values())
+    while total > cap:
+        total -= floats(memo.pop(next(iter(memo))))
 
 
 @_memoized

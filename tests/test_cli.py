@@ -269,6 +269,30 @@ def test_diagrams_slopes_summary(tmp_path, capsys):
     assert doc["k3_residual_max"] < 1e-12
 
 
+@pytest.mark.parametrize("beta_tilde", ["1e-320", "1e-300"])
+def test_diagrams_refuses_non_finite_rows(capsys, beta_tilde):
+    code, out, err = run(
+        capsys, ["diagrams", "--ell", "5", "--beta-tilde", beta_tilde, "--format", "json"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "not finite" in err
+
+
+@pytest.mark.parametrize("output", [None, "-", "scan.csv"])
+def test_diagrams_slopes_must_not_share_the_csv_target(tmp_path, monkeypatch, capsys, output):
+    monkeypatch.chdir(tmp_path)
+    argv = ["diagrams", "--ell", "3", "--beta-tilde", "1.0,2.0"]
+    if output is not None:
+        argv += ["--output", output]
+    slopes = "-" if output in (None, "-") else str(tmp_path / ".." / tmp_path.name / output)
+    code, out, err = run(capsys, argv + ["--slopes", slopes])
+    assert code == 2
+    assert out == ""
+    assert "--slopes" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_diagrams_rejects_zero_mode_include(capsys):
     code, _, err = run(
         capsys,

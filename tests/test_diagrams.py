@@ -5,8 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from magnon import diagrams, dispersion, lattice, wick
-from magnon._errors import CapacityError, ValidationError
+from magnon import diagrams, dispersion, fock, lattice, wick
+from magnon._errors import CapacityError, NumericalError, ValidationError
 
 
 def flat_label(l1, l2, l3, ell):
@@ -460,6 +460,7 @@ def test_k3_identity_sees_a_broken_row(monkeypatch):
     assert direct.max() > 1e-9  # the broken row breaks the identity for some pair
     assert by_rows.max() <= bound + 1e-15
     monkeypatch.setattr(diagrams, "PeriodicGrid", lambda ell, allow_large=False: grid)
+    monkeypatch.setattr(diagrams, "_tori", {})  # the broken torus stays out of the real memo
     res = diagrams.cancellation_scan(3, 2, [1.0])
     assert res.k3_residual_max == bound > 1e-9
 
@@ -526,3 +527,86 @@ def test_cancellation_scan_validation():
             diagrams.cancellation_scan(4, 2, [1.0, bad])
     with pytest.raises(CapacityError):
         diagrams.cancellation_scan(12, 2, [1.0, 2.0])
+
+
+def test_a_scan_gives_the_bits_of_its_one_temperature_scans(monkeypatch):
+    bts = [0.25, 1.0, 2.0, 4.0, 16.0]
+    monkeypatch.setattr(diagrams, "_tori", {})
+    rows = diagrams.cancellation_scan(6, 2, bts).rows
+    monkeypatch.setattr(diagrams, "_tori", {})
+    singles = tuple(diagrams.cancellation_scan(6, 2, [bt]).rows[0] for bt in bts)
+    assert rows == singles
+    assert diagrams.cancellation_scan(6, 2, bts[::-1]).rows == singles[::-1]
+
+
+def test_a_second_scan_of_a_torus_builds_no_kernel(monkeypatch):
+    builds = []
+    build = diagrams._left_kernel
+
+    def counted(grid):
+        builds.append(grid.ell)
+        return build(grid)
+
+    monkeypatch.setattr(diagrams, "_left_kernel", counted)
+    monkeypatch.setattr(diagrams, "_tori", {})
+    first = diagrams.cancellation_scan(5, 2, [1.0, 2.0])
+    again = diagrams.cancellation_scan(5, 2, [1.0, 2.0])
+    diagrams.cancellation_scan(5, 3, [0.5, 3.0, 8.0])
+    assert builds == [5]
+    assert again == first
+    diagrams.cancellation_scan(4, 2, [1.0])
+    assert builds == [5, 4]
+
+
+def torus_arrays(torus):
+    kernel = torus.left_kernel
+    return [torus.kvecs, torus.eps, torus.orbit_reps, kernel.f1f2, kernel.f1f2f3,
+            kernel.shell, kernel.shell_weight]
+
+
+def test_the_torus_memo_is_bounded_and_holds_no_pair_table(monkeypatch):
+    monkeypatch.setattr(diagrams, "_tori", {})
+    for ell in (3, 4, 5, 6):
+        diagrams.cancellation_scan(ell, 2, [1.0])
+    floats = {ell: diagrams._torus_floats(t) for ell, t in diagrams._tori.items()}
+    assert list(floats) == [3, 4, 5, 6]
+    for ell, torus in diagrams._tori.items():
+        arrays = torus_arrays(torus)
+        assert floats[ell] == sum(a.size for a in arrays)
+        # nothing of the size of a (k_a, k_b) table over the nonzero modes
+        assert max(a.size for a in arrays) < (ell**3 - 1) ** 2
+        assert not any(isinstance(v, diagrams.PeriodicGrid) for v in vars(torus).values())
+    # room for the tori at ell 3 to 5, or at 5 and 6, not for those at 4 to 6
+    cap = floats[4] + floats[6]
+    monkeypatch.setattr(fock, "BASIS_CAP", cap)
+    monkeypatch.setattr(diagrams, "_tori", {})
+    for ell, held in ((3, [3]), (4, [3, 4]), (5, [3, 4, 5]), (6, [5, 6]), (5, [6, 5]),
+                      (4, [5, 4])):
+        diagrams.cancellation_scan(ell, 2, [1.0])
+        assert list(diagrams._tori) == held
+        assert sum(diagrams._torus_floats(t) for t in diagrams._tori.values()) <= cap
+
+
+def test_a_warm_memo_refuses_what_a_cold_one_refuses(monkeypatch):
+    monkeypatch.setattr(diagrams, "_tori", {})
+    monkeypatch.setattr(diagrams, "ELL_CAP", 4)
+    diagrams.cancellation_scan(5, 2, [1.0], allow_large=True)
+    diagrams.cancellation_scan(4, 2, [1.0])
+    with pytest.raises(CapacityError):
+        diagrams.cancellation_scan(5, 2, [1.0])
+    for ell in (4.0, 5.0, True):
+        with pytest.raises(ValidationError):
+            diagrams.cancellation_scan(ell, 2, [1.0])
+    for two_s in (0, 2.0, True, None):
+        with pytest.raises(ValidationError):
+            diagrams.cancellation_scan(4, two_s, [1.0])
+    for bt in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            diagrams.cancellation_scan(4, 2, [bt])
+    assert list(diagrams._tori) == [5, 4]
+
+
+@pytest.mark.parametrize("beta_tilde", [1e-320, 1e-300])
+def test_a_temperature_too_high_for_floats_raises(beta_tilde):
+    with pytest.raises(NumericalError, match="not finite"):
+        diagrams.cancellation_scan(5, 2, [1.0, beta_tilde])
