@@ -2,9 +2,9 @@
 
 Everything here works on the plane-wave grid ``(2pi/ell) {0..ell-1}^3`` with
 the zero mode excluded from every occupation sum (its Bose factor diverges;
-the zero-mode policy is fixed to "exclude" and enforced upstream).  Index
-tables for ``k_i + k_j`` and ``k_i - k_j`` make all energy lookups O(1), so
-the triple-momentum sums run as vectorized gathers.
+the zero-mode policy is fixed to "exclude" and enforced upstream).  A torus
+is one ``PeriodicGrid``, whose left kernel is summed from index tables for
+``k_i + k_j`` and ``k_i - k_j`` that live only while it is built.
 
 The objects computed:
 
@@ -30,14 +30,13 @@ The objects computed:
 * the scan that adds the leading piece to the reduced left diagram and
   measures how the sum decays, with a bound, over every momentum pair, on
   the residual of the exact lattice identity that makes the leading parts
-  cancel.  What a scan reads of a torus is kept per ``ell`` in a bounded
-  memo without the ``ell^6`` tables, so scanning a torus again, at any
-  temperatures, costs only the thermal passes.
+  cancel.  Scanned grids are kept per ``ell`` in a bounded memo, so
+  scanning a torus again, at any temperatures, costs only the thermal
+  passes.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,7 +63,6 @@ __all__ = [
     "biggest_error_term",
     "left_diagram",
     "right_diagram",
-    "k3_identity_residual",
     "fit_loglog_slope",
     "cancellation_scan",
 ]
@@ -83,71 +81,58 @@ def _check_ell(ell, allow_large: bool) -> None:
         )
 
 
+def _cubic_orbits(labels: np.ndarray, ell: int):
+    """Cubic orbits of the modes and the left diagram's pair rows, for ``PeriodicGrid``.
+
+    Its ``orbit_reps``, ``orbit_weights``, ``orbit_of``, ``pair_rows`` and
+    ``pair_weights``; a call apart, so the search's arrays die before the kernel build.
+    """
+    n = ell**3
+    # Orbits of the nonzero modes under the cubic group (axis permutations
+    # and per-axis sign flips): the smallest flat label among a mode's 48
+    # images is its canonical label, itself a member of the orbit.
+    perms = np.array(list(itertools.permutations(range(3))))
+    signs = np.array(list(itertools.product((1, -1), repeat=3)))
+    moved = labels[:, perms][:, :, None, :] * signs[None, None, :, :] % ell
+    images = (moved @ np.array([ell * ell, ell, 1])).reshape(n, 48).T
+    canon = images.min(axis=0)
+    reps, weights = np.unique(canon[1:], return_counts=True)
+    # each mode's orbit index; the zero mode, in no orbit, gets -1
+    orbit_of = np.searchsorted(reps, canon)
+    orbit_of[0] = -1
+    # Rows of the left diagram's (k1, k2) sum: per representative r, one
+    # k2 per orbit of the stabilizer of r (keyed by its smallest image
+    # under that stabilizer), kept only when the cubic orbit of k2 is not
+    # below r's; the 1 <-> 2 exchange counts the others twice.
+    keys = np.stack([images[images[:, r] == r].min(axis=0) for r in reps])
+    keys += np.arange(reps.size)[:, None] * n
+    keep = canon[None, :] >= reps[:, None]
+    pairs, mult = np.unique(keys[keep], return_counts=True)
+    rep_of, k2 = np.divmod(pairs, n)
+    row_weights = mult * np.where(canon[k2] > reps[rep_of], 2.0, 1.0)
+    cuts = np.flatnonzero(np.diff(rep_of)) + 1
+    return reps, weights, orbit_of, np.split(k2, cuts), np.split(row_weights, cuts)
+
+
 class PeriodicGrid:
-    """Geometry of the d=3 torus momentum grid with O(1) sum/difference lookups."""
+    """The d=3 torus, built whole: modes, cubic orbits, pair rows and left kernel.
+
+    ``left_kernel`` is the left diagram's temperature-free kernel and
+    ``k3_residual`` the ``k3`` bound of the table it was summed from; the
+    ``ell^6`` pair tables (``_pair_tables``) live only while it is built.
+    """
 
     def __init__(self, ell: int, allow_large: bool = False):
         _check_ell(ell, allow_large)
         self.ell = ell
         self.n_modes = ell**3
         spec = lattice.LatticeSpec(3, ell, lattice.Boundary.PERIODIC)
-        labels = lattice.sites(spec) - 1
-        self.labels = labels
+        self.labels = lattice.sites(spec) - 1
         self.kvecs = lattice.periodic_modes(spec)
         self.eps = dispersion.epsilon(self.kvecs)
-        # Flat label (l0 ell + l1) ell + l2 of a label pair's per-axis sum or
-        # difference: the per-axis ell x ell table enters once per axis,
-        # broadcast over the six axes [a0, a1, a2, b0, b1, b2].
-        axis = np.arange(ell, dtype=np.int32)
-
-        def pair_table(per_axis):
-            t = per_axis % ell
-            return (
-                (t * ell * ell)[:, None, None, :, None, None]
-                + (t * ell)[None, :, None, None, :, None]
-                + t[None, None, :, None, None, :]
-            ).reshape(self.n_modes, self.n_modes)
-
-        self.sum_idx = pair_table(axis[:, None] + axis[None, :])
-        self.diff_idx = pair_table(axis[:, None] - axis[None, :])
-        # Temperature-free tables: eps(k_a - k_b), whose row sums the k3
-        # identity reads, and for the left diagram, with k2 down the rows and
-        # k3 along the columns (both nonzero), the k1-free parts of delta and
-        # of nu - delta.
-        self._eps_diff = self.eps[self.diff_idx]
-        e = self.eps[1:]
-        self._delta_23 = e[:, None] - e[None, :]
-        self._nu_23 = 2.0 * self._eps_diff[1:, 1:] - 2.0 * e[:, None]
-        # Orbits of the nonzero modes under the cubic group (axis permutations
-        # and per-axis sign flips): the smallest flat label among a mode's 48
-        # images is its canonical label, itself a member of the orbit.
-        perms = np.array(list(itertools.permutations(range(3))))
-        signs = np.array(list(itertools.product((1, -1), repeat=3)))
-        moved = labels[:, perms][:, :, None, :] * signs[None, None, :, :] % ell
-        images = (moved @ np.array([ell * ell, ell, 1])).reshape(self.n_modes, 48).T
-        canon = images.min(axis=0)
-        self.orbit_reps, self.orbit_weights = np.unique(canon[1:], return_counts=True)
-        # each mode's orbit index; the zero mode, in no orbit, gets -1
-        self.orbit_of = np.searchsorted(self.orbit_reps, canon)
-        self.orbit_of[0] = -1
-        # Rows of the left diagram's (k1, k2) sum: per representative r, one
-        # k2 per orbit of the stabilizer of r (keyed by its smallest image
-        # under that stabilizer), kept only when the cubic orbit of k2 is not
-        # below r's; the 1 <-> 2 exchange counts the others twice.
-        keys = np.stack([images[images[:, r] == r].min(axis=0) for r in self.orbit_reps])
-        keys += np.arange(self.orbit_reps.size)[:, None] * self.n_modes
-        keep = canon[None, :] >= self.orbit_reps[:, None]
-        pairs, mult = np.unique(keys[keep], return_counts=True)
-        rep_of, k2 = np.divmod(pairs, self.n_modes)
-        weights = mult * np.where(canon[k2] > self.orbit_reps[rep_of], 2.0, 1.0)
-        cuts = np.flatnonzero(np.diff(rep_of)) + 1
-        self.pair_rows = np.split(k2, cuts)
-        self.pair_weights = np.split(weights, cuts)
-
-    @functools.cached_property
-    def left_kernel(self) -> "_LeftKernel":
-        """The left diagram's temperature-free kernel, built at the first use."""
-        return _left_kernel(self)
+        (self.orbit_reps, self.orbit_weights, self.orbit_of, self.pair_rows,
+         self.pair_weights) = _cubic_orbits(self.labels, ell)
+        self.left_kernel, self.k3_residual = _left_kernel(self)
 
 
 def occupations(grid: PeriodicGrid, beta_tilde: float) -> np.ndarray:
@@ -227,8 +212,48 @@ class _LeftKernel:
     shell_weight: np.ndarray
 
 
-def _left_kernel(grid: PeriodicGrid) -> _LeftKernel:
-    """Sum ``nu^2/delta`` and the shell by orbit, one ``k1`` orbit at a time."""
+def _pair_tables(grid: PeriodicGrid):
+    """The ``(k_a, k_b)`` tables the left kernel reads, ``ell^6`` entries each.
+
+    The flat labels ``(l0 ell + l1) ell + l2`` of ``k_a + k_b`` and ``k_a -
+    k_b`` (``int32``), ``eps(k_a - k_b)``, and the ``k1``-free parts of
+    ``delta`` and ``nu - delta`` with ``k2`` down the rows and ``k3`` along
+    the columns (both nonzero).
+    """
+    ell, n = grid.ell, grid.n_modes
+    # the per-axis ell x ell table enters once per axis, broadcast over the
+    # six axes [a0, a1, a2, b0, b1, b2]
+    axis = np.arange(ell, dtype=np.int32)
+
+    def pair_table(per_axis):
+        t = per_axis % ell
+        return (
+            (t * ell * ell)[:, None, None, :, None, None]
+            + (t * ell)[None, :, None, None, :, None]
+            + t[None, None, :, None, None, :]
+        ).reshape(n, n)
+
+    sum_idx = pair_table(axis[:, None] + axis[None, :])
+    diff_idx = pair_table(axis[:, None] - axis[None, :])
+    eps_diff = grid.eps[diff_idx]
+    e = grid.eps[1:]
+    delta_23 = e[:, None] - e[None, :]
+    nu_23 = 2.0 * eps_diff[1:, 1:] - 2.0 * e[:, None]
+    return sum_idx, diff_idx, eps_diff, delta_23, nu_23
+
+
+def _left_kernel(grid: PeriodicGrid):
+    """The left kernel, summed one ``k1`` orbit at a time, and the ``k3`` bound.
+
+    Both read ``_pair_tables``, which are dropped on return.  For nonzero
+    ``k1, k2`` the sum over all ``k3`` of ``12 + 3 eps3 + 3 eps4 - 4 eps(k2-k3)
+    - 4 eps(k1-k3)`` (``k4 = k1 + k2 - k3``) is zero, since every row sum
+    ``R_q`` of the ``eps(k_a - k_b)`` table is ``E = sum eps = 6 n`` (``n =
+    ell^3``).  From the table, a pair's residual over ``12 n`` is ``|12 n + 3E
+    + 3 R[k1+k2] - 4 R[k1] - 4 R[k2]| / 12 n``; the bound ``(|12 n - 2E| + 11
+    max_q |R_q - E|) / 12 n`` holds for every pair at once.
+    """
+    sum_idx, diff_idx, eps_diff, delta_23, nu_23 = _pair_tables(grid)
     n_orb = grid.orbit_reps.size
     orbit_of = grid.orbit_of
     # (k3, o3) indicator over the nonzero modes: one product sums a block's
@@ -241,17 +266,17 @@ def _left_kernel(grid: PeriodicGrid) -> _LeftKernel:
                     grid.pair_weights)
     for o1, (i1, weight, k2, w2) in enumerate(pair_sums):
         e1 = grid.eps[i1]
-        k12 = grid.sum_idx[i1, k2]
-        delta = grid._eps_diff[k12, 1:]  # eps4 for k4 = k1 + k2 - k3
+        k12 = sum_idx[i1, k2]
+        delta = eps_diff[k12, 1:]  # eps4 for k4 = k1 + k2 - k3
         np.subtract(e1, delta, out=delta)
-        delta += grid._delta_23[k2 - 1]
-        nu = delta + grid._nu_23[k2 - 1]
-        nu += 2.0 * (grid._eps_diff[i1, 1:] - e1)
+        delta += delta_23[k2 - 1]
+        nu = delta + nu_23[k2 - 1]
+        nu += 2.0 * (eps_diff[i1, 1:] - e1)
         # k4 = 0 where k3 = k1 + k2; an infinite delta drops it from both sets
         rows = np.flatnonzero(k12)
         delta[rows, k12[rows] - 1] = np.inf
         i2, i3 = np.divmod(np.flatnonzero(np.abs(delta) <= _DEGENERACY_TOL), delta.shape[1])
-        i4 = grid.diff_idx[k12[i2], i3 + 1]
+        i4 = diff_idx[k12[i2], i3 + 1]
         o23 = orbit_of[k2[i2]] * n_orb + orbit_of[i3 + 1]
         shell_sums[o1] = weight * np.bincount(o23, nu[i2, i3] ** 2 * w2[i2], n_orb * n_orb)
         # any k4 of an (o1, o2, o3) stands for all: they share one energy
@@ -262,7 +287,11 @@ def _left_kernel(grid: PeriodicGrid) -> _LeftKernel:
         f1f2f3[o1] = (one_hot[k2 - 1].T * (weight * w2)) @ (nu @ one_hot)
     at = np.flatnonzero(shell_sums)
     shell = np.array([*np.unravel_index(at, f1f2f3.shape), shell_o4.reshape(-1)[at]])
-    return _LeftKernel(f1f2f3.sum(axis=2), f1f2f3, shell, shell_sums.reshape(-1)[at])
+    kernel = _LeftKernel(f1f2f3.sum(axis=2), f1f2f3, shell, shell_sums.reshape(-1)[at])
+    n = grid.n_modes
+    e_sum = float(grid.eps.sum())
+    row_dev = float(np.max(np.abs(eps_diff.sum(axis=1) - e_sum)))
+    return kernel, (abs(12.0 * n - 2.0 * e_sum) + 11.0 * row_dev) / (12.0 * n)
 
 
 def left_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramValue:
@@ -293,13 +322,11 @@ def left_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramVa
     orbit of the stabilizer of ``k1``, only where the cubic orbit of ``k2`` is
     not below that of ``k1``, each weighted (``grid.pair_weights``) by its
     stabilizer orbit size, times 2 when its cubic orbit is above ``k1``'s.
-    That leaves 811, 3694 and 12681 rows at ``ell`` 6, 8 and 10, against
-    4085, 17374 and 54945 for full ``(k2, k3)`` blocks.
 
     The temperature enters only through the Bose factors, which depend on
     ``eps`` alone and so are constant on each cubic orbit.  The sums are
     therefore split in two.  ``grid.left_kernel`` (``_LeftKernel``), built
-    once per grid, contracts each ``k1`` orbit's temperature-free block
+    with the grid, contracts each ``k1`` orbit's temperature-free block
     ``R = nu^2/delta`` over its rows and all ``k3``, zero off the
     nondegenerate set, with the orbit indicator of ``k3`` in one matrix
     product and sums its rows by the orbit of ``k2``; the shell entries are
@@ -346,24 +373,6 @@ def right_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramV
     return DiagramValue(value, extras)
 
 
-def k3_identity_residual(grid: PeriodicGrid) -> float:
-    """Bound on the exact lattice identity's residual over every nonzero pair.
-
-    For nonzero ``k1, k2``, summing ``12 + 3 eps3 + 3 eps4 - 4 eps(k2-k3) -
-    4 eps(k1-k3)`` (``k4 = k1 + k2 - k3``) over the full ``k3`` grid gives
-    zero exactly, since every row sum ``R_q = sum_k3 eps(q - k3)`` of the
-    table ``grid._eps_diff`` equals ``E = sum eps = 6 ell^3``.  Summed from
-    the table, a pair's residual, normalized by ``12 n`` with ``n =
-    ell^3``, is ``|12 n + 3E + 3 R[k1+k2] - 4 R[k1] - 4 R[k2]| / 12 n``.
-    The value returned, ``(|12 n - 2E| + 11 max_q |R_q - E|) / 12 n``,
-    bounds that residual for every pair at once, in one pass over the table.
-    """
-    n = grid.n_modes
-    e_sum = float(grid.eps.sum())
-    row_dev = float(np.max(np.abs(grid._eps_diff.sum(axis=1) - e_sum)))
-    return (abs(12.0 * n - 2.0 * e_sum) + 11.0 * row_dev) / (12.0 * n)
-
-
 def fit_loglog_slope(xs, ys):
     """Least-squares slope and r^2 of ``log|y|`` against ``log x``."""
     xs = np.asarray(xs, dtype=np.float64)
@@ -391,28 +400,16 @@ class ScanResult:
     zero_mode_policy: str = "exclude"
 
 
-@dataclass(frozen=True)
-class _Torus:
-    """What a scan reads of one torus: its geometry, left kernel and ``k3`` bound."""
-
-    ell: int
-    n_modes: int
-    kvecs: np.ndarray
-    eps: np.ndarray
-    orbit_reps: np.ndarray
-    left_kernel: _LeftKernel
-    k3_residual: float
-
-
-def _torus_floats(torus: _Torus) -> int:
-    kernel = torus.left_kernel
-    arrays = (torus.kvecs, torus.eps, torus.orbit_reps, kernel.f1f2, kernel.f1f2f3,
+def _grid_floats(grid: PeriodicGrid) -> int:
+    kernel = grid.left_kernel
+    arrays = (grid.labels, grid.kvecs, grid.eps, grid.orbit_reps, grid.orbit_weights,
+              grid.orbit_of, *grid.pair_rows, *grid.pair_weights, kernel.f1f2, kernel.f1f2f3,
               kernel.shell, kernel.shell_weight)
     return sum(a.size for a in arrays)
 
 
-# ``{ell: _Torus}`` of the tori scanned, least recently used first, holding
-# at most ``fock.BASIS_CAP`` floats in all and no ``ell^6`` table
+# ``{ell: PeriodicGrid}`` of the tori scanned, least recently used first,
+# holding at most ``fock.BASIS_CAP`` floats in all
 _tori: dict = {}
 
 
@@ -424,15 +421,13 @@ def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = Fal
     ``k3`` identity nearly cancels), the right diagram, and the subleading
     remainder of the sextic correction.  With at least four temperatures the
     log-log slopes of the decaying columns are fitted.  ``k3_residual_max``
-    is ``k3_identity_residual``'s bound over every nonzero momentum pair.
+    is the grid's ``k3_residual``, a bound over every nonzero momentum pair.
 
-    Everything a scan reads of the torus is free of the temperature, so it
-    is kept per ``ell`` in a memo: the modes' momenta and energies, the cubic
-    orbits, the left diagram's kernel (``PeriodicGrid.left_kernel``) and the
-    ``k3`` bound.  The grid's ``ell^6`` tables are dropped once the kernel is
-    built.  The memo holds at most ``fock.BASIS_CAP`` floats in all and drops
-    the least recently used torus first; the inputs are checked before it is
-    read, so a warm memo refuses whatever a cold one refuses.  Each
+    Everything a scan reads of the torus is free of the temperature, so the
+    ``PeriodicGrid`` is kept per ``ell`` in a memo of at most
+    ``fock.BASIS_CAP`` floats, least recently used dropped first.  The inputs
+    are checked before it is read, so a warm memo refuses whatever a cold
+    one refuses.  Each
     temperature is then one thermal pass, the same for a hit as for a miss,
     so a row's bits do not depend on the other temperatures of the scan or
     on the scans before it.  A row value that is not finite (a temperature
@@ -445,20 +440,15 @@ def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = Fal
         raise ValidationError("beta_tildes must be distinct")
     spin(two_s)
     _check_ell(ell, allow_large)
-    torus = _tori.pop(ell, None)
-    if torus is None:
-        grid = PeriodicGrid(ell, allow_large=allow_large)
-        torus = _Torus(ell, grid.n_modes, grid.kvecs, grid.eps, grid.orbit_reps,
-                       grid.left_kernel, k3_identity_residual(grid))
-        del grid  # its ell^6 tables go before the thermal pass
-    lattice._remember(_tori, ell, torus, _torus_floats, fock.BASIS_CAP)
+    grid = _tori.pop(ell, None) or PeriodicGrid(ell, allow_large=allow_large)
+    lattice._remember(_tori, ell, grid, _grid_floats, fock.BASIS_CAP)
     rows = []
     for bt in bts:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            big = biggest_error_term(torus, bt, two_s)
-            left = left_diagram(torus, bt, two_s)
-            right = right_diagram(torus, bt, two_s)
-            sext = expectation_J(torus, bt, two_s)
+            big = biggest_error_term(grid, bt, two_s)
+            left = left_diagram(grid, bt, two_s)
+            right = right_diagram(grid, bt, two_s)
+            sext = expectation_J(grid, bt, two_s)
         left_f1f2 = left.extras["reduced_f1f2"]
         rows.append(
             {
@@ -481,4 +471,4 @@ def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = Fal
             if all(abs(y) > 0.0 for y in ys):
                 slope, r2 = fit_loglog_slope(xs, ys)
                 slopes[col] = {"slope": slope, "r_squared": r2}
-    return ScanResult(ell, two_s, tuple(rows), slopes, torus.k3_residual)
+    return ScanResult(ell, two_s, tuple(rows), slopes, grid.k3_residual)

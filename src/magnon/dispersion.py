@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import lattice, quadrature
-from ._errors import HypothesisError, ValidationError, inverse_temperature, spin
+from ._errors import HypothesisError, ValidationError, integer, inverse_temperature, spin
 
 __all__ = [
     "epsilon",
@@ -141,16 +141,16 @@ def rho_upper_bound(d: int, beta_tilde: float, ell: int) -> float:
     outside that window the bound does not apply and this raises.
     """
     bt = inverse_temperature(beta_tilde)
+    integer(d, "occupation bound is available for d=2 and d=3 only", 2, 3)
+    integer(ell, "ell must be a positive integer")
     if d == 3:
         return (math.pi**1.5 / 8.0) * quadrature.zeta(1.5) * bt**-1.5
-    if d == 2:
-        if not (2.0 * bt > 1.0 and 1.0 > 2.0 * bt / (ell + 1)):
-            raise HypothesisError(
-                f"d=2 occupation bound needs 2*beta > 1 > 2*beta/(ell+1); "
-                f"got beta_tilde={bt}, ell={ell}"
-            )
-        return 4.0 * math.pi * math.log(ell) / bt
-    raise ValidationError("occupation bound is available for d=2 and d=3 only")
+    if not (2.0 * bt > 1.0 and 1.0 > 2.0 * bt / (ell + 1)):
+        raise HypothesisError(
+            f"d=2 occupation bound needs 2*beta > 1 > 2*beta/(ell+1); "
+            f"got beta_tilde={bt}, ell={ell}"
+        )
+    return 4.0 * math.pi * math.log(ell) / bt
 
 
 def rho_small_beta_bound(beta_tilde: float) -> float:
@@ -189,6 +189,8 @@ def one_minus_p_bound(
     ``rho_bound`` is supplied, e.g. the high-temperature one).
     """
     spin(two_s)
+    integer(d, "dimension must be 1, 2 or 3", 1, 3)
+    integer(ell, "ell must be a positive integer")
     rho_bar = rho_upper_bound(d, beta_tilde, ell) if rho_bound is None else float(rho_bound)
     if rho_bar < 0.0:
         raise ValidationError("occupation must be nonnegative")

@@ -65,7 +65,10 @@ class LatticeSpec:
     def __post_init__(self):
         integer(self.d, f"dimension must be 1, 2 or 3, got {self.d!r}", 1, 3)
         integer(self.ell, f"side length must be a positive integer, got {self.ell!r}")
-        bc = Boundary(self.boundary)
+        try:
+            bc = Boundary(self.boundary)
+        except ValueError:
+            raise ValidationError(f"unknown boundary {self.boundary!r}") from None
         object.__setattr__(self, "boundary", bc)
         if bc is Boundary.PERIODIC and self.ell < 3:
             raise ValidationError("periodic boxes need ell >= 3 to avoid duplicate bonds")

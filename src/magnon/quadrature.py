@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dispersion
-from ._errors import ValidationError, inverse_temperature
+from ._errors import ValidationError, integer, inverse_temperature
 
 __all__ = [
     "QuadratureResult",
@@ -111,6 +111,7 @@ def tensor_integral(fn, dim: int, n_gl: int = 16, depth: int = 24):
     Returns ``(value, evaluations)``.  Boxes are summed in a fixed order with
     compensated accumulation.
     """
+    integer(dim, "dim must be a positive integer")
     nodes, weights = _gauss_nodes(n_gl)
     total = 0.0
     comp = 0.0
@@ -134,8 +135,7 @@ def tensor_integral(fn, dim: int, n_gl: int = 16, depth: int = 24):
 
 def _zone_integral(d: int, integrand, scale: float) -> QuadratureResult:
     """``scale`` times the integral over ``[0, pi]^d``: fine-mesh value, coarse-mesh error."""
-    if d not in (1, 2, 3):
-        raise ValidationError(f"dimension must be 1, 2 or 3, got {d}")
+    integer(d, f"dimension must be 1, 2 or 3, got {d}", 1, 3)
     coarse, n1 = tensor_integral(integrand, d, n_gl=16, depth=24)
     fine, n2 = tensor_integral(integrand, d, n_gl=24, depth=30)
     return QuadratureResult(fine * scale, abs(fine - coarse) * scale, n1 + n2)
@@ -193,10 +193,8 @@ def riemann_lower_sum_check(g, ell: int, n: int, d1: float, d2: float) -> Rieman
     ``(n pi^n d1 + pi^(n+1) sqrt(n) d2) / (ell+1)``.  ``margin`` is lattice
     sum minus that right-hand side and should be nonnegative.
     """
-    if n not in (1, 2, 3):
-        raise ValidationError("grid dimension must be 1, 2 or 3")
-    if ell < 1:
-        raise ValidationError("ell must be positive")
+    integer(n, "grid dimension must be 1, 2 or 3", 1, 3)
+    integer(ell, "ell must be positive")
     step = np.pi / (ell + 1)
     axes = [step * np.arange(1, ell + 1)] * n
     pts = np.stack([g_.ravel() for g_ in np.meshgrid(*axes, indexing="ij")], axis=-1)

@@ -40,7 +40,14 @@ from typing import Optional
 import numpy as np
 
 from . import dispersion, fock, lattice, quadrature, wick
-from ._errors import CapacityError, HypothesisError, ValidationError, inverse_temperature, spin
+from ._errors import (
+    CapacityError,
+    HypothesisError,
+    ValidationError,
+    integer,
+    inverse_temperature,
+    spin,
+)
 
 __all__ = [
     "ErrorBudget",
@@ -237,8 +244,7 @@ def interaction_correction_continuum(d: int, two_s: int, beta_tilde: float) -> f
 
     ``-(1/(4 d S)) * (integral eps f dk/(2pi)^d)^2``.
     """
-    if d not in (2, 3):
-        raise ValidationError("the continuum correction needs d in {2, 3}")
+    integer(d, "the continuum correction needs d in {2, 3}", 2, 3)
     s = spin(two_s)
     c = quadrature.correction_integral(d, beta_tilde).value
     return -c * c / (4.0 * d * s)
@@ -391,8 +397,7 @@ def theorem_upper_bound(
     low-occupation hypothesis fails at these parameters the report is still
     produced, flagged with ``hypothesis_ok=False``.
     """
-    if d not in (2, 3):
-        raise ValidationError("the asymptotic bound covers d in {2, 3}")
+    integer(d, "the asymptotic bound covers d in {2, 3}", 2, 3)
     if preset not in (None, "small-beta"):
         raise ValidationError(f"unknown preset {preset!r}")
     if preset == "small-beta" and d != 3:

@@ -1,4 +1,3 @@
-import copy
 import itertools
 
 import mpmath as mp
@@ -55,18 +54,20 @@ def test_grid_geometry():
 def test_sum_diff_tables():
     for ell in range(3, 9):
         grid = diagrams.PeriodicGrid(ell)
+        sum_idx, diff_idx, eps_diff, _, _ = diagrams._pair_tables(grid)
         la = grid.labels[:, None, :]
         lb = grid.labels[None, :, :]
         want_sum = flat_label(*np.moveaxis((la + lb) % ell, -1, 0), ell)
         want_diff = flat_label(*np.moveaxis((la - lb) % ell, -1, 0), ell)
-        assert grid.sum_idx.dtype == grid.diff_idx.dtype == np.int32
-        assert np.array_equal(grid.sum_idx, want_sum)
-        assert np.array_equal(grid.diff_idx, want_diff)
+        assert sum_idx.dtype == diff_idx.dtype == np.int32
+        assert np.array_equal(sum_idx, want_sum)
+        assert np.array_equal(diff_idx, want_diff)
+        assert np.array_equal(eps_diff, grid.eps[want_diff])
     # epsilon through the tables equals epsilon of the vector arithmetic
     rng = np.random.default_rng(3)
     ks = grid.kvecs
     idx = rng.integers(0, grid.n_modes, size=(50, 2))
-    via_table = grid.eps[grid.diff_idx[idx[:, 0], idx[:, 1]]]
+    via_table = grid.eps[diff_idx[idx[:, 0], idx[:, 1]]]
     direct = dispersion.epsilon(ks[idx[:, 0]] - ks[idx[:, 1]])
     assert np.allclose(via_table, direct, atol=1e-12)
 
@@ -85,10 +86,11 @@ def test_occupations():
 def test_vertex_symmetries_on_shell():
     ell = 5
     grid = diagrams.PeriodicGrid(ell)
+    sum_idx, diff_idx, _, _, _ = diagrams._pair_tables(grid)
     rng = np.random.default_rng(11)
     for _ in range(100):
         i1, i2, i3 = rng.integers(1, grid.n_modes, size=3)
-        i4 = grid.diff_idx[grid.sum_idx[i1, i2], i3]
+        i4 = diff_idx[sum_idx[i1, i2], i3]
         k1, k2, k3, k4 = (grid.kvecs[i] for i in (i1, i2, i3, i4))
         nu = vertex_nu(k1, k2, k3, k4)
         assert vertex_nu(k2, k1, k3, k4) == pytest.approx(nu, abs=1e-11)
@@ -264,19 +266,20 @@ def left_all_k1(grid, beta_tilde, two_s):
     g[0] = 0.0
     eps = grid.eps
     nz = nonzero(grid)
+    sum_idx, diff_idx, _, _, _ = diagrams._pair_tables(grid)
     full = 0.0
     red_f1f2 = 0.0
     red_f1f2f3 = 0.0
     degenerate = 0.0
     for i1 in nz:
-        i4 = grid.diff_idx[grid.sum_idx[i1, nz][:, None], nz[None, :]]
+        i4 = diff_idx[sum_idx[i1, nz][:, None], nz[None, :]]
         ok = i4 != 0
         e1 = eps[i1]
         e2 = eps[nz][:, None]
         e3 = eps[nz][None, :]
         e4 = eps[i4]
-        e13 = eps[grid.diff_idx[i1, nz]][None, :]
-        e23 = eps[grid.diff_idx[nz[:, None], nz[None, :]]]
+        e13 = eps[diff_idx[i1, nz]][None, :]
+        e23 = eps[diff_idx[nz[:, None], nz[None, :]]]
         nu = 2.0 * e13 + 2.0 * e23 - e1 - e2 - e3 - e4
         delta = e1 + e2 - e3 - e4
         f12 = f[i1] * f[nz][:, None]
@@ -386,11 +389,12 @@ def test_right_diagram_matches_brute():
     f = diagrams.occupations(grid, bt)
     eps = grid.eps
     nz = nonzero(grid)
+    diff_idx = diagrams._pair_tables(grid)[1]
     acc = 0.0
     for i2 in nz:
         g = 0.0
         for ik in nz:
-            g += (eps[grid.diff_idx[i2, ik]] - eps[ik] - eps[i2]) * f[ik]
+            g += (eps[diff_idx[i2, ik]] - eps[ik] - eps[i2]) * f[ik]
         acc += f[i2] * (1.0 + f[i2]) * g * g
     s = two_s / 2.0
     want = -bt * acc / (2.0 * s * s * grid.ell**9)
@@ -405,7 +409,7 @@ def right_table_form(grid, beta_tilde, two_s):
     f = diagrams.occupations(grid, beta_tilde)
     nz = nonzero(grid)
     eps = grid.eps
-    e2k = eps[grid.diff_idx[nz[:, None], nz[None, :]]]
+    e2k = eps[diagrams._pair_tables(grid)[1][nz[:, None], nz[None, :]]]
     inner = e2k - eps[nz][None, :] - eps[nz][:, None]
     g_vec = inner @ f[nz]
     value = -beta_tilde * float(np.sum(f[nz] * (1.0 + f[nz]) * g_vec * g_vec))
@@ -422,15 +426,15 @@ def test_right_diagram_closed_form_matches_table(ell):
         assert got.extras["g_max"] == pytest.approx(want_g_max, rel=1e-13, abs=0.0)
 
 
-def k3_residuals(grid):
+def k3_residuals(grid, sum_idx, e):
     """Oracle: the ``k3`` identity summed term by term for every nonzero pair.
 
-    Returns the ``(n - 1, n - 1)`` relative residuals of the direct sums and
-    of the same sums through the table's row sums ``R``.
+    ``e`` is the ``eps(k_a - k_b)`` table.  Returns the ``(n - 1, n - 1)``
+    relative residuals of the direct sums and of the same sums through the
+    table's row sums ``R``.
     """
-    e = grid._eps_diff
     nz = nonzero(grid)
-    k12 = grid.sum_idx[nz[:, None], nz[None, :]]
+    k12 = sum_idx[nz[:, None], nz[None, :]]
     terms = 12.0 + 3.0 * grid.eps + 3.0 * e[k12] - 4.0 * e[nz][None, :] - 4.0 * e[nz][:, None]
     n = grid.n_modes
     direct = np.abs(terms.sum(axis=-1)) / (12.0 * n)
@@ -443,26 +447,31 @@ def k3_residuals(grid):
 @pytest.mark.parametrize("ell", [3, 4])
 def test_k3_identity_all_pairs(ell):
     grid = diagrams.PeriodicGrid(ell)
-    direct, by_rows = k3_residuals(grid)
-    bound = diagrams.k3_identity_residual(grid)
+    sum_idx, _, eps_diff, _, _ = diagrams._pair_tables(grid)
+    direct, by_rows = k3_residuals(grid, sum_idx, eps_diff)
     assert direct.max() < 1e-12
-    assert bound < 1e-12
-    assert by_rows.max() <= bound + 1e-15
+    assert grid.k3_residual < 1e-12
+    assert by_rows.max() <= grid.k3_residual + 1e-15
 
 
 def test_k3_identity_sees_a_broken_row(monkeypatch):
-    # a copied grid with one entry of its eps(k_a - k_b) table moved
-    grid = copy.copy(diagrams.PeriodicGrid(3))
-    grid._eps_diff = grid._eps_diff.copy()
-    grid._eps_diff[5, 2] += 1e-6
-    direct, by_rows = k3_residuals(grid)
-    bound = diagrams.k3_identity_residual(grid)
-    assert direct.max() > 1e-9  # the broken row breaks the identity for some pair
-    assert by_rows.max() <= bound + 1e-15
-    monkeypatch.setattr(diagrams, "PeriodicGrid", lambda ell, allow_large=False: grid)
+    # one entry of the eps(k_a - k_b) table the kernel reads moved
+    tables = diagrams._pair_tables
+
+    def broken(grid):
+        sum_idx, diff_idx, eps_diff, delta_23, nu_23 = tables(grid)
+        eps_diff[5, 2] += 1e-6
+        return sum_idx, diff_idx, eps_diff, delta_23, nu_23
+
+    monkeypatch.setattr(diagrams, "_pair_tables", broken)
     monkeypatch.setattr(diagrams, "_tori", {})  # the broken torus stays out of the real memo
+    grid = diagrams.PeriodicGrid(3)
+    sum_idx, _, eps_diff, _, _ = broken(grid)
+    direct, by_rows = k3_residuals(grid, sum_idx, eps_diff)
+    assert direct.max() > 1e-9  # the broken row breaks the identity for some pair
+    assert by_rows.max() <= grid.k3_residual + 1e-15
     res = diagrams.cancellation_scan(3, 2, [1.0])
-    assert res.k3_residual_max == bound > 1e-9
+    assert res.k3_residual_max == grid.k3_residual > 1e-9
 
 
 def test_fit_loglog_slope():
@@ -503,7 +512,7 @@ def test_cancellation_scan_structure():
     }
     for fit in res.slopes.values():
         assert set(fit) == {"slope", "r_squared"}
-    assert res.k3_residual_max == diagrams.k3_identity_residual(diagrams.PeriodicGrid(4))
+    assert res.k3_residual_max == diagrams.PeriodicGrid(4).k3_residual
     assert res.k3_residual_max < 1e-12
     assert res.zero_mode_policy == "exclude"
     # deterministic
@@ -558,33 +567,41 @@ def test_a_second_scan_of_a_torus_builds_no_kernel(monkeypatch):
     assert builds == [5, 4]
 
 
-def torus_arrays(torus):
-    kernel = torus.left_kernel
-    return [torus.kvecs, torus.eps, torus.orbit_reps, kernel.f1f2, kernel.f1f2f3,
-            kernel.shell, kernel.shell_weight]
+def grid_arrays(grid):
+    """Every array a grid holds, its kernel's and its pair rows' included."""
+    arrays = []
+    for value in [*vars(grid).values(), *vars(grid.left_kernel).values()]:
+        if isinstance(value, list):
+            arrays += value
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+        else:
+            assert isinstance(value, (int, float, diagrams._LeftKernel))
+    assert all(isinstance(a, np.ndarray) for a in arrays)
+    return arrays
 
 
 def test_the_torus_memo_is_bounded_and_holds_no_pair_table(monkeypatch):
     monkeypatch.setattr(diagrams, "_tori", {})
-    for ell in (3, 4, 5, 6):
+    for ell in range(3, 9):
         diagrams.cancellation_scan(ell, 2, [1.0])
-    floats = {ell: diagrams._torus_floats(t) for ell, t in diagrams._tori.items()}
-    assert list(floats) == [3, 4, 5, 6]
-    for ell, torus in diagrams._tori.items():
-        arrays = torus_arrays(torus)
+    floats = {ell: diagrams._grid_floats(g) for ell, g in diagrams._tori.items()}
+    assert list(floats) == [3, 4, 5, 6, 7, 8]
+    for ell, grid in diagrams._tori.items():
+        assert type(grid) is diagrams.PeriodicGrid
+        arrays = grid_arrays(grid)
         assert floats[ell] == sum(a.size for a in arrays)
         # nothing of the size of a (k_a, k_b) table over the nonzero modes
         assert max(a.size for a in arrays) < (ell**3 - 1) ** 2
-        assert not any(isinstance(v, diagrams.PeriodicGrid) for v in vars(torus).values())
-    # room for the tori at ell 3 to 5, or at 5 and 6, not for those at 4 to 6
-    cap = floats[4] + floats[6]
+    # room for the tori at ell 3 to 5, or at 5 and 7, not for those at 4, 5 and 7
+    cap = floats[5] + floats[7]
     monkeypatch.setattr(fock, "BASIS_CAP", cap)
     monkeypatch.setattr(diagrams, "_tori", {})
-    for ell, held in ((3, [3]), (4, [3, 4]), (5, [3, 4, 5]), (6, [5, 6]), (5, [6, 5]),
+    for ell, held in ((3, [3]), (4, [3, 4]), (5, [3, 4, 5]), (7, [5, 7]), (5, [7, 5]),
                       (4, [5, 4])):
         diagrams.cancellation_scan(ell, 2, [1.0])
         assert list(diagrams._tori) == held
-        assert sum(diagrams._torus_floats(t) for t in diagrams._tori.values()) <= cap
+        assert sum(diagrams._grid_floats(g) for g in diagrams._tori.values()) <= cap
 
 
 def test_a_warm_memo_refuses_what_a_cold_one_refuses(monkeypatch):

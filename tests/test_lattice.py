@@ -25,6 +25,9 @@ def test_spec_validation():
     # periodic wrap needs at least 3 sites per axis to avoid double bonds
     with pytest.raises(ValidationError):
         lattice.LatticeSpec(1, 2, lattice.Boundary.PERIODIC)
+    with pytest.raises(ValidationError, match="unknown boundary 'bogus'"):
+        lattice.LatticeSpec(1, 3, "bogus")
+    assert lattice.LatticeSpec(1, 3, "periodic").boundary is lattice.Boundary.PERIODIC
     assert lattice.LatticeSpec(3, 2).n_sites == 8
 
 

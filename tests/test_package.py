@@ -135,6 +135,45 @@ def test_cutoff_must_be_a_positive_integer(entry, value):
 _COUNT_ENTRIES = {
     "LatticeSpec.d": (lambda v: lattice.LatticeSpec(v, 3), "dimension must be 1, 2 or 3"),
     "LatticeSpec.ell": (lambda v: lattice.LatticeSpec(1, v), "side length must be a positive"),
+    "LatticeSpec.boundary": (lambda v: lattice.LatticeSpec(1, 3, v), "unknown boundary"),
+    "rho_upper_bound.d": (
+        lambda v: dispersion.rho_upper_bound(v, 1.0, 8), "occupation bound is available"
+    ),
+    "rho_upper_bound.ell": (
+        lambda v: dispersion.rho_upper_bound(3, 1.0, v), "ell must be a positive integer"
+    ),
+    "one_minus_p_bound.d": (
+        lambda v: dispersion.one_minus_p_bound(v, 1.0, 8, 2, rho_bound=0.1),
+        "dimension must be 1, 2 or 3",
+    ),
+    "one_minus_p_bound.ell": (
+        lambda v: dispersion.one_minus_p_bound(3, 1.0, v, 2), "ell must be a positive integer"
+    ),
+    "tensor_integral": (
+        lambda v: quadrature.tensor_integral(lambda pts: pts[:, 0], v, n_gl=2, depth=1),
+        "dim must be a positive integer",
+    ),
+    "leading_free_energy": (
+        lambda v: quadrature.leading_free_energy(v, 1.0), "dimension must be 1, 2 or 3"
+    ),
+    "correction_integral": (
+        lambda v: quadrature.correction_integral(v, 1.0), "dimension must be 1, 2 or 3"
+    ),
+    "riemann_lower_sum_check.ell": (
+        lambda v: quadrature.riemann_lower_sum_check(lambda pts: pts[:, 0], v, 1, 1.0, 1.0),
+        "ell must be positive",
+    ),
+    "riemann_lower_sum_check.n": (
+        lambda v: quadrature.riemann_lower_sum_check(lambda pts: pts[:, 0], 4, v, 1.0, 1.0),
+        "grid dimension must be 1, 2 or 3",
+    ),
+    "theorem_upper_bound": (
+        lambda v: spinwave.theorem_upper_bound(v, 2, 1.0), "the asymptotic bound covers d"
+    ),
+    "interaction_correction_continuum": (
+        lambda v: spinwave.interaction_correction_continuum(v, 2, 1.0),
+        "the continuum correction needs d",
+    ),
     "PeriodicGrid": (lambda v: diagrams.PeriodicGrid(v), "needs an integer ell >= 3"),
     "SectorBasis": (lambda v: fock.SectorBasis(_BOX, 2, v), "n_total must be a nonnegative"),
     "max_total": (
