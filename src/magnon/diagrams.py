@@ -410,7 +410,7 @@ def _grid_floats(grid: PeriodicGrid) -> int:
 
 # ``{ell: PeriodicGrid}`` of the tori scanned, least recently used first,
 # holding at most ``fock.BASIS_CAP`` floats in all
-_tori: dict = {}
+_tori = lattice._Memo()
 
 
 def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = False) -> ScanResult:
@@ -440,8 +440,8 @@ def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = Fal
         raise ValidationError("beta_tildes must be distinct")
     spin(two_s)
     _check_ell(ell, allow_large)
-    grid = _tori.pop(ell, None) or PeriodicGrid(ell, allow_large=allow_large)
-    lattice._remember(_tori, ell, grid, _grid_floats, fock.BASIS_CAP)
+    grid = _tori.take(ell) or PeriodicGrid(ell, allow_large=allow_large)
+    _tori.put(ell, grid, _grid_floats(grid), fock.BASIS_CAP)
     rows = []
     for bt in bts:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below

@@ -137,8 +137,9 @@ def rho_upper_bound(d: int, beta_tilde: float, ell: int) -> float:
     """Rigorous uniform bound on the site occupation ``rho(x, x)``.
 
     d=3: ``(pi^{3/2}/8) zeta(3/2) / beta^{3/2}``, valid for all box sizes.
-    d=2: ``4 pi log(ell) / beta``, valid when ``2*beta > 1 > 2*beta/(ell+1)``;
-    outside that window the bound does not apply and this raises.
+    d=2: ``4 pi log(ell) / beta``, valid when ``ell >= 2`` and
+    ``2*beta > 1 > 2*beta/(ell+1)``; outside that window the bound does not
+    apply and this raises (at ``ell = 1`` the form would give 0).
     """
     bt = inverse_temperature(beta_tilde)
     integer(d, "occupation bound is available for d=2 and d=3 only", 2, 3)
@@ -150,6 +151,8 @@ def rho_upper_bound(d: int, beta_tilde: float, ell: int) -> float:
             f"d=2 occupation bound needs 2*beta > 1 > 2*beta/(ell+1); "
             f"got beta_tilde={bt}, ell={ell}"
         )
+    if ell < 2:
+        raise HypothesisError(f"d=2 occupation bound needs ell >= 2; got ell={ell}")
     return 4.0 * math.pi * math.log(ell) / bt
 
 

@@ -25,11 +25,17 @@ the traces of one box share them, and tracing another box drops them.  A
 sector's eigenvalues and its observables' eigenbasis diagonals do not
 depend on the temperature, so each trace keeps them in a memo of at most
 ``BASIS_CAP`` floats: tracing the same Hamiltonian and observables of a box
-at another temperature skips every eigensolve and gives the same bits.  The
-memo key holds the observables' parameters, so a trace that should serve
+at another temperature skips every eigensolve and gives the same bits.  That
+memo's key holds the observables' parameters, so a trace that should serve
 every spin leaves the spin out of them: the CLI's quartic trace
 (``wick-verify``, ``verify``) is of ``quartic`` at ``2S = 2``, which is
-``S I``, and divides by ``S`` after the thermal pass.
+``S I``, and divides by ``S`` after the thermal pass.  Below it sits a
+second memo, of each sector's eigensystem ``(w, v)`` keyed by box, cutoff,
+sector and Hamiltonian alone, holding at most ``EIGENSYSTEM_CAP`` floats:
+another observable set on a Hamiltonian held there (the Wick checks at each
+spin) runs no eigensolve.  A trace stores its eigensystems only if all of
+them fit that budget, and a log-Z-only trace (``linalg.eigvalsh``, spin ED)
+neither reads nor fills it.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from ._errors import CapacityError, ValidationError, cutoff, integer, inverse_te
 
 __all__ = [
     "BASIS_CAP",
+    "EIGENSYSTEM_CAP",
     "FockBasis",
     "SectorBasis",
     "kinetic",
@@ -55,6 +62,7 @@ __all__ = [
 ]
 
 BASIS_CAP = 2**20
+EIGENSYSTEM_CAP = 2**18
 
 
 def _max_sites(radix: int, cap: int) -> int:
@@ -312,24 +320,48 @@ def _sector_table(spec: lattice.LatticeSpec, n_max: int) -> dict:
 
 # ``{key: [(w, diagonals) per sector]}`` of the traces seen, least recently
 # used first, holding at most ``BASIS_CAP`` floats in all
-_spectra_memo: dict = {}
+_spectra_memo = lattice._Memo()
+
+# ``{(spec, n_max, n_total, hamiltonian): (w, v)}`` of the sectors ``eigh``
+# solved, least recently used first, holding at most ``EIGENSYSTEM_CAP``
+# floats in all
+_eigensystem_memo = lattice._Memo()
 
 
 def _spectra_floats(spectra) -> int:
     return sum(w.size * (1 + len(diags)) for w, diags in spectra)
 
 
-def _sector_spectrum(sb, hamiltonian: tuple, observables: Optional[tuple]):
+def _eigensystem_floats(spec: lattice.LatticeSpec, n_max: int, top: int) -> float:
+    """Floats of ``(w, v)`` over the sectors ``0..top``: the sum of ``dim (dim + 1)``.
+
+    The sector dimensions are the coefficients of ``(1 + x + ... +
+    x^n_max)^sites``, counted in floats: exact below ``2^53``, and far past
+    any cap above it, so no sector basis is built.
+    """
+    dims = np.ones(1)
+    for _ in range(spec.n_sites):
+        dims = np.convolve(dims, np.ones(n_max + 1))[: top + 1]
+    return float(np.sum(dims * (dims + 1.0)))
+
+
+def _sector_spectrum(sb, hamiltonian: tuple, observables: Optional[tuple], solved: Optional[list]):
     """Eigenvalues ``w`` of one sector and each observable's eigenbasis diagonal.
 
-    The sector's Hamiltonian, eigenvectors and observables are dropped on
-    return, before the next sector is diagonalized.
+    The eigensystem ``(w, v)`` comes from ``_eigensystem_memo`` when held
+    there, else from ``linalg.eigh``, and is appended to ``solved`` with its
+    key unless that is ``None``; ``observables=None`` runs
+    ``linalg.eigvalsh`` alone.  The sector's Hamiltonian, eigenvectors and
+    observables are dropped on return, before the next sector is built.
     """
     fn, *params = hamiltonian
     h = fn(sb, *params)
     if observables is None:
         return linalg.eigvalsh(h), []
-    w, v = linalg.eigh(h)
+    key = (sb.spec, sb.n_max, sb.n_total, hamiltonian)
+    w, v = _eigensystem_memo.get(key) or linalg.eigh(h)
+    if solved is not None:
+        solved.append((key, w, v))
     fn, *params = observables
     diags = []
     for a in fn(sb, h, *params):
@@ -341,6 +373,27 @@ def _sector_spectrum(sb, hamiltonian: tuple, observables: Optional[tuple]):
         else:
             raise ValidationError("observable has wrong sector dimension")
     return w, diags
+
+
+def _spectral_pass(spec, n_max: int, top: int, hamiltonian: tuple, observables: Optional[tuple]):
+    """``[(w, diagonals)]`` of the sectors ``0..top``, one ``_sector_spectrum`` each.
+
+    The eigensystems the sectors used are stored at the end if they fit
+    ``EIGENSYSTEM_CAP`` together, and none of them otherwise.
+    """
+    sectors = _sector_table(spec, n_max)
+    keep = observables is not None and _eigensystem_floats(spec, n_max, top) <= EIGENSYSTEM_CAP
+    solved = [] if keep else None
+    spectra = []
+    for n_total in range(top + 1):
+        sb = sectors.get(n_total)
+        if sb is None:
+            sb = sectors[n_total] = SectorBasis(spec, n_max, n_total)
+        spectra.append(_sector_spectrum(sb, hamiltonian, observables, solved))
+    for key, w, v in solved or ():
+        w.flags.writeable = v.flags.writeable = False
+        _eigensystem_memo.put(key, (w, v), w.size + v.size, EIGENSYSTEM_CAP)
+    return spectra
 
 
 def gibbs_expectation_truncated(
@@ -383,6 +436,17 @@ def gibbs_expectation_truncated(
     pass weighs the stored spectra at ``beta_tilde``; a hit runs the same
     thermal pass over the same arrays as a miss, so both give the same bits.
 
+    A spectral miss reads each sector's eigensystem ``(w, v)`` from a second
+    memo, keyed by ``(spec, n_max, n_total, hamiltonian)``, and solves only
+    the sectors it lacks; it still builds each sector's Hamiltonian and
+    observables.  A held eigensystem is the array pair ``linalg.eigh``
+    returned, read-only, so the diagonals have the bits of a cold trace.
+    The trace stores its eigensystems, after its last sector, only if all of
+    them fit ``EIGENSYSTEM_CAP`` floats, decided from the sector dimensions
+    before any solve; that memo drops its least recently used sectors first
+    and never touches the spectra.  ``observables=None`` neither reads nor
+    fills it, since ``eigvalsh`` rounds apart from ``eigh``.
+
     The sector bases, each with its cached hop table, are shared by every
     spectral pass of the same ``(spec, n_max)`` box: the spin-ED trace and
     the box bound build them once.  Only the box traced most recently is
@@ -406,15 +470,9 @@ def gibbs_expectation_truncated(
             raise ValidationError("hamiltonian and observables are (function, *params) tuples")
     top = spec.n_sites * n_max if max_total is None else min(max_total, spec.n_sites * n_max)
     key = (spec, n_max, top, ham, observables)
-    spectra = _spectra_memo.pop(key, None)
+    spectra = _spectra_memo.take(key)
     if spectra is None:
-        sectors = _sector_table(spec, n_max)
-        spectra = []
-        for n_total in range(top + 1):
-            sb = sectors.get(n_total)
-            if sb is None:
-                sb = sectors[n_total] = SectorBasis(spec, n_max, n_total)
-            spectra.append(_sector_spectrum(sb, ham, observables))
+        spectra = _spectral_pass(spec, n_max, top, ham, observables)
     shift = min(float(w[0]) for w, _ in spectra)
     z = 0.0
     acc = np.zeros(len(spectra[0][1]))
@@ -422,5 +480,5 @@ def gibbs_expectation_truncated(
         boltz = np.exp(-beta_tilde * (w - shift))
         z += float(boltz.sum())
         acc += [float(np.dot(boltz, diag)) for diag in diags]
-    lattice._remember(_spectra_memo, key, spectra, _spectra_floats, BASIS_CAP)
+    _spectra_memo.put(key, spectra, _spectra_floats(spectra), BASIS_CAP)
     return [float(x) / z for x in acc], float(np.log(z)) - beta_tilde * shift

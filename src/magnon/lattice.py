@@ -20,7 +20,7 @@ pure function of its frozen, hashable ``LatticeSpec``, so each is memoized
 for the box asked about most recently (``_memoized``).  The arrays are
 shared between callers and therefore read-only: writing into one raises
 ``ValueError``.  Larger per-box data, kept for several boxes at once, is
-held in memos bounded by a float count (``_remember``).
+held in memos bounded by a float count (``_Memo``).
 """
 
 from __future__ import annotations
@@ -104,17 +104,34 @@ def _memoized(fn):
     return wrapper
 
 
-def _remember(memo: dict, key, value, floats, cap: int) -> None:
-    """Store ``value`` under ``key``, dropping the least recently used past ``cap`` floats.
+class _Memo(dict):
+    """``{key: value}`` kept least recently used first, bounded by a count of floats.
 
-    ``memo`` is kept least recently used first: a caller pops an entry when
-    it reads it and stores it again here.  ``floats(value)`` counts the
-    floats an entry holds.
+    Change it only through ``take``, which removes an entry and returns it,
+    and ``put``, which stores one as the most recent.  Each entry's float
+    count is kept beside it, so a store costs only the entries it drops.
     """
-    memo[key] = value
-    total = sum(floats(v) for v in memo.values())
-    while total > cap:
-        total -= floats(memo.pop(next(iter(memo))))
+
+    def __init__(self):
+        super().__init__()
+        self._sizes = {}
+        self.floats = 0  # held in all
+
+    def take(self, key):
+        """Remove and return the value under ``key``, or ``None``."""
+        if key not in self:
+            return None
+        self.floats -= self._sizes.pop(key)
+        return self.pop(key)
+
+    def put(self, key, value, floats: int, cap: int) -> None:
+        """Store ``value``, which holds ``floats`` floats, dropping the oldest past ``cap``."""
+        self.take(key)
+        self[key] = value
+        self._sizes[key] = floats
+        self.floats += floats
+        while self.floats > cap:
+            self.take(next(iter(self)))
 
 
 @_memoized

@@ -5,14 +5,18 @@ dimension cap keeps accidental exponential-size requests from thrashing the
 machine.  Thermal traces are sector-blocked: every Hamiltonian traced in
 this package conserves the total boson number (total ``S^3``), so
 ``fock.gibbs_expectation_truncated`` calls ``eigh`` once per sector of a
-trace it has not seen before, at any temperature, and shifts the spectra by
-the lowest eigenvalue of all its sectors, so nothing overflows no matter how
+trace it has not seen before, at any temperature, unless that sector's
+eigensystem under the same Hamiltonian is held in its eigensystem memo
+(bounded by ``fock.EIGENSYSTEM_CAP`` floats); it shifts the spectra by the
+lowest eigenvalue of all its sectors, so nothing overflows no matter how
 large ``beta`` is.  A trace that needs only ``log Z`` (the spin free energy)
 calls ``eigvalsh`` instead, which runs the same checks and skips the
-eigenvectors.  Both check the cap, finiteness and symmetry of their input,
-then solve it as given when it is exactly symmetric (every hop-table
-operator is: a move and its reverse take their amplitude from the same
-integers) and its symmetrized copy when it is symmetric only to rounding.
+eigenvectors; it never uses the eigensystem memo, because the two LAPACK
+paths round differently.  Both check the cap, finiteness and symmetry of
+their input: they solve it as given when it equals its transpose (every
+hop-table operator does: a move and its reverse take their amplitude from
+the same integers), and its symmetrized copy when it is symmetric only to
+rounding.
 """
 
 from __future__ import annotations
@@ -38,14 +42,14 @@ def _check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
         raise CapacityError(
             f"{name} dimension {m.shape[0]} exceeds dense cap {DENSE_DIM_CAP}"
         )
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
     if not np.isfinite(m).all():
         raise NumericalError(f"{name} contains non-finite entries")
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    if np.array_equal(m, m.T):
+        return m  # symmetrizing would return the same bits
+    scale = max(1.0, float(np.max(np.abs(m))))
+    asym = float(np.max(np.abs(m - m.T)))
     if asym > 1e-12 * scale:
         raise ValidationError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
-    if asym == 0.0:
-        return m  # symmetrizing would return the same bits
     return 0.5 * (m + m.T)
 
 

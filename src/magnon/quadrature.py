@@ -108,10 +108,14 @@ def tensor_integral(fn, dim: int, n_gl: int = 16, depth: int = 24):
     """Integral of ``fn`` over ``[0, pi]^dim`` on the graded dyadic mesh.
 
     ``fn`` maps an array of points with shape ``(m, dim)`` to values ``(m,)``.
+    Each box gets an ``n_gl``-point rule per axis (``n_gl >= 1``), and the
+    mesh has ``depth`` shells (``depth >= 0``) around its core cube.
     Returns ``(value, evaluations)``.  Boxes are summed in a fixed order with
     compensated accumulation.
     """
     integer(dim, "dim must be a positive integer")
+    integer(n_gl, "n_gl must be a positive integer")
+    integer(depth, "depth must be a nonnegative integer", 0)
     nodes, weights = _gauss_nodes(n_gl)
     total = 0.0
     comp = 0.0

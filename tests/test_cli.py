@@ -174,11 +174,13 @@ def test_temperature_list_rows_match_single_calls(command, capsys, monkeypatch):
                       "--beta-tilde"]
     single = []
     for bt in bts:
-        monkeypatch.setattr(fock, "_spectra_memo", {})  # each call traces from scratch
+        for memo in ("_spectra_memo", "_eigensystem_memo"):  # each call traces from scratch
+            monkeypatch.setattr(fock, memo, lattice._Memo())
         code, out, _ = run(capsys, argv + [bt])
         assert code == 0
         single.append(out.splitlines()[1])
-    monkeypatch.setattr(fock, "_spectra_memo", {})
+    for memo in ("_spectra_memo", "_eigensystem_memo"):
+        monkeypatch.setattr(fock, memo, lattice._Memo())
     built = collections.Counter()
 
     def counting(fn):

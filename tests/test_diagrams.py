@@ -464,7 +464,8 @@ def test_k3_identity_sees_a_broken_row(monkeypatch):
         return sum_idx, diff_idx, eps_diff, delta_23, nu_23
 
     monkeypatch.setattr(diagrams, "_pair_tables", broken)
-    monkeypatch.setattr(diagrams, "_tori", {})  # the broken torus stays out of the real memo
+    # the broken torus stays out of the real memo
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
     grid = diagrams.PeriodicGrid(3)
     sum_idx, _, eps_diff, _, _ = broken(grid)
     direct, by_rows = k3_residuals(grid, sum_idx, eps_diff)
@@ -540,9 +541,9 @@ def test_cancellation_scan_validation():
 
 def test_a_scan_gives_the_bits_of_its_one_temperature_scans(monkeypatch):
     bts = [0.25, 1.0, 2.0, 4.0, 16.0]
-    monkeypatch.setattr(diagrams, "_tori", {})
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
     rows = diagrams.cancellation_scan(6, 2, bts).rows
-    monkeypatch.setattr(diagrams, "_tori", {})
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
     singles = tuple(diagrams.cancellation_scan(6, 2, [bt]).rows[0] for bt in bts)
     assert rows == singles
     assert diagrams.cancellation_scan(6, 2, bts[::-1]).rows == singles[::-1]
@@ -557,7 +558,7 @@ def test_a_second_scan_of_a_torus_builds_no_kernel(monkeypatch):
         return build(grid)
 
     monkeypatch.setattr(diagrams, "_left_kernel", counted)
-    monkeypatch.setattr(diagrams, "_tori", {})
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
     first = diagrams.cancellation_scan(5, 2, [1.0, 2.0])
     again = diagrams.cancellation_scan(5, 2, [1.0, 2.0])
     diagrams.cancellation_scan(5, 3, [0.5, 3.0, 8.0])
@@ -582,7 +583,7 @@ def grid_arrays(grid):
 
 
 def test_the_torus_memo_is_bounded_and_holds_no_pair_table(monkeypatch):
-    monkeypatch.setattr(diagrams, "_tori", {})
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
     for ell in range(3, 9):
         diagrams.cancellation_scan(ell, 2, [1.0])
     floats = {ell: diagrams._grid_floats(g) for ell, g in diagrams._tori.items()}
@@ -596,7 +597,7 @@ def test_the_torus_memo_is_bounded_and_holds_no_pair_table(monkeypatch):
     # room for the tori at ell 3 to 5, or at 5 and 7, not for those at 4, 5 and 7
     cap = floats[5] + floats[7]
     monkeypatch.setattr(fock, "BASIS_CAP", cap)
-    monkeypatch.setattr(diagrams, "_tori", {})
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
     for ell, held in ((3, [3]), (4, [3, 4]), (5, [3, 4, 5]), (7, [5, 7]), (5, [7, 5]),
                       (4, [5, 4])):
         diagrams.cancellation_scan(ell, 2, [1.0])
@@ -605,7 +606,7 @@ def test_the_torus_memo_is_bounded_and_holds_no_pair_table(monkeypatch):
 
 
 def test_a_warm_memo_refuses_what_a_cold_one_refuses(monkeypatch):
-    monkeypatch.setattr(diagrams, "_tori", {})
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
     monkeypatch.setattr(diagrams, "ELL_CAP", 4)
     diagrams.cancellation_scan(5, 2, [1.0], allow_large=True)
     diagrams.cancellation_scan(4, 2, [1.0])

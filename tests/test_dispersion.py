@@ -61,6 +61,10 @@ def test_rho_bound_d2_value_and_window():
         dispersion.rho_upper_bound(2, 0.4, 8)  # needs 2*beta > 1
     with pytest.raises(HypothesisError):
         dispersion.rho_upper_bound(2, 8.0, 8)  # needs ell + 1 > 2*beta
+    # at ell = 1 the form gives 0, below the single site's occupation
+    assert dispersion.two_point_diagonal(lattice.LatticeSpec(2, 1), 0.6)[0] > 0.09
+    with pytest.raises(HypothesisError, match="ell >= 2"):
+        dispersion.rho_upper_bound(2, 0.6, 1)
 
 
 def test_rho_bounds_dominate_lattice(subtests=None):

@@ -449,10 +449,16 @@ def test_sector_rows_are_read_only():
 # --- the memo of sector spectra ---------------------------------------------
 
 
+def cold_memos(monkeypatch):
+    """Empty spectra and eigensystem memos, as in a fresh process."""
+    for memo in ("_spectra_memo", "_eigensystem_memo"):
+        monkeypatch.setattr(fock, memo, lattice._Memo())
+
+
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """A fresh, empty spectra memo, and the list of sector eigensolves made."""
-    monkeypatch.setattr(fock, "_spectra_memo", {})
+    """Fresh, empty memos, and the list of sector eigensolves made."""
+    cold_memos(monkeypatch)
     solves = []
     for name in ("eigh", "eigvalsh"):
         solve = getattr(linalg, name)
@@ -494,10 +500,77 @@ def test_warm_trace_equals_cold_bit_for_bit(caller, eigensolves, monkeypatch):
     assert cold_solves > 0
     warm = caller(spec, 2, 2.5)
     assert len(eigensolves) == cold_solves  # every spectrum came from the memo
-    monkeypatch.setattr(fock, "_spectra_memo", {})
+    # eigensystems warm, spectra cold: only spin ED, which wants eigenvalues
+    # alone, solves its sectors again
+    monkeypatch.setattr(fock, "_spectra_memo", lattice._Memo())
+    eigensystems_warm = caller(spec, 2, 2.5)
+    again = cold_solves if caller is spin_ed.free_energy_per_spin else 0
+    assert len(eigensolves) == cold_solves + again
+    cold_memos(monkeypatch)
     cold = caller(spec, 2, 2.5)
-    assert len(eigensolves) == 2 * cold_solves
-    assert repr(warm) == repr(cold)  # repr: every float to the last bit
+    assert len(eigensolves) == 2 * cold_solves + again
+    assert repr(warm) == repr(eigensystems_warm) == repr(cold)  # repr: every float to the last bit
+
+
+def test_new_observables_on_a_held_hamiltonian_run_no_eigensolve(eigensolves, monkeypatch):
+    spec = lattice.LatticeSpec(2, 2)
+    wick.cross_term_check(spec, 1, 2.0, 3)
+    solves = len(eigensolves)
+    assert solves == spec.n_sites * 3 + 1
+    # other observables at another spin, on the same kinetic Hamiltonian
+    warm = wick.remainder_check(spec, 2, 2.0, 3)
+    assert len(eigensolves) == solves
+    cold_memos(monkeypatch)
+    cold = wick.remainder_check(spec, 2, 2.0, 3)
+    assert len(eigensolves) == 2 * solves
+    assert repr(warm) == repr(cold)
+
+
+def test_held_eigensystems_are_read_only_and_counted(eigensolves):
+    spec = chain(3)
+    fock.gibbs_expectation_truncated(spec, 3, 1.0, (quartic_of, 1))
+    memo = fock._eigensystem_memo
+    assert list(memo) == [(spec, 3, n, (fock.kinetic_dirichlet,)) for n in range(10)]
+    dims = [fock.SectorBasis(spec, 3, n).dim for n in range(10)]
+    assert memo.floats == fock._eigensystem_floats(spec, 3, 9) == sum(n * (n + 1) for n in dims)
+    for w, v in memo.values():
+        assert not w.flags.writeable and not v.flags.writeable
+
+
+def test_a_trace_over_the_budget_stores_no_eigensystem_and_drops_no_spectra(
+    eigensolves, monkeypatch
+):
+    spec = chain(3)
+    monkeypatch.setattr(fock, "EIGENSYSTEM_CAP", fock._eigensystem_floats(spec, 2, 6))
+    fock.gibbs_expectation_truncated(spec, 2, 1.0, (quartic_of, 1))
+    held = dict(fock._eigensystem_memo)
+    assert len(held) == 7 and fock._eigensystem_memo.floats == fock.EIGENSYSTEM_CAP
+    # the n_max = 3 trace needs more than the budget: it solves every sector
+    # and stores none of them, and both spectra stay
+    solves = len(eigensolves)
+    fock.gibbs_expectation_truncated(spec, 3, 1.0, (quartic_of, 1))
+    assert len(eigensolves) == solves + 10
+    assert fock._eigensystem_memo == held
+    assert all(fock._eigensystem_memo[k] is wv for k, wv in held.items())
+    assert [key[1] for key in fock._spectra_memo] == [2, 3]
+    fock.gibbs_expectation_truncated(spec, 3, 1.0, (quartic_of, 2))
+    assert len(eigensolves) == solves + 20
+
+
+def test_a_log_z_trace_leaves_the_eigensystem_memo_untouched(eigensolves):
+    spec = chain(3)
+    fock.gibbs_expectation_truncated(spec, 2, 1.0, None)
+    assert fock._eigensystem_memo == {}
+    fock.gibbs_expectation_truncated(spec, 2, 1.0, (quartic_of, 1))
+    held = list(fock._eigensystem_memo.items())
+    solves = len(eigensolves)
+    # log Z of the held Hamiltonian over fewer sectors: a new spectral pass,
+    # by eigenvalues alone, although every eigensystem it needs is held
+    fock.gibbs_expectation_truncated(spec, 2, 1.0, None, max_total=3)
+    assert len(eigensolves) == solves + 4
+    after = list(fock._eigensystem_memo.items())
+    assert [k for k, _ in after] == [k for k, _ in held]
+    assert all(a is b for (_, a), (_, b) in zip(after, held))
 
 
 def test_wick_verify_traces_the_quartic_once_for_every_spin(eigensolves, capsys):
@@ -523,10 +596,10 @@ def test_each_input_of_a_trace_gets_its_own_spectra(eigensolves, monkeypatch):
     spec = chain(3)
 
     def fresh(*args, **kwargs):
-        """Whether a trace is new to the memo: it runs eigensolves."""
-        before = len(eigensolves)
+        """Whether a trace is new to the memo: it adds a key there."""
+        before = set(fock._spectra_memo)
         out = fock.gibbs_expectation_truncated(*args, **kwargs)
-        return out, len(eigensolves) > before
+        return out, bool(set(fock._spectra_memo) - before)
 
     base, new = fresh(spec, 3, 1.0, (quartic_of, 1))
     assert new
@@ -551,12 +624,12 @@ def test_each_input_of_a_trace_gets_its_own_spectra(eigensolves, monkeypatch):
     out, new = fresh(spec, 3, 1.0, (quartic_of, 1))
     assert new and out != base
     monkeypatch.setattr(spin_ed, "_sector_hamiltonian", lambda sb, two_s: np.zeros((sb.dim,) * 2))
-    before = len(eigensolves)
+    before = set(fock._spectra_memo)
     # zero energy: each of the 2^3 states weighs 1
     assert spin_ed.free_energy_per_spin(spec, 1, 1.0) == pytest.approx(
         -np.log(2.0), rel=1e-15, abs=0.0
     )
-    assert len(eigensolves) > before
+    assert set(fock._spectra_memo) - before
 
 
 def _two_observables(sb, h, two_s):
@@ -571,19 +644,22 @@ def test_memo_holds_at_most_basis_cap_floats(eigensolves, monkeypatch):
     for two_s in (1, 2, 3):
         fock.gibbs_expectation_truncated(spec, 3, 1.0, (_two_observables, two_s))
         held = sum(fock._spectra_floats(s) for s in fock._spectra_memo.values())
-        assert held <= fock.BASIS_CAP
+        assert held == fock._spectra_memo.floats <= fock.BASIS_CAP
     # the oldest trace was dropped, the two latest are kept
     assert [key[3:] for key in fock._spectra_memo] == [
         ((fock.kinetic_dirichlet,), (_two_observables, two_s)) for two_s in (2, 3)
     ]
     # a hit makes its trace the most recent one
+    hit = next(iter(fock._spectra_memo))
     fock.gibbs_expectation_truncated(spec, 3, 2.0, (_two_observables, 2))
-    assert list(fock._spectra_memo)[-1][4] == (_two_observables, 2)
-    assert len(eigensolves) == 3 * (spec.n_sites * 3 + 1)
+    assert hit[4] == (_two_observables, 2)
+    assert len(fock._spectra_memo) == 2 and list(fock._spectra_memo)[-1] == hit
+    # the first trace's eigensystems served every later one
+    assert len(eigensolves) == spec.n_sites * 3 + 1
     # a trace larger than the whole store is not kept
     monkeypatch.setattr(fock, "BASIS_CAP", per_trace - 1)
     fock.gibbs_expectation_truncated(spec, 3, 1.0, (_two_observables, 4))
-    assert fock._spectra_memo == {}
+    assert fock._spectra_memo == {} and fock._spectra_memo.floats == 0
 
 
 def test_a_trace_that_raises_leaves_no_spectra(eigensolves):
@@ -592,6 +668,7 @@ def test_a_trace_that_raises_leaves_no_spectra(eigensolves):
             chain(2), 2, 1.0, (lambda sb, h: [np.zeros(sb.dim + 1)],)
         )
     assert fock._spectra_memo == {}
+    assert fock._eigensystem_memo == {}
     del eigensolves[:]
     # 20 sites, one boson each at most: the sector of 4 bosons has 4845 rows,
     # past the dense cap, after four sectors were diagonalized

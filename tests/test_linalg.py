@@ -31,6 +31,25 @@ def test_symmetry_validation(rng):
         linalg.eigh(rng.standard_normal((3, 4)))
 
 
+def test_symmetry_check_keeps_a_symmetric_matrix_and_its_messages(rng):
+    m = random_symmetric(rng, 6)
+    assert linalg._check_symmetric(m) is m
+    near = m.copy()
+    near[0, 1] += 1e-14
+    got = linalg._check_symmetric(near)
+    assert got is not near and np.array_equal(got, 0.5 * (near + near.T))
+    far = m.copy()
+    far[0, 1] += 1e-6
+    message = r"^matrix is not symmetric \(max asymmetry 1\.000e-06\)$"
+    with pytest.raises(ValidationError, match=message):
+        linalg._check_symmetric(far)
+    far[2, 3] = np.inf  # non-finite is reported before asymmetry
+    with pytest.raises(NumericalError, match="^matrix contains non-finite entries$"):
+        linalg._check_symmetric(far)
+    empty = np.zeros((0, 0))
+    assert linalg._check_symmetric(empty) is empty
+
+
 def test_dense_cap():
     big = np.zeros((linalg.DENSE_DIM_CAP + 1, linalg.DENSE_DIM_CAP + 1))
     with pytest.raises(CapacityError):

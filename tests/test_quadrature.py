@@ -48,6 +48,15 @@ def test_tensor_integral_polynomials():
         assert n_evals > 0
 
 
+@pytest.mark.parametrize(
+    "counts", [{"depth": -1}, {"depth": 2.5}, {"n_gl": True}, {"n_gl": 0}, {"n_gl": 2.5}]
+)
+def test_tensor_integral_refuses_bad_counts(counts):
+    # depth=-1 once integrated over [0, 2 pi] and n_gl=True ran a one-point rule
+    with pytest.raises(ValidationError, match="n_gl|depth"):
+        quadrature.tensor_integral(lambda p: p[:, 0], 1, **counts)
+
+
 def test_tensor_integral_log_singularity():
     # integral over [0, pi] of log(2 - 2cos x) dx = 0, a classical identity;
     # the integrand diverges at 0, stressing the graded mesh

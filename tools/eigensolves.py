@@ -1,0 +1,70 @@
+"""Count the dense eigensolves of one benchmark task list, per task kind.
+
+Usage::
+
+    python tools/eigensolves.py PATH/TO/src WORKLOAD SEED [SECONDS]
+
+The task list is the one ``perfbench/run.py --workload WORKLOAD --seed SEED
+--seconds SECONDS --trace 0`` draws (``SECONDS`` defaults to 30), run in
+order in this one interpreter through ``workloads.execute``, with every memo
+filling as it does in the benchmark.  ``magnon.linalg.eigh`` and ``eigvalsh``
+are wrapped to count their calls and the sum of ``n^3`` over the matrices
+they solve.  One JSON line is printed per task kind (the subcommand, or the
+``wick`` function of an API task), then one with the totals.  The
+``perfbench/`` next to this script is only imported.
+"""
+
+from __future__ import annotations
+
+import collections
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOLVERS = ("eigh", "eigvalsh")
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) not in (3, 4) or not (Path(argv[0]) / "magnon" / "__init__.py").is_file():
+        sys.exit("usage: eigensolves.py PATH/TO/src WORKLOAD SEED [SECONDS]")
+    sys.path.insert(0, str(Path(argv[0]).resolve()))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import magnon
+    import magnon.cli  # noqa: F401  (not imported by the package itself)
+    import workloads
+
+    with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as fh:
+        reference = json.load(fh)["entries"]
+    seconds = float(argv[3]) if len(argv) == 4 else 30.0
+    tasks = workloads.TaskSource(argv[1], int(argv[2]), reference).tasks(seconds)
+
+    counts = collections.defaultdict(collections.Counter)
+    kind = None
+    for name in SOLVERS:
+        solve = getattr(magnon.linalg, name)
+
+        def counting(m, _solve=solve, _name=name):
+            counts[kind][f"{_name}_calls"] += 1
+            counts[kind][f"{_name}_n3_sum"] += m.shape[0] ** 3
+            return _solve(m)
+
+        setattr(magnon.linalg, name, counting)
+
+    for task in tasks:
+        kind = task["argv"][0] if task["kind"] == "cli" else f"wick.{task['fn']}"
+        counts[kind]["tasks"] += 1
+        workloads.execute(task, magnon)
+
+    fields = ["tasks"] + [f"{s}_{c}" for s in SOLVERS for c in ("calls", "n3_sum")]
+    total = collections.Counter()
+    for kind in sorted(counts):
+        total.update(counts[kind])
+        print(json.dumps({"kind": kind, **{f: counts[kind][f] for f in fields}}))
+    print(json.dumps({"kind": "all", **{f: total[f] for f in fields}}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
