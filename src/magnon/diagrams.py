@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dispersion, fock, lattice
+from . import dispersion, lattice
 from ._errors import (
     CapacityError,
     NumericalError,
@@ -145,7 +145,7 @@ def occupations(grid: PeriodicGrid, beta_tilde: float) -> np.ndarray:
 @dataclass(frozen=True)
 class DiagramValue:
     value: float
-    extras: dict
+    extras: dict = field(default_factory=dict)
 
 
 def _mean_occupation(grid, f):
@@ -168,15 +168,13 @@ def expectation_J(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramV
     f = occupations(grid, beta_tilde)
     rho = _mean_occupation(grid, f)
     m = _axis_means(grid, f)
-    value = float(np.sum((rho + rho * rho) * m - m**3)) / (4.0 * s * s)
-    extras = {"rho": rho, "axis_means": [float(x) for x in m]}
-    return DiagramValue(value, extras)
+    return DiagramValue(float(np.sum((rho + rho * rho) * m - m**3)) / (4.0 * s * s))
 
 
 def biggest_error_term(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramValue:
     """Slowest-decaying piece of the sextic correction, ``(rho/4S^2) sum_i m_i``.
 
-    Also reported through its equivalent double-momentum-sum form
+    It equals the double momentum sum
     ``(1/(16 S^2 ell^6)) sum_{k1,k2 != 0} f1 f2 (12 - eps1 - eps2)``, the
     shape in which it cancels against the left diagram.
     """
@@ -184,12 +182,7 @@ def biggest_error_term(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> Dia
     f = occupations(grid, beta_tilde)
     rho = _mean_occupation(grid, f)
     m = _axis_means(grid, f)
-    value = rho * float(np.sum(m)) / (4.0 * s * s)
-    sf = float(f.sum())
-    sef = float(np.dot(f, grid.eps))
-    double_form = (12.0 * sf * sf - 2.0 * sf * sef) / (16.0 * s * s * grid.ell**6)
-    extras = {"double_sum_form": double_form, "rho": rho}
-    return DiagramValue(value, extras)
+    return DiagramValue(rho * float(np.sum(m)) / (4.0 * s * s))
 
 
 @dataclass(frozen=True)
@@ -368,9 +361,7 @@ def right_diagram(grid: PeriodicGrid, beta_tilde: float, two_s: int) -> DiagramV
     eps = grid.eps
     fc = float(np.dot(f, eps)) / 6.0
     value = -beta_tilde * fc * fc * float(np.sum(f * (1.0 + f) * eps * eps))
-    value /= 2.0 * s * s * grid.ell**9
-    extras = {"g_max": abs(fc) * float(np.max(eps[1:]))}
-    return DiagramValue(value, extras)
+    return DiagramValue(value / (2.0 * s * s * grid.ell**9))
 
 
 def fit_loglog_slope(xs, ys):
@@ -408,9 +399,8 @@ def _grid_floats(grid: PeriodicGrid) -> int:
     return sum(a.size for a in arrays)
 
 
-# ``{ell: PeriodicGrid}`` of the tori scanned, least recently used first,
-# holding at most ``fock.BASIS_CAP`` floats in all
-_tori = lattice._Memo()
+# ``{ell: PeriodicGrid}`` of the tori scanned, least recently used first
+_tori = lattice._Memo(2**20)
 
 
 def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = False) -> ScanResult:
@@ -424,13 +414,12 @@ def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = Fal
     is the grid's ``k3_residual``, a bound over every nonzero momentum pair.
 
     Everything a scan reads of the torus is free of the temperature, so the
-    ``PeriodicGrid`` is kept per ``ell`` in a memo of at most
-    ``fock.BASIS_CAP`` floats, least recently used dropped first.  The inputs
-    are checked before it is read, so a warm memo refuses whatever a cold
-    one refuses.  Each
-    temperature is then one thermal pass, the same for a hit as for a miss,
-    so a row's bits do not depend on the other temperatures of the scan or
-    on the scans before it.  A row value that is not finite (a temperature
+    ``PeriodicGrid`` is kept per ``ell`` in a memo of at most ``2^20``
+    floats, least recently used dropped first.  The inputs are checked
+    before it is read, so a warm memo refuses whatever a cold one refuses.
+    Each temperature is then one thermal pass, the same for a hit as for a
+    miss, so a row's bits do not depend on the other temperatures of the
+    scan or on the scans before it.  A row value that is not finite (a temperature
     so high that the Bose factors overflow) raises ``NumericalError``.
     """
     bts = [inverse_temperature(b) for b in beta_tildes]
@@ -441,7 +430,7 @@ def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = Fal
     spin(two_s)
     _check_ell(ell, allow_large)
     grid = _tori.take(ell) or PeriodicGrid(ell, allow_large=allow_large)
-    _tori.put(ell, grid, _grid_floats(grid), fock.BASIS_CAP)
+    _tori.put(ell, grid, _grid_floats(grid))
     rows = []
     for bt in bts:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below

@@ -189,7 +189,8 @@ def one_minus_p_bound(
     ``(2S+1) e rho^(2S)``, which dominates ``occupation_tail_bound`` for
     every ``rho``: ``e * ell^d * (2S+1) * rho_bar^(2S)`` where ``rho_bar`` is
     the uniform occupation bound (``rho_upper_bound`` unless an explicit
-    ``rho_bound`` is supplied, e.g. the high-temperature one).
+    ``rho_bound`` is supplied, e.g. the high-temperature one).  It is
+    ``inf`` where that product overflows a float.
     """
     spin(two_s)
     integer(d, "dimension must be 1, 2 or 3", 1, 3)
@@ -197,4 +198,7 @@ def one_minus_p_bound(
     rho_bar = rho_upper_bound(d, beta_tilde, ell) if rho_bound is None else float(rho_bound)
     if rho_bar < 0.0:
         raise ValidationError("occupation must be nonnegative")
-    return ell**d * ((two_s + 1) * math.e * rho_bar**two_s)
+    try:
+        return ell**d * ((two_s + 1) * math.e * rho_bar**two_s)
+    except OverflowError:  # past any float, so no weight is bounded
+        return math.inf

@@ -21,21 +21,25 @@ the total number, so ``gibbs_expectation_truncated`` diagonalizes one
 fixed-total sector (``SectorBasis``) at a time, which also reaches capped
 spaces far beyond the cap.  The sector bases and their hop tables are kept
 in one table per box (``_sector_table``), memoized like the box's geometry:
-the traces of one box share them, and tracing another box drops them.  A
+the traces of one box share them, and tracing another box drops them.
+
+A trace takes its Hamiltonian and its observables in one shape, a tuple
+``(fn, *params)`` with ``fn(sb, *params)`` called on each sector basis.  A
 sector's eigenvalues and its observables' eigenbasis diagonals do not
-depend on the temperature, so each trace keeps them in a memo of at most
-``BASIS_CAP`` floats: tracing the same Hamiltonian and observables of a box
-at another temperature skips every eigensolve and gives the same bits.  That
+depend on the temperature, so each trace keeps them in ``_spectra_memo``
+(``2^20`` floats): tracing the same Hamiltonian and observables of a box at
+another temperature skips every eigensolve and gives the same bits.  That
 memo's key holds the observables' parameters, so a trace that should serve
 every spin leaves the spin out of them: the CLI's quartic trace
 (``wick-verify``, ``verify``) is of ``quartic`` at ``2S = 2``, which is
-``S I``, and divides by ``S`` after the thermal pass.  Below it sits a
-second memo, of each sector's eigensystem ``(w, v)`` keyed by box, cutoff,
-sector and Hamiltonian alone, holding at most ``EIGENSYSTEM_CAP`` floats:
-another observable set on a Hamiltonian held there (the Wick checks at each
-spin) runs no eigensolve.  A trace stores its eigensystems only if all of
-them fit that budget, and a log-Z-only trace (``linalg.eigvalsh``, spin ED)
-neither reads nor fills it.
+``S I``, and divides by ``S`` after the thermal pass.  Below it sits
+``_eigensystem_memo`` (``2^18`` floats), of each sector's eigensystem
+``(w, v)`` keyed by box, cutoff, sector and Hamiltonian alone: another
+observable set on a Hamiltonian held there (the Wick checks at each spin)
+runs no eigensolve and builds no Hamiltonian.  A trace stores its
+eigensystems only if all of them fit, and a log-Z-only trace
+(``linalg.eigvalsh``, spin ED) neither reads nor fills it.  ``BASIS_CAP``
+caps only the ``FockBasis`` dimension, no memo.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from ._errors import CapacityError, ValidationError, cutoff, integer, inverse_te
 
 __all__ = [
     "BASIS_CAP",
-    "EIGENSYSTEM_CAP",
     "FockBasis",
     "SectorBasis",
     "kinetic",
@@ -62,7 +65,6 @@ __all__ = [
 ]
 
 BASIS_CAP = 2**20
-EIGENSYSTEM_CAP = 2**18
 
 
 def _max_sites(radix: int, cap: int) -> int:
@@ -92,12 +94,6 @@ class FockBasis:
         self.strides = radix ** np.arange(self.n_sites, dtype=np.int64)
         idx = np.arange(dim, dtype=np.int64)
         self.occupations = (idx[:, None] // self.strides[None, :]) % radix
-
-    def index_of(self, occ) -> int:
-        occ = np.asarray(occ, dtype=np.int64)
-        if occ.shape != (self.n_sites,) or occ.min() < 0 or occ.max() > self.n_max:
-            raise ValidationError("occupation vector outside the basis")
-        return int(np.dot(occ, self.strides))
 
     def _locate(self, occs: np.ndarray) -> np.ndarray:
         """Indices of occupation rows; -1 where out of the capped space."""
@@ -298,12 +294,12 @@ def hp_hamiltonian(basis, two_s: int) -> np.ndarray:
     )
 
 
-def remainder_after_quartic(basis, two_s: int, kin: np.ndarray, quart: np.ndarray) -> np.ndarray:
-    """Remainder ``H/S - T - I`` given the kinetic form ``T`` and quartic ``I`` on ``basis``.
+def remainder_after_quartic(basis, two_s: int, quart: np.ndarray) -> np.ndarray:
+    """Remainder ``H/S - T - I`` given the quartic ``I`` on ``basis``.
 
     Exact by subtraction; needs ``n_max <= 2S`` like ``hp_hamiltonian``.
     """
-    return hp_hamiltonian(basis, two_s) / spin(two_s) - kin - quart
+    return hp_hamiltonian(basis, two_s) / spin(two_s) - kinetic(basis) - quart
 
 
 def projector_mask(basis, two_s: int) -> np.ndarray:
@@ -319,13 +315,12 @@ def _sector_table(spec: lattice.LatticeSpec, n_max: int) -> dict:
 
 
 # ``{key: [(w, diagonals) per sector]}`` of the traces seen, least recently
-# used first, holding at most ``BASIS_CAP`` floats in all
-_spectra_memo = lattice._Memo()
+# used first
+_spectra_memo = lattice._Memo(2**20)
 
 # ``{(spec, n_max, n_total, hamiltonian): (w, v)}`` of the sectors ``eigh``
-# solved, least recently used first, holding at most ``EIGENSYSTEM_CAP``
-# floats in all
-_eigensystem_memo = lattice._Memo()
+# solved, least recently used first
+_eigensystem_memo = lattice._Memo(2**18)
 
 
 def _spectra_floats(spectra) -> int:
@@ -351,20 +346,22 @@ def _sector_spectrum(sb, hamiltonian: tuple, observables: Optional[tuple], solve
     The eigensystem ``(w, v)`` comes from ``_eigensystem_memo`` when held
     there, else from ``linalg.eigh``, and is appended to ``solved`` with its
     key unless that is ``None``; ``observables=None`` runs
-    ``linalg.eigvalsh`` alone.  The sector's Hamiltonian, eigenvectors and
-    observables are dropped on return, before the next sector is built.
+    ``linalg.eigvalsh`` alone.  The sector's Hamiltonian is built only for a
+    solve.  It, the eigenvectors and the observables are dropped on return,
+    before the next sector is built.
     """
     fn, *params = hamiltonian
-    h = fn(sb, *params)
     if observables is None:
-        return linalg.eigvalsh(h), []
+        return linalg.eigvalsh(fn(sb, *params)), []
     key = (sb.spec, sb.n_max, sb.n_total, hamiltonian)
-    w, v = _eigensystem_memo.get(key) or linalg.eigh(h)
+    held = _eigensystem_memo.get(key)
+    h = None if held else fn(sb, *params)  # kept to the return: freed early, it raised peak RSS
+    w, v = held or linalg.eigh(h)
     if solved is not None:
         solved.append((key, w, v))
     fn, *params = observables
     diags = []
-    for a in fn(sb, h, *params):
+    for a in fn(sb, *params):
         a = np.asarray(a, dtype=np.float64)
         if a.shape == (sb.dim,):
             diags.append(a @ (v * v))
@@ -379,10 +376,11 @@ def _spectral_pass(spec, n_max: int, top: int, hamiltonian: tuple, observables: 
     """``[(w, diagonals)]`` of the sectors ``0..top``, one ``_sector_spectrum`` each.
 
     The eigensystems the sectors used are stored at the end if they fit
-    ``EIGENSYSTEM_CAP`` together, and none of them otherwise.
+    ``_eigensystem_memo.cap`` together, and none of them otherwise.
     """
     sectors = _sector_table(spec, n_max)
-    keep = observables is not None and _eigensystem_floats(spec, n_max, top) <= EIGENSYSTEM_CAP
+    budget = _eigensystem_memo.cap
+    keep = observables is not None and _eigensystem_floats(spec, n_max, top) <= budget
     solved = [] if keep else None
     spectra = []
     for n_total in range(top + 1):
@@ -392,7 +390,7 @@ def _spectral_pass(spec, n_max: int, top: int, hamiltonian: tuple, observables: 
         spectra.append(_sector_spectrum(sb, hamiltonian, observables, solved))
     for key, w, v in solved or ():
         w.flags.writeable = v.flags.writeable = False
-        _eigensystem_memo.put(key, (w, v), w.size + v.size, EIGENSYSTEM_CAP)
+        _eigensystem_memo.put(key, (w, v), w.size + v.size)
     return spectra
 
 
@@ -408,17 +406,17 @@ def gibbs_expectation_truncated(
 
     The kinetic Hamiltonians, all expansion pieces and the spin Hamiltonian
     conserve total particle number, so ``tr(A e^{-beta H})`` splits over
-    sectors; each sector is diagonalized densely.  ``hamiltonian`` is a
-    tuple ``(fn, *params)``, and ``fn(sb, *params)`` returns the dense
-    Hamiltonian on a sector basis (default: the Dirichlet kinetic form), at
-    inverse temperature ``beta_tilde`` in its own energy unit.
-    ``observables`` is a tuple ``(fn, *params)`` too, and
-    ``fn(sb, h, *params)`` returns the list of observables on that sector,
-    given its Hamiltonian: each a dense matrix or, for a diagonal
-    observable, the vector of its diagonal.  Both are called once per sector,
-    so pieces shared between observables are built once.  With
-    ``observables=None`` only ``log Z`` is wanted, and each sector needs
-    its eigenvalues alone (``linalg.eigvalsh``).  ``max_total``
+    sectors; each sector is diagonalized densely.  ``hamiltonian`` and
+    ``observables`` take one shape, a tuple ``(fn, *params)`` whose
+    ``fn(sb, *params)`` is called on a sector basis.  The Hamiltonian's
+    ``fn`` returns the sector's dense Hamiltonian (default: the Dirichlet
+    kinetic form), at inverse temperature ``beta_tilde`` in its own energy
+    unit, and is called only for a sector that must be diagonalized.  The
+    observables' ``fn`` returns their list on the sector, each a dense
+    matrix or, for a diagonal observable, the vector of its diagonal, and is
+    called once per sector, so pieces shared between observables are built
+    once.  With ``observables=None`` only ``log Z`` is wanted, and each
+    sector needs its eigenvalues alone (``linalg.eigvalsh``).  ``max_total``
     optionally caps the total number; with ground energies growing linearly
     in the sector number the neglected weight decays geometrically.
 
@@ -430,22 +428,24 @@ def gibbs_expectation_truncated(
     skips every eigensolve.  Each parameter splits the key: an observable
     built at each spin gets one spectral pass per spin, so a caller that can
     scale the spin out after the thermal pass traces the spin-free operator
-    (the CLI's quartic trace is ``S I``, keyed without the spin).  The memo
-    holds at most ``BASIS_CAP`` floats in all and drops the least recently
-    used trace first; a trace that raises leaves nothing in it.  The thermal
-    pass weighs the stored spectra at ``beta_tilde``; a hit runs the same
-    thermal pass over the same arrays as a miss, so both give the same bits.
+    (the CLI's quartic trace is ``S I``, keyed without the spin).  The memo,
+    ``_spectra_memo``, holds at most its ``cap`` of ``2^20`` floats in all
+    and drops the least recently used trace first; a trace that raises
+    leaves nothing in it.  The thermal pass weighs the stored spectra at
+    ``beta_tilde``; a hit runs the same thermal pass over the same arrays as
+    a miss, so both give the same bits.
 
     A spectral miss reads each sector's eigensystem ``(w, v)`` from a second
-    memo, keyed by ``(spec, n_max, n_total, hamiltonian)``, and solves only
-    the sectors it lacks; it still builds each sector's Hamiltonian and
-    observables.  A held eigensystem is the array pair ``linalg.eigh``
-    returned, read-only, so the diagonals have the bits of a cold trace.
-    The trace stores its eigensystems, after its last sector, only if all of
-    them fit ``EIGENSYSTEM_CAP`` floats, decided from the sector dimensions
-    before any solve; that memo drops its least recently used sectors first
-    and never touches the spectra.  ``observables=None`` neither reads nor
-    fills it, since ``eigvalsh`` rounds apart from ``eigh``.
+    memo, ``_eigensystem_memo``, keyed by ``(spec, n_max, n_total,
+    hamiltonian)``, and solves only the sectors it lacks: a held sector
+    builds its observables but no Hamiltonian.  A held eigensystem is the
+    array pair ``linalg.eigh`` returned, read-only, so the diagonals have
+    the bits of a cold trace.  The trace stores its eigensystems, after its
+    last sector, only if all of them fit that memo's ``cap`` of ``2^18``
+    floats, decided from the sector dimensions before any solve; that memo
+    drops its least recently used sectors first and never touches the
+    spectra.  ``observables=None`` neither reads nor fills it, since
+    ``eigvalsh`` rounds apart from ``eigh``.
 
     The sector bases, each with its cached hop table, are shared by every
     spectral pass of the same ``(spec, n_max)`` box: the spin-ED trace and
@@ -480,5 +480,5 @@ def gibbs_expectation_truncated(
         boltz = np.exp(-beta_tilde * (w - shift))
         z += float(boltz.sum())
         acc += [float(np.dot(boltz, diag)) for diag in diags]
-    _spectra_memo.put(key, spectra, _spectra_floats(spectra), BASIS_CAP)
+    _spectra_memo.put(key, spectra, _spectra_floats(spectra))
     return [float(x) / z for x in acc], float(np.log(z)) - beta_tilde * shift

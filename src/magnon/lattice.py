@@ -20,7 +20,7 @@ pure function of its frozen, hashable ``LatticeSpec``, so each is memoized
 for the box asked about most recently (``_memoized``).  The arrays are
 shared between callers and therefore read-only: writing into one raises
 ``ValueError``.  Larger per-box data, kept for several boxes at once, is
-held in memos bounded by a float count (``_Memo``).
+held in memos that each carry their own float budget (``_Memo``).
 """
 
 from __future__ import annotations
@@ -105,15 +105,16 @@ def _memoized(fn):
 
 
 class _Memo(dict):
-    """``{key: value}`` kept least recently used first, bounded by a count of floats.
+    """``{key: value}`` kept least recently used first, holding at most ``cap`` floats.
 
     Change it only through ``take``, which removes an entry and returns it,
     and ``put``, which stores one as the most recent.  Each entry's float
     count is kept beside it, so a store costs only the entries it drops.
     """
 
-    def __init__(self):
+    def __init__(self, cap: int):
         super().__init__()
+        self.cap = cap
         self._sizes = {}
         self.floats = 0  # held in all
 
@@ -124,13 +125,13 @@ class _Memo(dict):
         self.floats -= self._sizes.pop(key)
         return self.pop(key)
 
-    def put(self, key, value, floats: int, cap: int) -> None:
+    def put(self, key, value, floats: int) -> None:
         """Store ``value``, which holds ``floats`` floats, dropping the oldest past ``cap``."""
         self.take(key)
         self[key] = value
         self._sizes[key] = floats
         self.floats += floats
-        while self.floats > cap:
+        while self.floats > self.cap:
             self.take(next(iter(self)))
 
 

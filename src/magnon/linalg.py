@@ -6,17 +6,16 @@ machine.  Thermal traces are sector-blocked: every Hamiltonian traced in
 this package conserves the total boson number (total ``S^3``), so
 ``fock.gibbs_expectation_truncated`` calls ``eigh`` once per sector of a
 trace it has not seen before, at any temperature, unless that sector's
-eigensystem under the same Hamiltonian is held in its eigensystem memo
-(bounded by ``fock.EIGENSYSTEM_CAP`` floats); it shifts the spectra by the
-lowest eigenvalue of all its sectors, so nothing overflows no matter how
-large ``beta`` is.  A trace that needs only ``log Z`` (the spin free energy)
-calls ``eigvalsh`` instead, which runs the same checks and skips the
-eigenvectors; it never uses the eigensystem memo, because the two LAPACK
-paths round differently.  Both check the cap, finiteness and symmetry of
-their input: they solve it as given when it equals its transpose (every
-hop-table operator does: a move and its reverse take their amplitude from
-the same integers), and its symmetrized copy when it is symmetric only to
-rounding.
+eigensystem under the same Hamiltonian is held in its float-bounded
+eigensystem memo; it shifts the spectra by the lowest eigenvalue of all its
+sectors, so nothing overflows no matter how large ``beta`` is.  A trace
+that needs only ``log Z`` (the spin free energy) calls ``eigvalsh`` instead,
+which runs the same checks and skips the eigenvectors; it never uses the
+eigensystem memo, because the two LAPACK paths round differently.  Both
+check the cap, finiteness and symmetry of their input: they solve it as
+given when it equals its transpose (every hop-table operator does: a move
+and its reverse take their amplitude from the same integers), and its
+symmetrized copy when it is symmetric only to rounding.
 """
 
 from __future__ import annotations

@@ -259,21 +259,21 @@ def remainder_bound(spec, two_s: int, beta_tilde: float) -> float:
     return float(np.sum(per_bond)) / (8.0 * s * s)
 
 
-def _cross_term_observables(sb, td, two_s):
-    """``(T+I)(1-P)``, ``(1-P)(T+I)P`` and ``T(1-P)`` on one sector."""
+def _cross_term_observables(sb, two_s):
+    """``(T+I)(1-P)``, ``(1-P)(T+I)P`` and ``T(1-P)``, ``T`` the traced Dirichlet form."""
+    td = fock.kinetic_dirichlet(sb)
     a = td + fock.quartic(sb, two_s)
     p = fock.projector_mask(sb, two_s).astype(np.float64)
     return [a * (1.0 - p), (1.0 - p)[:, None] * a * p, td * (1.0 - p)]
 
 
-def _remainder_observables(sb, _, two_s):
+def _remainder_observables(sb, two_s):
     """``R`` from the ``n_max = 2S`` sector embedded in ``sb``, and ``P``."""
     small = fock.SectorBasis(sb.spec, two_s, sb.n_total)
     idx = sb._locate(small.occupations)
     r_big = np.zeros((sb.dim, sb.dim))
-    r_big[np.ix_(idx, idx)] = fock.remainder_after_quartic(
-        small, two_s, fock.kinetic(small), fock.quartic(small, two_s)
-    )
+    quart = fock.quartic(small, two_s)
+    r_big[np.ix_(idx, idx)] = fock.remainder_after_quartic(small, two_s, quart)
     return [r_big, fock.projector_mask(sb, two_s).astype(np.float64)]
 
 

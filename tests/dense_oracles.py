@@ -201,7 +201,7 @@ def expansion_terms(basis, two_s: int) -> ExpansionTerms:
     )
     q = fock.quartic(basis, two_s)
     j6 = sextic(basis, two_s)
-    r2 = fock.remainder_after_quartic(basis, two_s, t, q)
+    r2 = fock.remainder_after_quartic(basis, two_s, q)
     return ExpansionTerms(t, td, q, j6, r2, r2 - j6)
 
 

@@ -112,7 +112,7 @@ def test_criterion_04_interaction_triple_agreement():
     errs = {}
     for cutoff in (12, 16):
         (val,), _ = fock.gibbs_expectation_truncated(
-            spec, cutoff, bt, (lambda sb, h: [fock.quartic(sb, two_s)],), max_total=32
+            spec, cutoff, bt, (lambda sb: [fock.quartic(sb, two_s)],), max_total=32
         )
         errs[cutoff] = abs(val - mode) / abs(mode)
     ok = (

@@ -175,12 +175,12 @@ def test_temperature_list_rows_match_single_calls(command, capsys, monkeypatch):
     single = []
     for bt in bts:
         for memo in ("_spectra_memo", "_eigensystem_memo"):  # each call traces from scratch
-            monkeypatch.setattr(fock, memo, lattice._Memo())
+            monkeypatch.setattr(fock, memo, lattice._Memo(getattr(fock, memo).cap))
         code, out, _ = run(capsys, argv + [bt])
         assert code == 0
         single.append(out.splitlines()[1])
     for memo in ("_spectra_memo", "_eigensystem_memo"):
-        monkeypatch.setattr(fock, memo, lattice._Memo())
+        monkeypatch.setattr(fock, memo, lattice._Memo(getattr(fock, memo).cap))
     built = collections.Counter()
 
     def counting(fn):
@@ -279,6 +279,35 @@ def test_diagrams_refuses_non_finite_rows(capsys, beta_tilde):
     assert code == 3
     assert out == ""
     assert "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "free-energy --d 3 --two-s 2 --beta-tilde 1e200",
+        "free-energy --d 3 --two-s 2 --beta-tilde 1e-300",
+        "free-energy --d 3 --ell 4 --two-s 2 --beta-tilde 1e-300",
+        "correction --d 3 --ell 4 --two-s 2 --beta-tilde 1e-300",
+        "correction --d 3 --ell 4 --two-s 2 --beta-tilde 1e-300 --format csv",
+    ],
+)
+def test_an_overflow_is_a_numerical_failure(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    assert code == 3
+    assert out == ""  # no Infinity, -inf or NaN is ever written
+    assert err.splitlines()[-1].startswith("magnon: numerical failure: ")
+
+
+@pytest.mark.parametrize("two_s, beta_tilde", [("200", "0.1"), ("256", "0.05"), ("2", "1e40")])
+def test_the_asymptotic_route_flags_an_overflowing_weight_bound(capsys, two_s, beta_tilde):
+    argv = ["free-energy", "--d", "3", "--two-s", two_s, "--beta-tilde", beta_tilde]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "Infinity" not in out and "NaN" not in out
+    (report,) = json.loads(out)["reports"]
+    assert report["hypothesis_ok"] is False
+    assert "weight inf exceeds 1/2" in " ".join(report["warnings"])
+    assert "one_minus_p_formula" not in report["info"]
 
 
 @pytest.mark.parametrize("output", [None, "-", "scan.csv"])

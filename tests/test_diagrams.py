@@ -148,10 +148,13 @@ def test_biggest_error_dual_forms():
     grid = diagrams.PeriodicGrid(4)
     bt, two_s = 1.3, 2
     val = diagrams.biggest_error_term(grid, bt, two_s)
-    assert val.value == pytest.approx(val.extras["double_sum_form"], rel=1e-12, abs=0.0)
-    # brute double momentum sum
     f = diagrams.occupations(grid, bt)
     s = two_s / 2.0
+    # the double sum factorized over k1 and k2
+    sf, sef = float(f.sum()), float(np.dot(f, grid.eps))
+    double_form = (12.0 * sf * sf - 2.0 * sf * sef) / (16.0 * s * s * grid.ell**6)
+    assert val.value == pytest.approx(double_form, rel=1e-12, abs=0.0)
+    # brute double momentum sum
     acc = 0.0
     for i1 in nonzero(grid):
         for i2 in nonzero(grid):
@@ -423,7 +426,10 @@ def test_right_diagram_closed_form_matches_table(ell):
         got = diagrams.right_diagram(grid, bt, 2)
         want_value, want_g_max = right_table_form(grid, bt, 2)
         assert got.value == pytest.approx(want_value, rel=1e-13, abs=0.0)
-        assert got.extras["g_max"] == pytest.approx(want_g_max, rel=1e-13, abs=0.0)
+        # G(k2) = -(sum f eps / 6) eps(k2), the identity the closed form rests on
+        f = diagrams.occupations(grid, bt)
+        g_max = abs(float(np.dot(f, grid.eps))) / 6.0 * float(np.max(grid.eps[1:]))
+        assert g_max == pytest.approx(want_g_max, rel=1e-13, abs=0.0)
 
 
 def k3_residuals(grid, sum_idx, e):
@@ -465,7 +471,7 @@ def test_k3_identity_sees_a_broken_row(monkeypatch):
 
     monkeypatch.setattr(diagrams, "_pair_tables", broken)
     # the broken torus stays out of the real memo
-    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo(diagrams._tori.cap))
     grid = diagrams.PeriodicGrid(3)
     sum_idx, _, eps_diff, _, _ = broken(grid)
     direct, by_rows = k3_residuals(grid, sum_idx, eps_diff)
@@ -541,9 +547,9 @@ def test_cancellation_scan_validation():
 
 def test_a_scan_gives_the_bits_of_its_one_temperature_scans(monkeypatch):
     bts = [0.25, 1.0, 2.0, 4.0, 16.0]
-    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo(diagrams._tori.cap))
     rows = diagrams.cancellation_scan(6, 2, bts).rows
-    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo(diagrams._tori.cap))
     singles = tuple(diagrams.cancellation_scan(6, 2, [bt]).rows[0] for bt in bts)
     assert rows == singles
     assert diagrams.cancellation_scan(6, 2, bts[::-1]).rows == singles[::-1]
@@ -558,7 +564,7 @@ def test_a_second_scan_of_a_torus_builds_no_kernel(monkeypatch):
         return build(grid)
 
     monkeypatch.setattr(diagrams, "_left_kernel", counted)
-    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo(diagrams._tori.cap))
     first = diagrams.cancellation_scan(5, 2, [1.0, 2.0])
     again = diagrams.cancellation_scan(5, 2, [1.0, 2.0])
     diagrams.cancellation_scan(5, 3, [0.5, 3.0, 8.0])
@@ -583,7 +589,7 @@ def grid_arrays(grid):
 
 
 def test_the_torus_memo_is_bounded_and_holds_no_pair_table(monkeypatch):
-    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo(diagrams._tori.cap))
     for ell in range(3, 9):
         diagrams.cancellation_scan(ell, 2, [1.0])
     floats = {ell: diagrams._grid_floats(g) for ell, g in diagrams._tori.items()}
@@ -596,8 +602,7 @@ def test_the_torus_memo_is_bounded_and_holds_no_pair_table(monkeypatch):
         assert max(a.size for a in arrays) < (ell**3 - 1) ** 2
     # room for the tori at ell 3 to 5, or at 5 and 7, not for those at 4, 5 and 7
     cap = floats[5] + floats[7]
-    monkeypatch.setattr(fock, "BASIS_CAP", cap)
-    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo(cap))
     for ell, held in ((3, [3]), (4, [3, 4]), (5, [3, 4, 5]), (7, [5, 7]), (5, [7, 5]),
                       (4, [5, 4])):
         diagrams.cancellation_scan(ell, 2, [1.0])
@@ -606,7 +611,7 @@ def test_the_torus_memo_is_bounded_and_holds_no_pair_table(monkeypatch):
 
 
 def test_a_warm_memo_refuses_what_a_cold_one_refuses(monkeypatch):
-    monkeypatch.setattr(diagrams, "_tori", lattice._Memo())
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo(diagrams._tori.cap))
     monkeypatch.setattr(diagrams, "ELL_CAP", 4)
     diagrams.cancellation_scan(5, 2, [1.0], allow_large=True)
     diagrams.cancellation_scan(4, 2, [1.0])

@@ -122,3 +122,6 @@ def test_one_minus_p_bound_example():
     assert abs(got2 - np.e * 8 * 3 * 0.01) < 1e-12
     with pytest.raises(ValidationError, match="occupation must be nonnegative"):
         dispersion.one_minus_p_bound(3, 4.0, 2, 1, rho_bound=-1e-3)
+    # past any float, through the power of rho_bar or through ell^d
+    assert dispersion.one_minus_p_bound(3, 0.1, 10, 200) == np.inf
+    assert dispersion.one_minus_p_bound(3, 1.0, 10**120, 2, rho_bound=0.1) == np.inf

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import dense_expectation, dense_log_z
 
-from magnon import cli, fock, lattice, linalg, spin_ed, spinwave, wick
+from magnon import cli, diagrams, fock, lattice, linalg, spin_ed, spinwave, wick
 from magnon._errors import CapacityError, ValidationError
 
 
@@ -16,7 +16,7 @@ def chain(n, ell=None):
     return lattice.LatticeSpec(1, n if ell is None else ell)
 
 
-def quartic_of(sb, h, two_s):
+def quartic_of(sb, two_s):
     return [fock.quartic(sb, two_s)]
 
 
@@ -28,7 +28,7 @@ def test_basis_enumeration_and_lookup():
     assert occ.shape == (256, 4)
     assert len({tuple(r) for r in occ}) == 256
     for idx in (0, 17, 255):
-        assert basis.index_of(occ[idx]) == idx
+        assert int(occ[idx] @ basis.strides) == idx
     # out-of-range occupation is reported as absent
     assert basis._locate(np.array([[0, 0, 0, 4]]))[0] == -1
 
@@ -144,7 +144,7 @@ def test_quartic_sextic_symmetry():
     for op in (fock.quartic(basis, 2), dense_oracles.sextic(basis, 2)):
         assert np.allclose(op, op.T, atol=1e-13)
     # quartic and sextic annihilate the vacuum and one-particle states
-    sec01 = [basis.index_of([0, 0]), basis.index_of([1, 0]), basis.index_of([0, 1])]
+    sec01 = [int(np.dot(occ, basis.strides)) for occ in ([0, 0], [1, 0], [0, 1])]
     q = fock.quartic(basis, 2)
     assert np.max(np.abs(q[:, sec01])) == 0.0
 
@@ -161,7 +161,7 @@ def test_hp_positive_and_vacuum_ground():
     h = fock.hp_hamiltonian(basis, 2)
     w = np.linalg.eigvalsh(h)
     assert w.min() > -1e-12
-    vac = basis.index_of([0, 0, 0])
+    vac = int(np.dot([0, 0, 0], basis.strides))
     assert np.max(np.abs(h[:, vac])) == 0.0
 
 
@@ -280,7 +280,7 @@ def test_gibbs_expectation_truncated_shifts_spectra():
         spec,
         n_max,
         bt,
-        (lambda sb, hs: [fock.quartic(sb, 1), sb.occupations[:, 0]],),
+        (lambda sb: [fock.quartic(sb, 1), sb.occupations[:, 0]],),
         hamiltonian=(shifted_kinetic,),
     )
     assert abs(got_lz - dense_log_z(h, bt)) <= 1e-13 * abs(got_lz)
@@ -292,11 +292,11 @@ def test_gibbs_expectation_truncated_shifts_spectra():
 def test_gibbs_expectation_truncated_rejects_bad_observable():
     with pytest.raises(ValidationError):
         fock.gibbs_expectation_truncated(
-            chain(2), 2, 1.0, (lambda sb, h: [np.zeros(sb.dim + 1)],)
+            chain(2), 2, 1.0, (lambda sb: [np.zeros(sb.dim + 1)],)
         )
     # the functions come as (function, *params) tuples, the memo's keys
     with pytest.raises(ValidationError, match="tuples"):
-        fock.gibbs_expectation_truncated(chain(2), 2, 1.0, lambda sb, h: [])
+        fock.gibbs_expectation_truncated(chain(2), 2, 1.0, lambda sb: [])
     with pytest.raises(ValidationError, match="tuples"):
         fock.gibbs_expectation_truncated(chain(2), 2, 1.0, None, hamiltonian=fock.kinetic)
 
@@ -378,7 +378,7 @@ def test_log_z_only_matches_eigh_path(spec, n_max):
             path_tol = 2.0 * bt * w_max * np.finfo(np.float64).eps
             values, lz = fock.gibbs_expectation_truncated(spec, n_max, bt, None, hamiltonian=ham)
             _, want = fock.gibbs_expectation_truncated(
-                spec, n_max, bt, (lambda sb, h: [],), hamiltonian=ham
+                spec, n_max, bt, (lambda sb: [],), hamiltonian=ham
             )
             assert values == []
             assert abs(lz - want) <= 2.0 * path_tol
@@ -449,10 +449,14 @@ def test_sector_rows_are_read_only():
 # --- the memo of sector spectra ---------------------------------------------
 
 
+def _two_observables(sb, two_s):
+    return [fock.quartic(sb, two_s), sb.occupations[:, 0]]
+
+
 def cold_memos(monkeypatch):
     """Empty spectra and eigensystem memos, as in a fresh process."""
     for memo in ("_spectra_memo", "_eigensystem_memo"):
-        monkeypatch.setattr(fock, memo, lattice._Memo())
+        monkeypatch.setattr(fock, memo, lattice._Memo(getattr(fock, memo).cap))
 
 
 @pytest.fixture
@@ -502,7 +506,7 @@ def test_warm_trace_equals_cold_bit_for_bit(caller, eigensolves, monkeypatch):
     assert len(eigensolves) == cold_solves  # every spectrum came from the memo
     # eigensystems warm, spectra cold: only spin ED, which wants eigenvalues
     # alone, solves its sectors again
-    monkeypatch.setattr(fock, "_spectra_memo", lattice._Memo())
+    monkeypatch.setattr(fock, "_spectra_memo", lattice._Memo(fock._spectra_memo.cap))
     eigensystems_warm = caller(spec, 2, 2.5)
     again = cold_solves if caller is spin_ed.free_energy_per_spin else 0
     assert len(eigensolves) == cold_solves + again
@@ -526,6 +530,48 @@ def test_new_observables_on_a_held_hamiltonian_run_no_eigensolve(eigensolves, mo
     assert repr(warm) == repr(cold)
 
 
+def test_a_held_eigensystem_builds_no_hamiltonian(eigensolves, monkeypatch):
+    spec = chain(3)
+    built = []
+
+    def counted(sb):
+        built.append(sb.n_total)
+        return fock.kinetic_dirichlet(sb)
+
+    fock.gibbs_expectation_truncated(spec, 3, 1.0, (quartic_of, 1), hamiltonian=(counted,))
+    assert built == list(range(10))
+    # a second observable set on the same box and cutoff reads every sector's
+    # eigensystem from the memo, and builds no Hamiltonian
+    warm = fock.gibbs_expectation_truncated(
+        spec, 3, 1.0, (_two_observables, 2), hamiltonian=(counted,)
+    )
+    assert built == list(range(10)) and len(eigensolves) == 10
+    cold_memos(monkeypatch)
+    cold = fock.gibbs_expectation_truncated(
+        spec, 3, 1.0, (_two_observables, 2), hamiltonian=(counted,)
+    )
+    assert built == 2 * list(range(10))
+    assert repr(warm) == repr(cold)  # repr: every float to the last bit
+    cold_memos(monkeypatch)
+    default = fock.gibbs_expectation_truncated(spec, 3, 1.0, (_two_observables, 2))
+    assert repr(default) == repr(cold)
+
+
+def test_each_memo_carries_its_own_budget(eigensolves, monkeypatch):
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo(diagrams._tori.cap))
+    memos = (fock._spectra_memo, fock._eigensystem_memo, diagrams._tori)
+    assert [m.cap for m in memos] == [2**20, 2**18, 2**20]
+    # the Fock-basis cap is no memo's budget: every memo still stores
+    monkeypatch.setattr(fock, "BASIS_CAP", 1)
+    fock.gibbs_expectation_truncated(chain(3), 2, 1.0, (quartic_of, 1))
+    diagrams.cancellation_scan(3, 2, [1.0])
+    assert [m.cap for m in memos] == [2**20, 2**18, 2**20]
+    assert [len(m) for m in memos] == [1, 7, 1]
+    assert all(m.floats > 1 for m in memos)
+    with pytest.raises(CapacityError):
+        fock.FockBasis(chain(1), 1)
+
+
 def test_held_eigensystems_are_read_only_and_counted(eigensolves):
     spec = chain(3)
     fock.gibbs_expectation_truncated(spec, 3, 1.0, (quartic_of, 1))
@@ -541,10 +587,10 @@ def test_a_trace_over_the_budget_stores_no_eigensystem_and_drops_no_spectra(
     eigensolves, monkeypatch
 ):
     spec = chain(3)
-    monkeypatch.setattr(fock, "EIGENSYSTEM_CAP", fock._eigensystem_floats(spec, 2, 6))
+    monkeypatch.setattr(fock._eigensystem_memo, "cap", fock._eigensystem_floats(spec, 2, 6))
     fock.gibbs_expectation_truncated(spec, 2, 1.0, (quartic_of, 1))
     held = dict(fock._eigensystem_memo)
-    assert len(held) == 7 and fock._eigensystem_memo.floats == fock.EIGENSYSTEM_CAP
+    assert len(held) == 7 and fock._eigensystem_memo.floats == fock._eigensystem_memo.cap
     # the n_max = 3 trace needs more than the budget: it solves every sector
     # and stores none of them, and both spectra stay
     solves = len(eigensolves)
@@ -632,19 +678,15 @@ def test_each_input_of_a_trace_gets_its_own_spectra(eigensolves, monkeypatch):
     assert set(fock._spectra_memo) - before
 
 
-def _two_observables(sb, h, two_s):
-    return [fock.quartic(sb, two_s), sb.occupations[:, 0]]
-
-
-def test_memo_holds_at_most_basis_cap_floats(eigensolves, monkeypatch):
+def test_spectra_memo_holds_at_most_its_cap(eigensolves, monkeypatch):
     spec = chain(3)
     # 1 + 2 floats per row of the 4^3 rows of the capped space
     per_trace = 3 * 4**3
-    monkeypatch.setattr(fock, "BASIS_CAP", 2 * per_trace)
+    monkeypatch.setattr(fock._spectra_memo, "cap", 2 * per_trace)
     for two_s in (1, 2, 3):
         fock.gibbs_expectation_truncated(spec, 3, 1.0, (_two_observables, two_s))
         held = sum(fock._spectra_floats(s) for s in fock._spectra_memo.values())
-        assert held == fock._spectra_memo.floats <= fock.BASIS_CAP
+        assert held == fock._spectra_memo.floats <= fock._spectra_memo.cap
     # the oldest trace was dropped, the two latest are kept
     assert [key[3:] for key in fock._spectra_memo] == [
         ((fock.kinetic_dirichlet,), (_two_observables, two_s)) for two_s in (2, 3)
@@ -657,7 +699,7 @@ def test_memo_holds_at_most_basis_cap_floats(eigensolves, monkeypatch):
     # the first trace's eigensystems served every later one
     assert len(eigensolves) == spec.n_sites * 3 + 1
     # a trace larger than the whole store is not kept
-    monkeypatch.setattr(fock, "BASIS_CAP", per_trace - 1)
+    monkeypatch.setattr(fock._spectra_memo, "cap", per_trace - 1)
     fock.gibbs_expectation_truncated(spec, 3, 1.0, (_two_observables, 4))
     assert fock._spectra_memo == {} and fock._spectra_memo.floats == 0
 
@@ -665,7 +707,7 @@ def test_memo_holds_at_most_basis_cap_floats(eigensolves, monkeypatch):
 def test_a_trace_that_raises_leaves_no_spectra(eigensolves):
     with pytest.raises(ValidationError, match="wrong sector dimension"):
         fock.gibbs_expectation_truncated(
-            chain(2), 2, 1.0, (lambda sb, h: [np.zeros(sb.dim + 1)],)
+            chain(2), 2, 1.0, (lambda sb: [np.zeros(sb.dim + 1)],)
         )
     assert fock._spectra_memo == {}
     assert fock._eigensystem_memo == {}

@@ -178,3 +178,16 @@ def test_geometry_is_memoized_read_only_and_equals_a_fresh_computation(spec):
         for _ in range(2):
             with pytest.raises(ValidationError):
                 lattice.boundary_multiplicity(spec)
+
+
+def test_memo_drops_its_oldest_entries_past_its_cap():
+    memo = lattice._Memo(10)
+    assert memo.cap == 10
+    for key, floats in (("a", 4), ("b", 4), ("a", 4)):  # "a" again: now the latest
+        memo.put(key, key.upper(), floats)
+    assert list(memo) == ["b", "a"] and memo.floats == 8
+    memo.put("c", "C", 4)
+    assert list(memo) == ["a", "c"] and memo.floats == 8
+    assert memo.take("a") == "A" and memo.take("a") is None
+    memo.put("d", "D", 11)  # larger than the whole budget: not kept
+    assert memo == {} and memo.floats == 0

@@ -292,7 +292,7 @@ def test_ed_and_box_bound_traces_share_sector_bases(monkeypatch, capsys):
 
 def test_remainder_check_keeps_the_traced_box(monkeypatch):
     for memo in ("_spectra_memo", "_eigensystem_memo"):  # whatever ran before
-        monkeypatch.setattr(fock, memo, lattice._Memo())
+        monkeypatch.setattr(fock, memo, lattice._Memo(getattr(fock, memo).cap))
     spec = lattice.LatticeSpec(1, 3)
     wick.remainder_check(spec, 2, 2.0, 4)
     table = fock._sector_table(spec, 4)

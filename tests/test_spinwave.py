@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -8,7 +9,7 @@ import dense_oracles
 from conftest import dense_expectation, dense_log_z
 
 from magnon import dispersion, fock, lattice, spin_ed, spinwave, wick
-from magnon._errors import HypothesisError, ValidationError
+from magnon._errors import CapacityError, HypothesisError, ValidationError
 
 
 def test_error_budget():
@@ -266,6 +267,26 @@ def test_analytic_route_dominates_spin_free_energy():
     assert rep.hypothesis_ok
     assert rep.total_upper_bound >= exact - 1e-12
     assert rep.info["one_minus_p"] < 1e-3
+
+
+def test_analytic_route_dominates_spin_ed_on_a_fixed_grid():
+    """``total_upper_bound >= f_ED`` wherever both routes run on the grid below.
+
+    The grid is fixed in advance; a point is skipped only where spin ED hits
+    its dense cap or the analytic route's hypothesis fails.
+    """
+    boxes = [(1, 3), (1, 4), (1, 6), (2, 2), (2, 3), (3, 2)]
+    ran = 0
+    for (d, ell), two_s, bt in itertools.product(boxes, (1, 2, 3, 4, 6, 8), (0.5, 1.0, 2.0, 4.0)):
+        spec = lattice.LatticeSpec(d, ell)
+        try:
+            exact = spin_ed.free_energy_per_spin(spec, two_s, bt)
+            bound = spinwave.dirichlet_box_bound(spec, two_s, bt, projector_stats="analytic")
+        except (CapacityError, HypothesisError):
+            continue
+        ran += 1
+        assert bound.total_upper_bound - exact >= -1e-12 * abs(exact), (d, ell, two_s, bt)
+    assert ran >= 72  # every point both routes reach today
 
 
 def test_theorem_bound_validation():

@@ -114,7 +114,7 @@ def one_minus_p(spec, two_s, beta_tilde, n_max):
         spec,
         n_max,
         beta_tilde,
-        (lambda sb, h: [1.0 - fock.projector_mask(sb, two_s).astype(np.float64)],),
+        (lambda sb: [1.0 - fock.projector_mask(sb, two_s).astype(np.float64)],),
     )
     return w
 
