@@ -6,7 +6,8 @@ here: ``inverse_temperature`` (``beta_tilde`` positive and finite), ``spin``
 (``2S`` a positive integer; returns ``S``) and ``cutoff`` (a per-site boson
 cap ``n_max`` a positive integer).  ``integer`` is the one integer test
 behind these and every other count the package takes: a ``bool`` is refused,
-though Python counts it as an ``int``.
+though Python counts it as an ``int``.  ``overflow`` is the one message for
+a quantity that leaves float range at an extreme temperature.
 """
 
 import math
@@ -35,6 +36,11 @@ class HypothesisError(MagnonError):
     that can degrade gracefully (e.g. report writers) catch this and flag the
     result rather than fail.
     """
+
+
+def overflow(quantity: str, beta_tilde) -> NumericalError:
+    """The error for ``quantity`` overflowing a float at inverse temperature ``beta_tilde``."""
+    return NumericalError(f"{quantity} overflows a float at beta_tilde={beta_tilde!r}")
 
 
 def inverse_temperature(beta_tilde) -> float:

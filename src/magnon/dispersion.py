@@ -25,7 +25,9 @@ import math
 import numpy as np
 
 from . import lattice, quadrature
-from ._errors import HypothesisError, ValidationError, integer, inverse_temperature, spin
+from ._errors import (
+    HypothesisError, ValidationError, integer, inverse_temperature, overflow, spin,
+)
 
 __all__ = [
     "epsilon",
@@ -145,7 +147,10 @@ def rho_upper_bound(d: int, beta_tilde: float, ell: int) -> float:
     integer(d, "occupation bound is available for d=2 and d=3 only", 2, 3)
     integer(ell, "ell must be a positive integer")
     if d == 3:
-        return (math.pi**1.5 / 8.0) * quadrature.zeta(1.5) * bt**-1.5
+        try:
+            return (math.pi**1.5 / 8.0) * quadrature.zeta(1.5) * bt**-1.5
+        except OverflowError:
+            raise overflow("the occupation bound's beta_tilde**-1.5", bt) from None
     if not (2.0 * bt > 1.0 and 1.0 > 2.0 * bt / (ell + 1)):
         raise HypothesisError(
             f"d=2 occupation bound needs 2*beta > 1 > 2*beta/(ell+1); "

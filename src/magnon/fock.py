@@ -20,8 +20,12 @@ trace in the package is sector-blocked: the Hamiltonians it traces conserve
 the total number, so ``gibbs_expectation_truncated`` diagonalizes one
 fixed-total sector (``SectorBasis``) at a time, which also reaches capped
 spaces far beyond the cap.  The sector bases and their hop tables are kept
-in one table per box (``_sector_table``), memoized like the box's geometry:
-the traces of one box share them, and tracing another box drops them.
+in one table per box and cutoff, held in ``_sector_memo`` (``2^17`` entries
+of rows and hop tables) for several boxes at once: the traces of a box share
+them, also when traces of other boxes come in between, and a table larger
+than the cap is not kept.  The remainder ``R`` beyond the quartic is built
+on the traced sector itself, on its rows with occupations at most ``2S``
+(``remainder``), so it needs no basis of its own.
 
 A trace takes its Hamiltonian and its observables in one shape, a tuple
 ``(fn, *params)`` with ``fn(sb, *params)`` called on each sector basis.  A
@@ -59,7 +63,7 @@ __all__ = [
     "kinetic_dirichlet",
     "quartic",
     "hp_hamiltonian",
-    "remainder_after_quartic",
+    "remainder",
     "projector_mask",
     "gibbs_expectation_truncated",
 ]
@@ -217,10 +221,20 @@ def _hop_table(basis):
     return table
 
 
-def _hop_operator(basis, diag: np.ndarray, amplitude: Callable) -> np.ndarray:
-    """Dense ``diag(diag)`` plus ``amplitude(n_x, n_y)`` on every move of the hop table."""
+def _hop_operator(
+    basis, diag: np.ndarray, amplitude: Callable, keep: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Dense ``diag(diag)`` plus ``amplitude(n_x, n_y)`` on every move of the hop table.
+
+    With a row mask ``keep``, only the rows and moves inside it are filled
+    and every other entry is zero; ``amplitude`` then sees only those moves.
+    """
     _check_dense(basis.dim)
     src, tgt, n_x, n_y = _hop_table(basis)
+    if keep is not None:
+        inside = keep[src] & keep[tgt]
+        src, tgt, n_x, n_y = src[inside], tgt[inside], n_x[inside], n_y[inside]
+        diag = np.where(keep, diag, 0.0)
     m = np.diag(diag)
     m[tgt, src] = amplitude(n_x, n_y)
     return m
@@ -240,13 +254,35 @@ def _bond_diagonal(basis, weights_fn) -> np.ndarray:
     return np.sum(per_bond, axis=1, dtype=np.float64)
 
 
-def kinetic(basis) -> np.ndarray:
-    """Quadratic hopping form: per bond ``-a*_x a_y - a*_y a_x + n_x + n_y``."""
-    return _hop_operator(
-        basis,
+# Each operator below as its diagonal and its hop amplitude, so that
+# ``remainder`` combines the very same floats.
+
+
+def _kinetic_terms(basis):
+    return (
         _bond_diagonal(basis, lambda ni, nj: ni + nj),
         lambda nx, ny: -np.sqrt((nx + 1) * ny),
     )
+
+
+def _quartic_terms(basis, s: float):
+    return (
+        -_bond_diagonal(basis, lambda ni, nj: (ni * nj).astype(np.float64)) / s,
+        lambda nx, ny: np.sqrt((nx + 1) * ny) * (nx + ny - 1) / (4.0 * s),
+    )
+
+
+def _hp_terms(basis, two_s: int, s: float):
+    return (
+        _bond_diagonal(basis, lambda ni, nj: s * (ni + nj) - (ni * nj).astype(np.float64)),
+        lambda nx, ny: -s
+        * np.sqrt((nx + 1.0) * ny * (1.0 - nx / two_s) * (1.0 - (ny - 1.0) / two_s)),
+    )
+
+
+def kinetic(basis) -> np.ndarray:
+    """Quadratic hopping form: per bond ``-a*_x a_y - a*_y a_x + n_x + n_y``."""
+    return _hop_operator(basis, *_kinetic_terms(basis))
 
 
 def kinetic_dirichlet(basis) -> np.ndarray:
@@ -267,12 +303,7 @@ def quartic(basis, two_s: int) -> np.ndarray:
     and ``(n_y-1) sqrt((n_x+1) n_y)``, the next two ``x -> y``; the last one
     is diagonal.
     """
-    s = spin(two_s)
-    return _hop_operator(
-        basis,
-        -_bond_diagonal(basis, lambda ni, nj: (ni * nj).astype(np.float64)) / s,
-        lambda nx, ny: np.sqrt((nx + 1) * ny) * (nx + ny - 1) / (4.0 * s),
-    )
+    return _hop_operator(basis, *_quartic_terms(basis, spin(two_s)))
 
 
 def hp_hamiltonian(basis, two_s: int) -> np.ndarray:
@@ -286,20 +317,27 @@ def hp_hamiltonian(basis, two_s: int) -> np.ndarray:
     s = spin(two_s)
     if basis.n_max > two_s:
         raise ValidationError("hp_hamiltonian needs n_max <= two_s for real amplitudes")
+    return _hop_operator(basis, *_hp_terms(basis, two_s, s))
+
+
+def remainder(basis, two_s: int) -> np.ndarray:
+    """Remainder ``R = H/S - T - I`` beyond the quartic, zero off the rows of ``projector_mask``.
+
+    ``R`` exists only where no site holds more than ``2S`` bosons.  Its
+    entries are ``hp_hamiltonian / S - kinetic - quartic`` from those
+    operators' own diagonals and hop amplitudes, so they have the bits of
+    that dense subtraction on the ``n_max = 2S`` basis.
+    """
+    s = spin(two_s)
+    (hd, ha), (kd, ka), (qd, qa) = (
+        _hp_terms(basis, two_s, s), _kinetic_terms(basis), _quartic_terms(basis, s)
+    )
     return _hop_operator(
         basis,
-        _bond_diagonal(basis, lambda ni, nj: s * (ni + nj) - (ni * nj).astype(np.float64)),
-        lambda nx, ny: -s
-        * np.sqrt((nx + 1.0) * ny * (1.0 - nx / two_s) * (1.0 - (ny - 1.0) / two_s)),
+        hd / s - kd - qd,
+        lambda nx, ny: ha(nx, ny) / s - ka(nx, ny) - qa(nx, ny),
+        projector_mask(basis, two_s),
     )
-
-
-def remainder_after_quartic(basis, two_s: int, quart: np.ndarray) -> np.ndarray:
-    """Remainder ``H/S - T - I`` given the quartic ``I`` on ``basis``.
-
-    Exact by subtraction; needs ``n_max <= 2S`` like ``hp_hamiltonian``.
-    """
-    return hp_hamiltonian(basis, two_s) / spin(two_s) - kinetic(basis) - quart
 
 
 def projector_mask(basis, two_s: int) -> np.ndarray:
@@ -308,11 +346,9 @@ def projector_mask(basis, two_s: int) -> np.ndarray:
     return (basis.occupations <= two_s).all(axis=1)
 
 
-@lattice._memoized
-def _sector_table(spec: lattice.LatticeSpec, n_max: int) -> dict:
-    """``{n_total: SectorBasis}`` of the box ``(spec, n_max)``, filled by its traces."""
-    return {}
-
+# ``{(spec, n_max): {n_total: SectorBasis}}`` of the boxes traced, least
+# recently used first
+_sector_memo = lattice._Memo(2**17)
 
 # ``{key: [(w, diagonals) per sector]}`` of the traces seen, least recently
 # used first
@@ -325,6 +361,14 @@ _eigensystem_memo = lattice._Memo(2**18)
 
 def _spectra_floats(spectra) -> int:
     return sum(w.size * (1 + len(diags)) for w, diags in spectra)
+
+
+def _sector_floats(sectors: dict) -> int:
+    """Entries of the sector bases' rows and of the hop tables they carry."""
+    return sum(
+        sb.occupations.size + sum(a.size for a in getattr(sb, "_hops", ()))
+        for sb in sectors.values()
+    )
 
 
 def _eigensystem_floats(spec: lattice.LatticeSpec, n_max: int, top: int) -> float:
@@ -375,10 +419,12 @@ def _sector_spectrum(sb, hamiltonian: tuple, observables: Optional[tuple], solve
 def _spectral_pass(spec, n_max: int, top: int, hamiltonian: tuple, observables: Optional[tuple]):
     """``[(w, diagonals)]`` of the sectors ``0..top``, one ``_sector_spectrum`` each.
 
-    The eigensystems the sectors used are stored at the end if they fit
-    ``_eigensystem_memo.cap`` together, and none of them otherwise.
+    The box's sector bases come from ``_sector_memo`` and go back to it at
+    the end, with any the pass built.  The eigensystems the sectors used are
+    stored at the end if they fit ``_eigensystem_memo.cap`` together, and
+    none of them otherwise.
     """
-    sectors = _sector_table(spec, n_max)
+    sectors = _sector_memo.take((spec, n_max)) or {}
     budget = _eigensystem_memo.cap
     keep = observables is not None and _eigensystem_floats(spec, n_max, top) <= budget
     solved = [] if keep else None
@@ -388,6 +434,7 @@ def _spectral_pass(spec, n_max: int, top: int, hamiltonian: tuple, observables: 
         if sb is None:
             sb = sectors[n_total] = SectorBasis(spec, n_max, n_total)
         spectra.append(_sector_spectrum(sb, hamiltonian, observables, solved))
+    _sector_memo.put((spec, n_max), sectors, _sector_floats(sectors))
     for key, w, v in solved or ():
         w.flags.writeable = v.flags.writeable = False
         _eigensystem_memo.put(key, (w, v), w.size + v.size)
@@ -449,9 +496,13 @@ def gibbs_expectation_truncated(
 
     The sector bases, each with its cached hop table, are shared by every
     spectral pass of the same ``(spec, n_max)`` box: the spin-ED trace and
-    the box bound build them once.  Only the box traced most recently is
-    held; tracing another one drops its sectors.  Callers must not write
-    into a sector basis.
+    the box bound build them once.  A third memo, ``_sector_memo``, holds
+    the table ``{n_total: SectorBasis}`` of each box traced, least recently
+    used first, up to ``2^17`` entries of rows and hop tables in all, so
+    traces of several boxes in turn keep theirs.  A spectral pass takes its
+    box's table at the start and stores it, with the sectors it added, at
+    the end; a table larger than that cap is not kept.  Callers must not
+    write into a sector basis.
 
     Boltzmann weights are taken relative to the lowest eigenvalue of all
     the stored spectra, so each is at most 1 and nothing overflows however

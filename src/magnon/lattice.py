@@ -17,10 +17,12 @@ fixed order.
 
 A box's geometry (``sites``, ``nn_pairs``, ``boundary_multiplicity``) is a
 pure function of its frozen, hashable ``LatticeSpec``, so each is memoized
-for the box asked about most recently (``_memoized``).  The arrays are
-shared between callers and therefore read-only: writing into one raises
-``ValueError``.  Larger per-box data, kept for several boxes at once, is
-held in memos that each carry their own float budget (``_Memo``).
+for the box asked about most recently (``_memoized``): calls that alternate
+between boxes rebuild it, which costs little next to any work on a box.
+The arrays are shared between callers and therefore read-only: writing into
+one raises ``ValueError``.  Larger per-box data is held in memos of several
+boxes at once, so that interleaved work on several boxes finds each box's
+data; each carries its own float budget (``_Memo``).
 """
 
 from __future__ import annotations
@@ -81,10 +83,11 @@ class LatticeSpec:
 def _memoized(fn):
     """Memoize a pure function of hashable arguments, keeping only its latest call.
 
-    Per-box data is read over and over for one box, then for the next, so
-    one entry catches the repeats.  Callers share the arrays it returns (one
-    array or a tuple of them), so they are made read-only; any other result
-    is passed through as is.
+    One entry catches the repeats of a run of calls on one box; calls that
+    alternate between boxes miss every time, so it suits only results that
+    are cheap to rebuild (use ``_Memo`` for the rest).  Callers share the
+    arrays it returns (one array or a tuple of them), so they are made
+    read-only; any other result is passed through as is.
     """
 
     @functools.lru_cache(maxsize=1)
@@ -109,7 +112,8 @@ class _Memo(dict):
 
     Change it only through ``take``, which removes an entry and returns it,
     and ``put``, which stores one as the most recent.  Each entry's float
-    count is kept beside it, so a store costs only the entries it drops.
+    count is kept beside it, so a store costs only the entries it drops.  An
+    entry larger than ``cap`` alone is never stored and drops nothing.
     """
 
     def __init__(self, cap: int):
@@ -126,7 +130,12 @@ class _Memo(dict):
         return self.pop(key)
 
     def put(self, key, value, floats: int) -> None:
-        """Store ``value``, which holds ``floats`` floats, dropping the oldest past ``cap``."""
+        """Store ``value``, which holds ``floats`` floats, dropping the oldest past ``cap``.
+
+        A ``value`` over ``cap`` is not stored, and the memo is left as it was.
+        """
+        if floats > self.cap:
+            return
         self.take(key)
         self[key] = value
         self._sizes[key] = floats

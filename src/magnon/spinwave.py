@@ -48,6 +48,7 @@ from ._errors import (
     ValidationError,
     integer,
     inverse_temperature,
+    overflow,
     spin,
 )
 
@@ -207,7 +208,9 @@ def interaction_correction_lattice(
     The double mode sum factorizes over axes into the tables of
     ``_axis_tables``, contracted against the Bose occupations; cost is
     ``O(d^2 ell^{d+1})`` instead of ``O(ell^{2d})``.  Agrees with the
-    position-space Wick form to rounding error.
+    position-space Wick form to rounding error.  Past float range (at
+    ``beta_tilde`` near 0) the sums overflow quietly and the value is not
+    finite, which callers refuse.
     """
     if spec.boundary is not lattice.Boundary.DIRICHLET:
         raise ValidationError("the lattice correction is defined on Dirichlet boxes")
@@ -217,9 +220,10 @@ def interaction_correction_lattice(
     f_t = f.reshape((ell,) * d)
     g, comb = _axis_tables(ell)
     total = 0.0
-    for active in range(d):
-        tmp = dispersion._contract_axes(f_t, [comb if axis == active else g for axis in range(d)])
-        total += float(np.sum(f_t * tmp))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for active in range(d):
+            axes = [comb if axis == active else g for axis in range(d)]
+            total += float(np.sum(f_t * dispersion._contract_axes(f_t, axes)))
     value = (1.0 / s) * (2.0 / (ell + 1)) ** d * total
     return value / spec.n_sites
 
@@ -291,8 +295,7 @@ def _report_from_pieces(
 
 def _exact_observables(sb, two_s):
     """The quartic correction and the remainder beyond it on one sector."""
-    quart = fock.quartic(sb, two_s)
-    return [quart, fock.remainder_after_quartic(sb, two_s, quart)]
+    return [fock.quartic(sb, two_s), fock.remainder(sb, two_s)]
 
 
 def _box_bound_exact(spec, two_s, beta_tilde) -> BoundReport:
@@ -409,8 +412,11 @@ def theorem_upper_bound(
     if not remainder_constant >= 0.0:
         raise ValidationError("remainder_constant must be nonnegative")
     warn = []
-    ell_raw = s * s if preset == "small-beta" else beta_tilde**d * s * s
-    ell = int(round(ell_raw))
+    try:
+        ell_raw = s * s if preset == "small-beta" else beta_tilde**d * s * s
+        ell = int(round(ell_raw))
+    except OverflowError:
+        raise overflow(f"the matched box side beta_tilde**{d} * S**2", beta_tilde) from None
     if ell < 2:
         ell = 2
         warn.append(f"matched box side {ell_raw:.3g} below 2; clamped to 2")
@@ -434,7 +440,10 @@ def theorem_upper_bound(
     lead = quadrature.leading_free_energy(d, beta_tilde)
     corr = interaction_correction_continuum(d, two_s, beta_tilde)
     log_factor = max(0.0, math.log(s * beta_tilde))
-    r_d = remainder_constant * beta_tilde**-d * log_factor ** (3 * (3 - d)) / (s * s)
+    try:
+        r_d = remainder_constant * beta_tilde**-d * log_factor ** (3 * (3 - d)) / (s * s)
+    except OverflowError:
+        raise overflow(f"the remainder's beta_tilde**-{d}", beta_tilde) from None
     budget = {"higher_order": r_d, "quadrature": lead.error_estimate}
     spec = lattice.LatticeSpec(d, ell, lattice.Boundary.DIRICHLET)
     info = {

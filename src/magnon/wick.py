@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dispersion, fock, lattice
-from ._errors import ValidationError, spin
+from ._errors import ValidationError, overflow, spin
 
 __all__ = [
     "wick_expectation",
@@ -219,6 +219,13 @@ class CrossTermBound:
     value: float
 
 
+def _squared(x: float, quantity: str, beta_tilde: float) -> float:
+    try:
+        return x**2
+    except OverflowError:
+        raise overflow(f"the square of {quantity}", beta_tilde) from None
+
+
 def cross_term_bound(spec, two_s: int, beta_tilde: float) -> CrossTermBound:
     """Rigorous bound on the three projector cross terms of the box estimate.
 
@@ -230,12 +237,14 @@ def cross_term_bound(spec, two_s: int, beta_tilde: float) -> CrossTermBound:
     """
     w = projector_deficit(spec, beta_tilde, two_s)
     eps, f = dispersion._dirichlet_spectrum(spec, beta_tilde)
-    t2 = float(np.sum(eps * f)) ** 2 + float(np.sum(eps * eps * f * (1.0 + f)))
+    energy2 = _squared(float(np.sum(eps * f)), "the thermal energy sum(eps f)", beta_tilde)
+    number2 = _squared(float(np.sum(f)), "the boson number sum(f)", beta_tilde)
+    t2 = energy2 + float(np.sum(eps * eps * f * (1.0 + f)))
     i2 = interaction_squared_bound(spec, two_s, beta_tilde)
     hop_proj = hop_squared_moments(spec, beta_tilde)
     # (T^D)^2 <= 2 A^2 + 2 N^2 with N = 2d * total number (degree plus frozen
     # multiplicity is 2d on every site)
-    n2 = float(np.sum(f)) ** 2 + float(np.sum(f * (1.0 + f)))
+    n2 = number2 + float(np.sum(f * (1.0 + f)))
     pt2p = 2.0 * hop_proj + 2.0 * (2.0 * spec.d) ** 2 * n2
     value = np.sqrt(w) * (
         np.sqrt(2.0 * t2 + 2.0 * i2) + np.sqrt(2.0 * pt2p + 2.0 * i2) + np.sqrt(t2)
@@ -268,13 +277,8 @@ def _cross_term_observables(sb, two_s):
 
 
 def _remainder_observables(sb, two_s):
-    """``R`` from the ``n_max = 2S`` sector embedded in ``sb``, and ``P``."""
-    small = fock.SectorBasis(sb.spec, two_s, sb.n_total)
-    idx = sb._locate(small.occupations)
-    r_big = np.zeros((sb.dim, sb.dim))
-    quart = fock.quartic(small, two_s)
-    r_big[np.ix_(idx, idx)] = fock.remainder_after_quartic(small, two_s, quart)
-    return [r_big, fock.projector_mask(sb, two_s).astype(np.float64)]
+    """``R``, zero outside the rows with occupations <= ``2S``, and ``P``."""
+    return [fock.remainder(sb, two_s), fock.projector_mask(sb, two_s).astype(np.float64)]
 
 
 def cross_term_check(spec, two_s: int, beta_tilde: float, n_max: int):
@@ -300,9 +304,9 @@ def remainder_check(spec, two_s: int, beta_tilde: float, n_max: int):
     """Brute-force ``|<R>_P|`` vs its Wick bound times the exact trace ratio.
 
     ``R`` only exists on the low-occupation subspace, so in each
-    total-number sector its matrix is built on the ``n_max = 2S`` sector and
-    embedded into the larger capped sector on which the Gibbs weight is
-    computed.
+    total-number sector of the capped space on which the Gibbs weight is
+    computed, its matrix fills the rows and columns with every occupation
+    at most ``2S`` (``fock.remainder``) and is zero elsewhere.
     """
     spin(two_s)
     if n_max < two_s:

@@ -5,7 +5,9 @@ total boson number (``fock.gibbs_expectation_truncated``).  The helpers here
 take the same traces on the whole capped space, one dense eigendecomposition
 each: the Gibbs functionals, the spin free energy, the exact box bound and
 the two Wick brute-force checks, in the form they had before the sector
-engine.
+engine.  The remainder beyond the quartic is the dense subtraction
+``H/S - T - I`` here (``remainder_after_quartic``, and ``embedded_remainder``
+on a sector), the reference for ``fock.remainder``.
 
 The package builds every boson operator from one table of one-boson moves
 (``fock._hop_table``).  The builders here scatter one normal-ordered
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from magnon import dispersion, fock, lattice, linalg, spinwave, wick
-from magnon._errors import ValidationError
+from magnon._errors import ValidationError, spin
 
 
 def _site_counts(site_list: Sequence[int], n_sites: int) -> np.ndarray:
@@ -201,8 +203,26 @@ def expansion_terms(basis, two_s: int) -> ExpansionTerms:
     )
     q = fock.quartic(basis, two_s)
     j6 = sextic(basis, two_s)
-    r2 = fock.remainder_after_quartic(basis, two_s, q)
+    r2 = remainder_after_quartic(basis, two_s, q)
     return ExpansionTerms(t, td, q, j6, r2, r2 - j6)
+
+
+def remainder_after_quartic(basis, two_s: int, quart: np.ndarray) -> np.ndarray:
+    """Remainder ``H/S - T - I`` given the quartic ``I`` on ``basis``, by dense subtraction.
+
+    Needs ``n_max <= 2S`` like ``fock.hp_hamiltonian``.
+    """
+    return fock.hp_hamiltonian(basis, two_s) / spin(two_s) - fock.kinetic(basis) - quart
+
+
+def embedded_remainder(sb, two_s: int) -> np.ndarray:
+    """``R`` of the ``n_max = 2S`` sector, by dense subtraction, embedded into ``sb``."""
+    small = fock.SectorBasis(sb.spec, two_s, sb.n_total)
+    idx = sb._locate(small.occupations)
+    r_big = np.zeros((sb.dim, sb.dim))
+    quart = fock.quartic(small, two_s)
+    r_big[np.ix_(idx, idx)] = remainder_after_quartic(small, two_s, quart)
+    return r_big
 
 
 def projector_P(basis, two_s: int) -> np.ndarray:

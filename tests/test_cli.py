@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -281,21 +282,34 @@ def test_diagrams_refuses_non_finite_rows(capsys, beta_tilde):
     assert "not finite" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "free-energy --d 3 --two-s 2 --beta-tilde 1e200",
-        "free-energy --d 3 --two-s 2 --beta-tilde 1e-300",
-        "free-energy --d 3 --ell 4 --two-s 2 --beta-tilde 1e-300",
-        "correction --d 3 --ell 4 --two-s 2 --beta-tilde 1e-300",
-        "correction --d 3 --ell 4 --two-s 2 --beta-tilde 1e-300 --format csv",
-    ],
-)
+# each command and the one line it writes to stderr
+_OVERFLOWS = {
+    "free-energy --d 3 --two-s 2 --beta-tilde 1e200": "the matched box side beta_tilde**3 * S**2"
+    " overflows a float at beta_tilde=1e+200",
+    "free-energy --d 3 --two-s 2 --beta-tilde 1e-300": "the occupation bound's beta_tilde**-1.5"
+    " overflows a float at beta_tilde=1e-300",
+    "free-energy --d 3 --ell 4 --two-s 2 --beta-tilde 1e-300": "the square of the thermal"
+    " energy sum(eps f) overflows a float at beta_tilde=1e-300",
+    "correction --d 3 --ell 4 --two-s 2 --beta-tilde 1e-300": "correction gave a non-finite value",
+    "correction --d 3 --ell 4 --two-s 2 --beta-tilde 1e-300 --format csv": "correction gave a"
+    " non-finite value",
+    # inf - inf in the sum: numpy's invalid-value warning, not its overflow one
+    "correction --d 1 --ell 3 --two-s 2 --beta-tilde 1e-200": "correction gave a non-finite value",
+    "free-energy --d 3 --two-s 2 --beta-tilde 1e-200": "the remainder's beta_tilde**-3"
+    " overflows a float at beta_tilde=1e-200",
+}
+
+
+@pytest.mark.parametrize("argv", list(_OVERFLOWS))
 def test_an_overflow_is_a_numerical_failure(capsys, argv):
-    code, out, err = run(capsys, argv.split())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a run from the shell prints each one to stderr
+        code, out, err = run(capsys, argv.split())
     assert code == 3
     assert out == ""  # no Infinity, -inf or NaN is ever written
-    assert err.splitlines()[-1].startswith("magnon: numerical failure: ")
+    # one line, naming what overflowed and where, and no numpy warning
+    assert err == f"magnon: numerical failure: {_OVERFLOWS[argv]}\n"
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("two_s, beta_tilde", [("200", "0.1"), ("256", "0.05"), ("2", "1e40")])

@@ -446,6 +446,26 @@ def test_sector_rows_are_read_only():
         sb.occupations[0, 0] = 1
 
 
+@pytest.mark.parametrize(
+    "spec, n_max",
+    [(chain(3), 6), (chain(4), 4), (lattice.LatticeSpec(2, 2), 5)],
+    ids=["chain3", "chain4", "square2"],
+)
+def test_remainder_equals_the_small_basis_embedding_bit_for_bit(spec, n_max):
+    for two_s in range(1, 5):
+        for cap in (n_max, two_s):  # the oracle's cap, and the box bound's n_max = 2S
+            for n_total in range(spec.n_sites * cap + 1):
+                sb = fock.SectorBasis(spec, cap, n_total)
+                got = fock.remainder(sb, two_s)
+                want = dense_oracles.embedded_remainder(sb, two_s)
+                assert np.array_equal(got, want), (two_s, cap, n_total)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+    # on a whole space at n_max = 2S it is the dense subtraction itself
+    basis = fock.FockBasis(spec, 2)
+    want = dense_oracles.remainder_after_quartic(basis, 2, fock.quartic(basis, 2))
+    assert np.array_equal(fock.remainder(basis, 2), want)
+
+
 # --- the memo of sector spectra ---------------------------------------------
 
 
@@ -454,8 +474,8 @@ def _two_observables(sb, two_s):
 
 
 def cold_memos(monkeypatch):
-    """Empty spectra and eigensystem memos, as in a fresh process."""
-    for memo in ("_spectra_memo", "_eigensystem_memo"):
+    """Empty sector, spectra and eigensystem memos, as in a fresh process."""
+    for memo in ("_sector_memo", "_spectra_memo", "_eigensystem_memo"):
         monkeypatch.setattr(fock, memo, lattice._Memo(getattr(fock, memo).cap))
 
 
@@ -559,14 +579,14 @@ def test_a_held_eigensystem_builds_no_hamiltonian(eigensolves, monkeypatch):
 
 def test_each_memo_carries_its_own_budget(eigensolves, monkeypatch):
     monkeypatch.setattr(diagrams, "_tori", lattice._Memo(diagrams._tori.cap))
-    memos = (fock._spectra_memo, fock._eigensystem_memo, diagrams._tori)
-    assert [m.cap for m in memos] == [2**20, 2**18, 2**20]
+    memos = (fock._sector_memo, fock._spectra_memo, fock._eigensystem_memo, diagrams._tori)
+    assert [m.cap for m in memos] == [2**17, 2**20, 2**18, 2**20]
     # the Fock-basis cap is no memo's budget: every memo still stores
     monkeypatch.setattr(fock, "BASIS_CAP", 1)
     fock.gibbs_expectation_truncated(chain(3), 2, 1.0, (quartic_of, 1))
     diagrams.cancellation_scan(3, 2, [1.0])
-    assert [m.cap for m in memos] == [2**20, 2**18, 2**20]
-    assert [len(m) for m in memos] == [1, 7, 1]
+    assert [m.cap for m in memos] == [2**17, 2**20, 2**18, 2**20]
+    assert [len(m) for m in memos] == [1, 1, 7, 1]
     assert all(m.floats > 1 for m in memos)
     with pytest.raises(CapacityError):
         fock.FockBasis(chain(1), 1)
@@ -698,10 +718,64 @@ def test_spectra_memo_holds_at_most_its_cap(eigensolves, monkeypatch):
     assert len(fock._spectra_memo) == 2 and list(fock._spectra_memo)[-1] == hit
     # the first trace's eigensystems served every later one
     assert len(eigensolves) == spec.n_sites * 3 + 1
-    # a trace larger than the whole store is not kept
-    monkeypatch.setattr(fock._spectra_memo, "cap", per_trace - 1)
-    fock.gibbs_expectation_truncated(spec, 3, 1.0, (_two_observables, 4))
-    assert fock._spectra_memo == {} and fock._spectra_memo.floats == 0
+    # a trace larger than the whole store (3 floats on each of 6^3 rows) is
+    # not kept, and drops none of the traces held
+    held = dict(fock._spectra_memo)
+    fock.gibbs_expectation_truncated(spec, 5, 1.0, (_two_observables, 4))
+    assert fock._spectra_memo == held and fock._spectra_memo.floats == 2 * per_trace
+
+
+def counted_builds(monkeypatch):
+    """``{"bases": n, "hops": n}``: sector bases and hop tables built from now on."""
+    counts = {"bases": 0, "hops": 0}
+    init, hop_table = fock.SectorBasis.__init__, fock._hop_table
+
+    def counting_init(self, *args):
+        counts["bases"] += 1
+        init(self, *args)
+
+    def counting_hops(basis):
+        counts["hops"] += getattr(basis, "_hops", None) is None
+        return hop_table(basis)
+
+    monkeypatch.setattr(fock.SectorBasis, "__init__", counting_init)
+    monkeypatch.setattr(fock, "_hop_table", counting_hops)
+    return counts
+
+
+def test_interleaved_boxes_keep_their_sector_bases(eigensolves, monkeypatch):
+    a, b = chain(3), lattice.LatticeSpec(2, 2)
+    counts = counted_builds(monkeypatch)
+    wick.remainder_check(a, 2, 1.0, 6)
+    wick.cross_term_check(b, 1, 1.0, 5)
+    cold = dict(counts)
+    assert cold["bases"] == a.n_sites * 6 + 1 + b.n_sites * 5 + 1 and cold["hops"] > 0
+    memo = fock._sector_memo
+    assert list(memo) == [(a, 6), (b, 5)]
+    assert memo.floats == sum(fock._sector_floats(t) for t in memo.values()) <= memo.cap
+    # A again, B again, then A once more, each a new spectral pass that also
+    # builds its Hamiltonians: every basis and hop table is the one kept
+    for spec, n_max in ((a, 6), (b, 5), (a, 6)):
+        for other in ("_spectra_memo", "_eigensystem_memo"):
+            monkeypatch.setattr(fock, other, lattice._Memo(getattr(fock, other).cap))
+        wick.cross_term_check(spec, 3, 2.0, n_max)
+    assert counts == cold
+    assert list(memo) == [(b, 5), (a, 6)]
+
+
+def test_a_sector_table_over_the_cap_is_not_kept(eigensolves, monkeypatch):
+    a, b = chain(3), chain(4)
+    wick.cross_term_check(a, 1, 1.0, 4)
+    (held,) = fock._sector_memo.values()
+    monkeypatch.setattr(fock._sector_memo, "cap", fock._sector_memo.floats + 1)
+    counts = counted_builds(monkeypatch)
+    wick.cross_term_check(b, 1, 1.0, 4)  # 5^4 rows of 4 entries: over the cap
+    assert counts["bases"] == b.n_sites * 4 + 1
+    assert list(fock._sector_memo) == [(a, 4)] and fock._sector_memo[a, 4] is held
+    cold_memos(monkeypatch)
+    wick.cross_term_check(b, 1, 1.0, 4)
+    assert counts["bases"] == 2 * (b.n_sites * 4 + 1)
+    assert fock._sector_memo == {}
 
 
 def test_a_trace_that_raises_leaves_no_spectra(eigensolves):

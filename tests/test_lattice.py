@@ -190,4 +190,16 @@ def test_memo_drops_its_oldest_entries_past_its_cap():
     assert list(memo) == ["a", "c"] and memo.floats == 8
     assert memo.take("a") == "A" and memo.take("a") is None
     memo.put("d", "D", 11)  # larger than the whole budget: not kept
-    assert memo == {} and memo.floats == 0
+    assert memo == {"c": "C"} and memo.floats == 4
+
+
+def test_an_entry_over_the_cap_is_not_kept_and_drops_nothing():
+    memo = lattice._Memo(10)
+    memo.put("a", "A", 4)
+    memo.put("b", "B", 4)
+    memo.put("big", "BIG", 11)
+    assert list(memo) == ["a", "b"] and memo.floats == 8
+    memo.put("a", "A2", 11)  # nor does it replace the entry under its key
+    assert memo == {"a": "A", "b": "B"} and memo.floats == 8
+    memo.put("full", "F", 10)  # exactly the cap fits, dropping the rest
+    assert memo == {"full": "F"} and memo.floats == 10

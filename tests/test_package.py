@@ -63,7 +63,7 @@ _SPIN_ENTRIES = {
     "one_minus_p_bound": lambda ts: dispersion.one_minus_p_bound(3, 2.0, 8, ts),
     "quartic": lambda ts: fock.quartic(_BASIS, ts),
     "hp_hamiltonian": lambda ts: fock.hp_hamiltonian(_BASIS, ts),
-    "remainder_after_quartic": lambda ts: fock.remainder_after_quartic(_BASIS, ts, 0.0),
+    "remainder": lambda ts: fock.remainder(_BASIS, ts),
     "projector_mask": lambda ts: fock.projector_mask(_BASIS, ts),
     "spin_matrices": lambda ts: spin_ed.spin_matrices(ts),
     "heisenberg_hamiltonian": lambda ts: spin_ed.heisenberg_hamiltonian(_BOX, ts),

@@ -272,8 +272,8 @@ def test_ed_and_box_bound_traces_share_sector_bases(monkeypatch, capsys):
         return kinetic_dirichlet(sb)
 
     spec = lattice.LatticeSpec(2, 2)
-    table = fock._sector_table(spec, 2)
-    table.clear()  # start from an empty table, whatever ran before
+    # start from an empty memo, whatever ran before
+    monkeypatch.setattr(fock, "_sector_memo", lattice._Memo(fock._sector_memo.cap))
     monkeypatch.setattr(fock.SectorBasis, "__init__", counting_init)
     monkeypatch.setattr(spin_ed, "_sector_hamiltonian", ed_hamiltonian)
     monkeypatch.setattr(fock, "kinetic_dirichlet", bound_hamiltonian)
@@ -286,16 +286,17 @@ def test_ed_and_box_bound_traces_share_sector_bases(monkeypatch, capsys):
     assert sorted(built) == [(spec, 2, n) for n in range(9)]
     assert len(seen["ed"]) == len(seen["bound"]) == 9
     assert all(a is b for a, b in zip(seen["ed"], seen["bound"]))
-    assert fock._sector_table(spec, 2) is table
+    (table,) = fock._sector_memo.values()
+    assert list(fock._sector_memo) == [(spec, 2)]
     assert all(table[n] is sb for n, sb in enumerate(seen["ed"]))
 
 
 def test_remainder_check_keeps_the_traced_box(monkeypatch):
-    for memo in ("_spectra_memo", "_eigensystem_memo"):  # whatever ran before
+    for memo in ("_sector_memo", "_spectra_memo", "_eigensystem_memo"):  # whatever ran before
         monkeypatch.setattr(fock, memo, lattice._Memo(getattr(fock, memo).cap))
     spec = lattice.LatticeSpec(1, 3)
     wick.remainder_check(spec, 2, 2.0, 4)
-    table = fock._sector_table(spec, 4)
+    table = fock._sector_memo[spec, 4]
     kept = dict(table)
     assert sorted(kept) == list(range(spec.n_sites * 4 + 1))
     built = []
@@ -309,10 +310,10 @@ def test_remainder_check_keeps_the_traced_box(monkeypatch):
     # another temperature reuses the spectra: nothing is built
     wick.remainder_check(spec, 2, 3.0, 4)
     assert built == []
-    # another 2S is a new trace of the same box: only its small n_max = 2S
-    # sectors of the remainder are built, outside the table, which still
-    # holds the traced box
+    # another 2S is a new trace of the same box: the remainder is built on
+    # the traced sectors themselves, so no basis is built, and the memo
+    # still holds the traced box
     wick.remainder_check(spec, 3, 3.0, 4)
-    assert built and set(built) == {3}
-    assert fock._sector_table(spec, 4) is table
+    assert built == []
+    assert list(fock._sector_memo) == [(spec, 4)] and fock._sector_memo[spec, 4] is table
     assert all(table[n] is sb for n, sb in kept.items())

@@ -1,4 +1,4 @@
-"""Count the dense eigensolves of one benchmark task list, per task kind.
+"""Count the dense eigensolves and sector bases of one benchmark task list, per task kind.
 
 Usage::
 
@@ -9,9 +9,12 @@ The task list is the one ``perfbench/run.py --workload WORKLOAD --seed SEED
 order in this one interpreter through ``workloads.execute``, with every memo
 filling as it does in the benchmark.  ``magnon.linalg.eigh`` and ``eigvalsh``
 are wrapped to count their calls and the sum of ``n^3`` over the matrices
-they solve.  One JSON line is printed per task kind (the subcommand, or the
-``wick`` function of an API task), then one with the totals.  The
-``perfbench/`` next to this script is only imported.
+they solve.  ``magnon.fock.SectorBasis`` and ``magnon.fock._hop_table`` are
+wrapped to count the sector bases built and the hop tables built new (a
+table already cached on its basis is not counted).  One JSON line is printed
+per task kind (the subcommand, or the ``wick`` function of an API task),
+then one with the totals.  The ``perfbench/`` next to this script is only
+imported.
 """
 
 from __future__ import annotations
@@ -52,12 +55,26 @@ def main(argv=None) -> int:
 
         setattr(magnon.linalg, name, counting)
 
+    init, hop_table = magnon.fock.SectorBasis.__init__, magnon.fock._hop_table
+
+    def counting_init(self, *args):
+        counts[kind]["sector_bases"] += 1
+        init(self, *args)
+
+    def counting_hops(basis):
+        counts[kind]["hop_tables"] += getattr(basis, "_hops", None) is None
+        return hop_table(basis)
+
+    magnon.fock.SectorBasis.__init__ = counting_init
+    magnon.fock._hop_table = counting_hops
+
     for task in tasks:
         kind = task["argv"][0] if task["kind"] == "cli" else f"wick.{task['fn']}"
         counts[kind]["tasks"] += 1
         workloads.execute(task, magnon)
 
     fields = ["tasks"] + [f"{s}_{c}" for s in SOLVERS for c in ("calls", "n3_sum")]
+    fields += ["sector_bases", "hop_tables"]
     total = collections.Counter()
     for kind in sorted(counts):
         total.update(counts[kind])
