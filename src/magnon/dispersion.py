@@ -75,9 +75,12 @@ def _dirichlet_spectrum(spec: lattice.LatticeSpec, beta_tilde: float):
     """Energies and Bose factors of the sine modes, in ``dirichlet_modes`` order.
 
     Memoized for the latest ``(spec, beta_tilde)``; both arrays are read-only.
+    Where ``beta_tilde * eps`` falls below the smallest normal float a Bose
+    factor is ``inf``, quietly: callers refuse results that are not finite.
     """
     eps = epsilon(lattice.dirichlet_modes(spec))
-    return eps, bose_from_energy(eps, beta_tilde)
+    with np.errstate(over="ignore", divide="ignore"):
+        return eps, bose_from_energy(eps, beta_tilde)
 
 
 def _contract_axes(modes: np.ndarray, tables) -> np.ndarray:

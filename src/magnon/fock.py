@@ -32,7 +32,10 @@ A trace takes its Hamiltonian and its observables in one shape, a tuple
 sector's eigenvalues and its observables' eigenbasis diagonals do not
 depend on the temperature, so each trace keeps them in ``_spectra_memo``
 (``2^20`` floats): tracing the same Hamiltonian and observables of a box at
-another temperature skips every eigensolve and gives the same bits.  That
+another temperature skips every eigensolve and gives the same bits.  It
+keeps them packed, every sector's eigenvalues less the lowest in one array
+and the diagonals in another, so a hit costs one ``exp`` over the whole
+trace plus one sum and one dot per observable for each sector.  That
 memo's key holds the observables' parameters, so a trace that should serve
 every spin leaves the spin out of them: the CLI's quartic trace
 (``wick-verify``, ``verify``) is of ``quartic`` at ``2S = 2``, which is
@@ -350,8 +353,8 @@ def projector_mask(basis, two_s: int) -> np.ndarray:
 # recently used first
 _sector_memo = lattice._Memo(2**17)
 
-# ``{key: [(w, diagonals) per sector]}`` of the traces seen, least recently
-# used first
+# ``{key: (shift, gaps, bounds, diagonals)}`` of the traces seen, least
+# recently used first (``_spectral_pass``)
 _spectra_memo = lattice._Memo(2**20)
 
 # ``{(spec, n_max, n_total, hamiltonian): (w, v)}`` of the sectors ``eigh``
@@ -360,7 +363,8 @@ _eigensystem_memo = lattice._Memo(2**18)
 
 
 def _spectra_floats(spectra) -> int:
-    return sum(w.size * (1 + len(diags)) for w, diags in spectra)
+    _, gaps, _, diagonals = spectra
+    return gaps.size + diagonals.size
 
 
 def _sector_floats(sectors: dict) -> int:
@@ -417,7 +421,13 @@ def _sector_spectrum(sb, hamiltonian: tuple, observables: Optional[tuple], solve
 
 
 def _spectral_pass(spec, n_max: int, top: int, hamiltonian: tuple, observables: Optional[tuple]):
-    """``[(w, diagonals)]`` of the sectors ``0..top``, one ``_sector_spectrum`` each.
+    """The sectors ``0..top`` of a trace, one ``_sector_spectrum`` each, packed.
+
+    Returns ``(shift, gaps, bounds, diagonals)``: ``shift`` is the lowest
+    eigenvalue of all sectors, ``gaps`` every sector's eigenvalues minus
+    ``shift`` in one array, ``bounds`` the ``(lo, hi)`` span of each sector
+    in it, and ``diagonals`` the ``(k, len(gaps))`` array of the ``k``
+    observables' eigenbasis diagonals in the same order.
 
     The box's sector bases come from ``_sector_memo`` and go back to it at
     the end, with any the pass built.  The eigensystems the sectors used are
@@ -428,17 +438,22 @@ def _spectral_pass(spec, n_max: int, top: int, hamiltonian: tuple, observables: 
     budget = _eigensystem_memo.cap
     keep = observables is not None and _eigensystem_floats(spec, n_max, top) <= budget
     solved = [] if keep else None
-    spectra = []
+    ws, diags = [], []
     for n_total in range(top + 1):
         sb = sectors.get(n_total)
         if sb is None:
             sb = sectors[n_total] = SectorBasis(spec, n_max, n_total)
-        spectra.append(_sector_spectrum(sb, hamiltonian, observables, solved))
+        w, d = _sector_spectrum(sb, hamiltonian, observables, solved)
+        ws.append(w)
+        diags.append(np.reshape(d, (len(d), w.size)))
     _sector_memo.put((spec, n_max), sectors, _sector_floats(sectors))
     for key, w, v in solved or ():
         w.flags.writeable = v.flags.writeable = False
         _eigensystem_memo.put(key, (w, v), w.size + v.size)
-    return spectra
+    shift = min(float(w[0]) for w in ws)
+    ends = np.cumsum([w.size for w in ws]).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    return shift, np.concatenate(ws) - shift, bounds, np.concatenate(diags, axis=1)
 
 
 def gibbs_expectation_truncated(
@@ -482,6 +497,17 @@ def gibbs_expectation_truncated(
     ``beta_tilde``; a hit runs the same thermal pass over the same arrays as
     a miss, so both give the same bits.
 
+    The spectra are stored packed (``_spectral_pass``): the gaps of all
+    sectors' eigenvalues above the lowest one in one array, the ``k``
+    observables' diagonals in one ``(k, len(gaps))`` array, and each
+    sector's span in them.  A hit therefore costs one ``exp`` over the whole
+    trace, then for each sector one sum of its weights and one dot product
+    per observable.  Those sums and dots stay per sector because they fix
+    the bits: a pairwise sum and a BLAS ``ddot`` over each sector give
+    exactly the values of weighing the sectors one at a time, while one
+    segmented sum over the trace (``np.add.reduceat``) rounds differently.
+    A log-Z-only trace takes the same path with ``k = 0``.
+
     A spectral miss reads each sector's eigensystem ``(w, v)`` from a second
     memo, ``_eigensystem_memo``, keyed by ``(spec, n_max, n_total,
     hamiltonian)``, and solves only the sectors it lacks: a held sector
@@ -524,12 +550,14 @@ def gibbs_expectation_truncated(
     spectra = _spectra_memo.take(key)
     if spectra is None:
         spectra = _spectral_pass(spec, n_max, top, ham, observables)
-    shift = min(float(w[0]) for w, _ in spectra)
-    z = 0.0
-    acc = np.zeros(len(spectra[0][1]))
-    for w, diags in spectra:
-        boltz = np.exp(-beta_tilde * (w - shift))
-        z += float(boltz.sum())
-        acc += [float(np.dot(boltz, diag)) for diag in diags]
+    shift, gaps, bounds, diagonals = spectra
+    boltz = np.exp(-beta_tilde * gaps)
+    rows = list(diagonals)
+    z, acc = 0.0, [0.0] * len(rows)
+    for lo, hi in bounds:
+        b = boltz[lo:hi]
+        z += float(b.sum())
+        for j, row in enumerate(rows):
+            acc[j] += float(np.dot(b, row[lo:hi]))
     _spectra_memo.put(key, spectra, _spectra_floats(spectra))
-    return [float(x) / z for x in acc], float(np.log(z)) - beta_tilde * shift
+    return [x / z for x in acc], float(np.log(z)) - beta_tilde * shift

@@ -173,10 +173,13 @@ def correction_integral(d: int, beta_tilde: float) -> QuadratureResult:
     """Thermal kinetic-energy density ``integral eps(k) f(k) dk/(2pi)^d``.
 
     ``f`` is the Bose factor at inverse temperature ``beta_tilde``.  Positive;
-    behaves like ``c_d * beta^{-1-d/2}`` for large ``beta_tilde``.
+    behaves like ``c_d * beta^{-1-d/2}`` for large ``beta_tilde``.  Where
+    ``beta_tilde * eps`` falls below the smallest normal float the integrand
+    is ``inf``, quietly: callers refuse results that are not finite.
     """
     bt = inverse_temperature(beta_tilde)
-    return _zone_integral(d, lambda pts: _thermal_energy(pts, bt), 1.0 / np.pi**d)
+    with np.errstate(over="ignore", divide="ignore"):
+        return _zone_integral(d, lambda pts: _thermal_energy(pts, bt), 1.0 / np.pi**d)
 
 
 def dyson_coefficient() -> float:

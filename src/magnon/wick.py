@@ -111,16 +111,20 @@ def _moments(blocks: np.ndarray, poly: dict) -> np.ndarray:
     ``[[r0, c], [c, r1]]``, ``<n_0^(i) n_1^(j)> / (i! j!)`` is the coefficient
     of ``s0^i s1^j`` in ``1/((1 - r0 s0)(1 - r1 s1) - c^2 s0 s1)``:
     ``<n_0^(i) n_1^(j)> = i! j! sum_m C(i, m) C(j, m) r0^(i-m) r1^(j-m) c^(2m)``.
-    Every term is nonnegative when every ``coef`` is, so none cancels.
+    Every term is nonnegative when every ``coef`` is, so none cancels.  A
+    moment past float range (at ``beta_tilde`` near 0) is ``inf``, quietly:
+    there the weight outside the projector is far past 1/2, which the
+    analytic box bound refuses, and callers refuse results that are not finite.
     """
     (r0, c), (_, r1) = blocks
-    c2 = c * c
     total = np.zeros(blocks.shape[2])
-    for (i, j), coef in sorted(poly.items()):
-        scale = coef * math.factorial(i) * math.factorial(j)
-        for m in range(min(i, j) + 1):
-            pair = r0 ** (i - m) * r1 ** (j - m) + r1 ** (i - m) * r0 ** (j - m)
-            total += scale * math.comb(i, m) * math.comb(j, m) * pair * c2**m
+    with np.errstate(over="ignore"):
+        c2 = c * c
+        for (i, j), coef in sorted(poly.items()):
+            scale = coef * math.factorial(i) * math.factorial(j)
+            for m in range(min(i, j) + 1):
+                pair = r0 ** (i - m) * r1 ** (j - m) + r1 ** (i - m) * r0 ** (j - m)
+                total += scale * math.comb(i, m) * math.comb(j, m) * pair * c2**m
     return total
 
 

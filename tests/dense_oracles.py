@@ -5,7 +5,9 @@ total boson number (``fock.gibbs_expectation_truncated``).  The helpers here
 take the same traces on the whole capped space, one dense eigendecomposition
 each: the Gibbs functionals, the spin free energy, the exact box bound and
 the two Wick brute-force checks, in the form they had before the sector
-engine.  The remainder beyond the quartic is the dense subtraction
+engine.  ``thermal_pass`` weighs a trace's spectra sector by sector, as the
+package did before it packed them, the reference for its thermal pass.
+The remainder beyond the quartic is the dense subtraction
 ``H/S - T - I`` here (``remainder_after_quartic``, and ``embedded_remainder``
 on a sector), the reference for ``fock.remainder``.
 
@@ -248,6 +250,35 @@ def trial_state(basis, two_s: int, beta_tilde: float) -> np.ndarray:
     if not norm > 0.0:
         raise ValidationError("projected trace vanished; trial state undefined")
     return (e_mat * mask[None, :]) * mask[:, None] / norm
+
+
+def sector_spectra(spec, n_max: int, top: int, hamiltonian: tuple, observables):
+    """``[(w, diagonals)]`` of the sectors ``0..top``, one list entry per sector.
+
+    Each entry is ``fock._sector_spectrum`` on a new sector basis: the
+    spectra of a trace before they are packed, with the same bits.
+    """
+    return [
+        fock._sector_spectrum(fock.SectorBasis(spec, n_max, n), hamiltonian, observables, None)
+        for n in range(top + 1)
+    ]
+
+
+def thermal_pass(spectra, beta_tilde: float):
+    """``(values, log_z)`` of per-sector spectra, weighed one sector at a time.
+
+    The thermal pass of ``fock.gibbs_expectation_truncated`` as it ran on
+    ``sector_spectra``'s lists, before the spectra were packed: each sector
+    shifts, scales and exponentiates its own eigenvalues.
+    """
+    shift = min(float(w[0]) for w, _ in spectra)
+    z = 0.0
+    acc = np.zeros(len(spectra[0][1]))
+    for w, diags in spectra:
+        boltz = np.exp(-beta_tilde * (w - shift))
+        z += float(boltz.sum())
+        acc += [float(np.dot(boltz, diag)) for diag in diags]
+    return [float(x) / z for x in acc], float(np.log(z)) - beta_tilde * shift
 
 
 def gibbs_log_trace(h: np.ndarray, beta: float) -> float:

@@ -282,6 +282,10 @@ def test_diagrams_refuses_non_finite_rows(capsys, beta_tilde):
     assert "not finite" in err
 
 
+_WEIGHT = (
+    "outside-projector weight bound 6.400e+01 exceeds 1/2; the analytic chain does not apply"
+    " at this size and temperature"
+)
 # each command and the one line it writes to stderr
 _OVERFLOWS = {
     "free-energy --d 3 --two-s 2 --beta-tilde 1e200": "the matched box side beta_tilde**3 * S**2"
@@ -297,6 +301,12 @@ _OVERFLOWS = {
     "correction --d 1 --ell 3 --two-s 2 --beta-tilde 1e-200": "correction gave a non-finite value",
     "free-energy --d 3 --two-s 2 --beta-tilde 1e-200": "the remainder's beta_tilde**-3"
     " overflows a float at beta_tilde=1e-200",
+    # the cross-term moments overflow before the weight outside the projector is refused
+    "free-energy --d 3 --ell 4 --two-s 2 --beta-tilde 1e-80": _WEIGHT,
+    "free-energy --d 3 --ell 4 --two-s 2 --beta-tilde 1e-150": _WEIGHT,
+    # Bose factors and the zone integrand past float range at a subnormal beta_tilde
+    "correction --d 2 --ell 4 --two-s 2 --beta-tilde 1e-320": "correction gave a non-finite"
+    " value",
 }
 
 

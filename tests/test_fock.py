@@ -466,6 +466,36 @@ def test_remainder_equals_the_small_basis_embedding_bit_for_bit(spec, n_max):
     assert np.array_equal(fock.remainder(basis, 2), want)
 
 
+# --- the packed thermal pass -------------------------------------------------
+
+
+# a log-Z trace, one observable and three
+PACKED_OBSERVABLES = [None, (quartic_of, 2), (wick._cross_term_observables, 1)]
+
+
+@pytest.mark.parametrize("observables", PACKED_OBSERVABLES, ids=["log-z", "one", "three"])
+@pytest.mark.parametrize(
+    "spec, n_max",
+    [(chain(3), 6), (chain(4), 4), (lattice.LatticeSpec(2, 2), 5)],
+    ids=["chain3", "chain4", "square2"],
+)
+def test_packed_thermal_pass_equals_the_sector_loop_bit_for_bit(spec, n_max, observables):
+    top = spec.n_sites * n_max
+    ham = (fock.kinetic_dirichlet,)
+    spectra = dense_oracles.sector_spectra(spec, n_max, top, ham, observables)
+    # at beta 1e3 and 1e5 the weights of whole sectors underflow to 0
+    for bt in (0.1, 1.0, 8.0, 1e3, 1e5):
+        got = fock.gibbs_expectation_truncated(spec, n_max, bt, observables)
+        want = dense_oracles.thermal_pass(spectra, bt)
+        assert repr(got) == repr(want), bt  # repr: every float to the last bit
+    shift, gaps, bounds, diagonals = fock._spectra_memo[spec, n_max, top, ham, observables]
+    assert shift == min(float(w[0]) for w, _ in spectra)
+    assert [hi - lo for lo, hi in bounds] == [w.size for w, _ in spectra]
+    assert diagonals.shape == (len(spectra[0][1]), gaps.size)
+    lo, hi = bounds[-1]
+    assert not np.exp(-1e5 * gaps[lo:hi]).any()  # the top sector weighs 0
+
+
 # --- the memo of sector spectra ---------------------------------------------
 
 
