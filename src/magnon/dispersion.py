@@ -90,8 +90,9 @@ def _contract_axes(modes: np.ndarray, tables) -> np.ndarray:
     over its rows.  One ``tensordot`` per axis, ``O(rows * ell^d)`` each.
     """
     out = modes
-    for axis, table in enumerate(tables):
-        out = np.moveaxis(np.tensordot(table, out, axes=(1, axis)), 0, axis)
+    with np.errstate(invalid="ignore"):  # inf Bose factors: NaN, which callers refuse
+        for axis, table in enumerate(tables):
+            out = np.moveaxis(np.tensordot(table, out, axes=(1, axis)), 0, axis)
     return out
 
 
@@ -179,13 +180,14 @@ def occupation_tail_bound(rho, two_s: int):
 
     The geometric tail ``(rho/(1+rho))^(2S+1)``, exact for the single-site
     marginal of the quasi-free state with mean ``rho``; one bound per entry
-    of ``rho``.
+    of ``rho``.  An infinite occupation has tail 1, its limit.
     """
     spin(two_s)
     occ = np.asarray(rho, dtype=np.float64)
     if np.any(occ < 0.0):
         raise ValidationError("occupation must be nonnegative")
-    return (occ / (1.0 + occ)) ** (two_s + 1)
+    with np.errstate(invalid="ignore"):  # inf / inf, whose tail is 1
+        return np.fmin(occ / (1.0 + occ), 1.0) ** (two_s + 1)
 
 
 def one_minus_p_bound(

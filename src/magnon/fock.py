@@ -35,7 +35,7 @@ depend on the temperature, so each trace keeps them in ``_spectra_memo``
 another temperature skips every eigensolve and gives the same bits.  It
 keeps them packed, every sector's eigenvalues less the lowest in one array
 and the diagonals in another, so a hit costs one ``exp`` over the whole
-trace plus one sum and one dot per observable for each sector.  That
+trace and two pairwise sums, with no loop over the sectors.  That
 memo's key holds the observables' parameters, so a trace that should serve
 every spin leaves the spin out of them: the CLI's quartic trace
 (``wick-verify``, ``verify``) is of ``quartic`` at ``2S = 2``, which is
@@ -353,7 +353,7 @@ def projector_mask(basis, two_s: int) -> np.ndarray:
 # recently used first
 _sector_memo = lattice._Memo(2**17)
 
-# ``{key: (shift, gaps, bounds, diagonals)}`` of the traces seen, least
+# ``{key: (shift, gaps, diagonals)}`` of the traces seen, least
 # recently used first (``_spectral_pass``)
 _spectra_memo = lattice._Memo(2**20)
 
@@ -363,7 +363,7 @@ _eigensystem_memo = lattice._Memo(2**18)
 
 
 def _spectra_floats(spectra) -> int:
-    _, gaps, _, diagonals = spectra
+    _, gaps, diagonals = spectra
     return gaps.size + diagonals.size
 
 
@@ -423,11 +423,11 @@ def _sector_spectrum(sb, hamiltonian: tuple, observables: Optional[tuple], solve
 def _spectral_pass(spec, n_max: int, top: int, hamiltonian: tuple, observables: Optional[tuple]):
     """The sectors ``0..top`` of a trace, one ``_sector_spectrum`` each, packed.
 
-    Returns ``(shift, gaps, bounds, diagonals)``: ``shift`` is the lowest
-    eigenvalue of all sectors, ``gaps`` every sector's eigenvalues minus
-    ``shift`` in one array, ``bounds`` the ``(lo, hi)`` span of each sector
-    in it, and ``diagonals`` the ``(k, len(gaps))`` array of the ``k``
-    observables' eigenbasis diagonals in the same order.
+    Returns ``(shift, gaps, diagonals)``: ``shift`` is the lowest eigenvalue
+    of all sectors, ``gaps`` every sector's eigenvalues minus ``shift`` in
+    one array, sector after sector, and ``diagonals`` the ``(k,
+    len(gaps))`` array of the ``k`` observables' eigenbasis diagonals in the
+    same order.
 
     The box's sector bases come from ``_sector_memo`` and go back to it at
     the end, with any the pass built.  The eigensystems the sectors used are
@@ -451,9 +451,7 @@ def _spectral_pass(spec, n_max: int, top: int, hamiltonian: tuple, observables: 
         w.flags.writeable = v.flags.writeable = False
         _eigensystem_memo.put(key, (w, v), w.size + v.size)
     shift = min(float(w[0]) for w in ws)
-    ends = np.cumsum([w.size for w in ws]).tolist()
-    bounds = list(zip([0] + ends[:-1], ends))
-    return shift, np.concatenate(ws) - shift, bounds, np.concatenate(diags, axis=1)
+    return shift, np.concatenate(ws) - shift, np.concatenate(diags, axis=1)
 
 
 def gibbs_expectation_truncated(
@@ -498,15 +496,15 @@ def gibbs_expectation_truncated(
     a miss, so both give the same bits.
 
     The spectra are stored packed (``_spectral_pass``): the gaps of all
-    sectors' eigenvalues above the lowest one in one array, the ``k``
-    observables' diagonals in one ``(k, len(gaps))`` array, and each
-    sector's span in them.  A hit therefore costs one ``exp`` over the whole
-    trace, then for each sector one sum of its weights and one dot product
-    per observable.  Those sums and dots stay per sector because they fix
-    the bits: a pairwise sum and a BLAS ``ddot`` over each sector give
-    exactly the values of weighing the sectors one at a time, while one
-    segmented sum over the trace (``np.add.reduceat``) rounds differently.
-    A log-Z-only trace takes the same path with ``k = 0``.
+    sectors' eigenvalues above the lowest one in one array, and the ``k``
+    observables' diagonals in one ``(k, len(gaps))`` array.  A hit costs one
+    ``exp`` and two pairwise sums over the whole trace, ``Z`` and the
+    weighted diagonals, with no loop over the sectors; a log-Z-only trace
+    has ``k = 0``.  Summed over the trace at once, they round apart from
+    weighing the sectors one at a time, within ``len(gaps)`` roundoffs
+    times the sum of the terms' magnitudes (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., section 4).  They are numpy's sums,
+    not a BLAS product whose threads could split a long sum by core count.
 
     A spectral miss reads each sector's eigensystem ``(w, v)`` from a second
     memo, ``_eigensystem_memo``, keyed by ``(spec, n_max, n_total,
@@ -550,14 +548,9 @@ def gibbs_expectation_truncated(
     spectra = _spectra_memo.take(key)
     if spectra is None:
         spectra = _spectral_pass(spec, n_max, top, ham, observables)
-    shift, gaps, bounds, diagonals = spectra
+    shift, gaps, diagonals = spectra
     boltz = np.exp(-beta_tilde * gaps)
-    rows = list(diagonals)
-    z, acc = 0.0, [0.0] * len(rows)
-    for lo, hi in bounds:
-        b = boltz[lo:hi]
-        z += float(b.sum())
-        for j, row in enumerate(rows):
-            acc[j] += float(np.dot(b, row[lo:hi]))
+    z = float(boltz.sum())
+    values = (diagonals * boltz).sum(axis=1) / z
     _spectra_memo.put(key, spectra, _spectra_floats(spectra))
-    return [x / z for x in acc], float(np.log(z)) - beta_tilde * shift
+    return values.tolist(), float(np.log(z)) - beta_tilde * shift

@@ -321,7 +321,7 @@ def _box_bound_analytic(spec, two_s, beta_tilde) -> BoundReport:
     vol = spec.n_sites
     ctb = wick.cross_term_bound(spec, two_s, beta_tilde)
     w = ctb.one_minus_p
-    if w > 0.5:
+    if not w <= 0.5:  # NaN too
         raise HypothesisError(
             f"outside-projector weight bound {w:.3e} exceeds 1/2; "
             "the analytic chain does not apply at this size and temperature"

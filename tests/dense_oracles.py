@@ -5,8 +5,10 @@ total boson number (``fock.gibbs_expectation_truncated``).  The helpers here
 take the same traces on the whole capped space, one dense eigendecomposition
 each: the Gibbs functionals, the spin free energy, the exact box bound and
 the two Wick brute-force checks, in the form they had before the sector
-engine.  ``thermal_pass`` weighs a trace's spectra sector by sector, as the
-package did before it packed them, the reference for its thermal pass.
+engine.  ``thermal_pass`` weighs a trace's spectra sector by sector, the
+reference for the package's thermal pass.  The package sums over the whole
+trace at once and so rounds apart from it; ``thermal_pass_error_ratio``
+measures the two against the summation error bound instead of their bits.
 The remainder beyond the quartic is the dense subtraction
 ``H/S - T - I`` here (``remainder_after_quartic``, and ``embedded_remainder``
 on a sector), the reference for ``fock.remainder``.
@@ -25,6 +27,7 @@ matrix (``eigenfunction_matrix``) and loop over the bonds one by one through
 ``occupation_moment``, as the bounds did before.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -267,9 +270,12 @@ def sector_spectra(spec, n_max: int, top: int, hamiltonian: tuple, observables):
 def thermal_pass(spectra, beta_tilde: float):
     """``(values, log_z)`` of per-sector spectra, weighed one sector at a time.
 
-    The thermal pass of ``fock.gibbs_expectation_truncated`` as it ran on
-    ``sector_spectra``'s lists, before the spectra were packed: each sector
-    shifts, scales and exponentiates its own eigenvalues.
+    Each sector shifts, scales and exponentiates its own eigenvalues, then
+    adds its pairwise sum of weights to ``Z`` and one BLAS ``ddot`` per
+    observable, in sector order.  ``fock.gibbs_expectation_truncated``
+    takes the same weights, bit for bit, but sums over the whole trace at
+    once, so the two agree to the bound of ``thermal_pass_error_ratio`` and
+    not bit for bit.
     """
     shift = min(float(w[0]) for w, _ in spectra)
     z = 0.0
@@ -279,6 +285,37 @@ def thermal_pass(spectra, beta_tilde: float):
         z += float(boltz.sum())
         acc += [float(np.dot(boltz, diag)) for diag in diags]
     return [float(x) / z for x in acc], float(np.log(z)) - beta_tilde * shift
+
+
+def thermal_pass_error_ratio(spectra, beta_tilde: float, got, want) -> float:
+    """Largest difference of two thermal passes over its summation error bound.
+
+    ``got`` and ``want`` are ``(values, log_z)`` of the trace ``spectra``
+    (``sector_spectra``) at ``beta_tilde``.  With ``n`` the trace length,
+    ``eps`` the machine epsilon, ``b_i`` the Boltzmann weights relative to
+    the lowest eigenvalue, ``z`` their sum and ``d_ij`` the diagonal of
+    observable ``j``, the bound is ``n eps sum_i b_i |d_ij| / z`` on value
+    ``j`` and ``n eps`` on ``log Z``.  It is the recursive summation bound
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    section 4): a sum of ``n`` terms in any order errs by at most
+    ``(n - 1) eps / 2`` times the sum of their magnitudes, so two orders
+    differ by less than ``n eps`` times it.  It is applied to the quotients
+    by ``z`` too, where numpy's pairwise sums and the blocked ``ddot`` keep
+    far inside it.  A quantity whose bound is 0 must be equal in both, else
+    its ratio is ``inf``.  Passes within the bound give at most 1.
+    """
+    shift = min(float(w[0]) for w, _ in spectra)
+    boltz = np.exp(-beta_tilde * (np.concatenate([w for w, _ in spectra]) - shift))
+    diags = np.concatenate([np.reshape(d, (len(d), w.size)) for w, d in spectra], axis=1)
+    z = float(boltz.sum())
+    n_eps = boltz.size * np.finfo(np.float64).eps
+    pairs = list(zip(got[0], want[0], n_eps * (np.abs(diags) * boltz).sum(axis=1) / z))
+    pairs.append((got[1], want[1], n_eps))
+    ratios = [
+        abs(a - b) / bound if bound > 0.0 else (0.0 if a == b else math.inf)
+        for a, b, bound in pairs
+    ]
+    return float(max(ratios))
 
 
 def gibbs_log_trace(h: np.ndarray, beta: float) -> float:

@@ -307,6 +307,14 @@ _OVERFLOWS = {
     # Bose factors and the zone integrand past float range at a subnormal beta_tilde
     "correction --d 2 --ell 4 --two-s 2 --beta-tilde 1e-320": "correction gave a non-finite"
     " value",
+    # infinite occupations at a subnormal beta_tilde: every site's tail is 1
+    "free-energy --d 2 --ell 4 --two-s 2 --beta-tilde 1e-310": _WEIGHT.replace("6.4", "1.6"),
+    "free-energy --d 2 --ell 4 --two-s 2 --beta-tilde 1e-320": _WEIGHT.replace("6.4", "1.6"),
+    "free-energy --d 3 --ell 4 --two-s 2 --beta-tilde 1e-310": _WEIGHT,
+    "free-energy --d 3 --ell 4 --two-s 2 --beta-tilde 1e-320": _WEIGHT,
+    # infinite occupations times sines of both signs in the bond values
+    "wick-verify --d 1 --ell 3 --two-s 1 --beta-tilde 1e-310": "wick-verify gave a non-finite"
+    " value",
 }
 
 

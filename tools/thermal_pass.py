@@ -12,17 +12,21 @@ inverse temperature of ``BETA_TILDES``, where whole sectors underflow at the
 large ones, by two routes:
 
 - ``fock.gibbs_expectation_truncated``, a memo hit: the package's thermal
-  pass, with its checks and its memo lookup;
+  pass, with its checks and its memo lookup, summing over the whole trace;
 - ``thermal_pass`` of ``tests/dense_oracles.py``, which weighs the trace's
   spectra one sector at a time, on the per-sector lists of
   ``dense_oracles.sector_spectra`` (built once per trace, outside the
   timing, by solving the sectors again).
 
-A comparison is a mismatch when the ``repr`` of the two ``(values, log_z)``
-differs.  Each route is timed as the median of ``REPEATS`` calls, summed
-over all comparisons.  One JSON line gives the traces, the comparisons, the
-mismatches, both times and the reference's time over the package's.  The
-``perfbench/`` and ``tests/`` next to this script are only imported.
+Each comparison is the largest difference of the two ``(values, log_z)``
+over its summation error bound (``dense_oracles.thermal_pass_error_ratio``:
+``n eps sum_i b_i |d_ij| / z`` on a value, ``n eps`` on ``log Z``, ``n``
+the trace length), which must be at most 1.  Each route is timed as the
+median of ``REPEATS`` calls, summed over all comparisons.  One JSON line
+gives the traces, the comparisons, the largest ratio, the comparisons over
+1, both times and the reference's time over the package's; the exit status
+is 1 if any comparison is over 1.  The ``perfbench/`` and ``tests/`` next
+to this script are only imported.
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ def main(argv=None) -> int:
 
     fock = magnon.fock
     traces = list(fock._spectra_memo)  # a hit reorders the memo
-    comparisons = mismatches = 0
+    comparisons = over = 0
+    worst = 0.0
     reference_s = package_s = 0.0
     for spec, n_max, top, hamiltonian, observables in traces:
         spectra = dense_oracles.sector_spectra(spec, n_max, top, hamiltonian, observables)
@@ -80,7 +85,8 @@ def main(argv=None) -> int:
                 return dense_oracles.thermal_pass(spectra, bt)
 
             comparisons += 1
-            mismatches += repr(package()) != repr(oracle())
+            ratio = dense_oracles.thermal_pass_error_ratio(spectra, bt, package(), oracle())
+            worst, over = max(worst, ratio), over + (ratio > 1.0)
             package_s += _median_seconds(package)
             reference_s += _median_seconds(oracle)
     print(json.dumps({
@@ -88,12 +94,13 @@ def main(argv=None) -> int:
         "seed": int(argv[2]),
         "traces": len(traces),
         "comparisons": comparisons,
-        "mismatches": mismatches,
+        "worst_error_over_bound": worst,
+        "over_bound": over,
         "reference_s": reference_s,
         "package_s": package_s,
         "reference_over_package": reference_s / package_s,
     }))
-    return 0
+    return 1 if over else 0
 
 
 if __name__ == "__main__":
