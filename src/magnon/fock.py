@@ -40,13 +40,16 @@ memo's key holds the observables' parameters, so a trace that should serve
 every spin leaves the spin out of them: the CLI's quartic trace
 (``wick-verify``, ``verify``) is of ``quartic`` at ``2S = 2``, which is
 ``S I``, and divides by ``S`` after the thermal pass.  Below it sits
-``_eigensystem_memo`` (``2^18`` floats), of each sector's eigensystem
-``(w, v)`` keyed by box, cutoff, sector and Hamiltonian alone: another
-observable set on a Hamiltonian held there (the Wick checks at each spin)
-runs no eigensolve and builds no Hamiltonian.  A trace stores its
-eigensystems only if all of them fit, and a log-Z-only trace
-(``linalg.eigvalsh``, spin ED) neither reads nor fills it.  ``BASIS_CAP``
-caps only the ``FockBasis`` dimension, no memo.
+``_eigensystem_memo`` (``2^18`` floats), of each Hamiltonian trace's
+sector eigensystems ``(w, v)``, keyed by the trace without its
+observables: another observable set on a Hamiltonian held there (the Wick
+checks at each spin) runs no eigensolve and builds no Hamiltonian.  A
+log-Z-only trace (``linalg.eigvalsh``, spin ED) neither reads nor fills it.
+
+Every memo keeps one rule: it stores whole entries, drops the least
+recently used first, and does not store an entry larger than its ``cap``
+(``lattice._Memo``).  ``BASIS_CAP`` caps only the ``FockBasis``
+dimension, no memo.
 """
 
 from __future__ import annotations
@@ -188,6 +191,7 @@ def _check_dense_space(spec: lattice.LatticeSpec, n_max: int) -> int:
     The one cap rule of every dense route over a whole space: above
     ``linalg.DENSE_DIM_CAP`` it raises ``CapacityError``.
     """
+    n_max = cutoff(n_max)
     if spec.n_sites > _max_sites(n_max + 1, linalg.DENSE_DIM_CAP):
         # the power: a large box's dimension has more digits than Python prints
         raise CapacityError(
@@ -357,8 +361,8 @@ _sector_memo = lattice._Memo(2**17)
 # recently used first (``_spectral_pass``)
 _spectra_memo = lattice._Memo(2**20)
 
-# ``{(spec, n_max, n_total, hamiltonian): (w, v)}`` of the sectors ``eigh``
-# solved, least recently used first
+# ``{(spec, n_max, top, hamiltonian): ((w, v) of each sector)}`` of the
+# traces ``eigh`` solved, least recently used first
 _eigensystem_memo = lattice._Memo(2**18)
 
 
@@ -375,38 +379,24 @@ def _sector_floats(sectors: dict) -> int:
     )
 
 
-def _eigensystem_floats(spec: lattice.LatticeSpec, n_max: int, top: int) -> float:
-    """Floats of ``(w, v)`` over the sectors ``0..top``: the sum of ``dim (dim + 1)``.
-
-    The sector dimensions are the coefficients of ``(1 + x + ... +
-    x^n_max)^sites``, counted in floats: exact below ``2^53``, and far past
-    any cap above it, so no sector basis is built.
-    """
-    dims = np.ones(1)
-    for _ in range(spec.n_sites):
-        dims = np.convolve(dims, np.ones(n_max + 1))[: top + 1]
-    return float(np.sum(dims * (dims + 1.0)))
-
-
-def _sector_spectrum(sb, hamiltonian: tuple, observables: Optional[tuple], solved: Optional[list]):
+def _sector_spectrum(sb, hamiltonian: tuple, observables: Optional[tuple], held, kept):
     """Eigenvalues ``w`` of one sector and each observable's eigenbasis diagonal.
 
-    The eigensystem ``(w, v)`` comes from ``_eigensystem_memo`` when held
-    there, else from ``linalg.eigh``, and is appended to ``solved`` with its
-    key unless that is ``None``; ``observables=None`` runs
+    The eigensystem ``(w, v)`` is ``held`` when that is not ``None``, else
+    it comes from ``linalg.eigh``, and it is appended, read-only, to the
+    list ``kept`` unless that is ``None``; ``observables=None`` runs
     ``linalg.eigvalsh`` alone.  The sector's Hamiltonian is built only for a
     solve.  It, the eigenvectors and the observables are dropped on return,
-    before the next sector is built.
+    before the next sector is built, unless ``kept`` holds them.
     """
     fn, *params = hamiltonian
     if observables is None:
         return linalg.eigvalsh(fn(sb, *params)), []
-    key = (sb.spec, sb.n_max, sb.n_total, hamiltonian)
-    held = _eigensystem_memo.get(key)
     h = None if held else fn(sb, *params)  # kept to the return: freed early, it raised peak RSS
     w, v = held or linalg.eigh(h)
-    if solved is not None:
-        solved.append((key, w, v))
+    if kept is not None:
+        w.flags.writeable = v.flags.writeable = False
+        kept.append((w, v))
     fn, *params = observables
     diags = []
     for a in fn(sb, *params):
@@ -430,26 +420,30 @@ def _spectral_pass(spec, n_max: int, top: int, hamiltonian: tuple, observables: 
     same order.
 
     The box's sector bases come from ``_sector_memo`` and go back to it at
-    the end, with any the pass built.  The eigensystems the sectors used are
-    stored at the end if they fit ``_eigensystem_memo.cap`` together, and
-    none of them otherwise.
+    the end, with any the pass built.  The trace's eigensystems come from
+    ``_eigensystem_memo`` if held there (a pass that raises leaves them in
+    place), else from ``eigh``; they are kept only while they and the next
+    sector's fit that memo's ``cap``, and stored, or stored again as the
+    most recent, at the end.
     """
     sectors = _sector_memo.take((spec, n_max)) or {}
-    budget = _eigensystem_memo.cap
-    keep = observables is not None and _eigensystem_floats(spec, n_max, top) <= budget
-    solved = [] if keep else None
+    key = (spec, n_max, top, hamiltonian)
+    held, kept = (None, None) if observables is None else (_eigensystem_memo.get(key), [])
+    floats = 0
     ws, diags = [], []
     for n_total in range(top + 1):
         sb = sectors.get(n_total)
         if sb is None:
             sb = sectors[n_total] = SectorBasis(spec, n_max, n_total)
-        w, d = _sector_spectrum(sb, hamiltonian, observables, solved)
+        floats += sb.dim * (sb.dim + 1)
+        if floats > _eigensystem_memo.cap:
+            kept = None  # dropped before the solve that would overflow it
+        w, d = _sector_spectrum(sb, hamiltonian, observables, held and held[n_total], kept)
         ws.append(w)
         diags.append(np.reshape(d, (len(d), w.size)))
     _sector_memo.put((spec, n_max), sectors, _sector_floats(sectors))
-    for key, w, v in solved or ():
-        w.flags.writeable = v.flags.writeable = False
-        _eigensystem_memo.put(key, (w, v), w.size + v.size)
+    if kept is not None:
+        _eigensystem_memo.put(key, tuple(kept), floats)
     shift = min(float(w[0]) for w in ws)
     return shift, np.concatenate(ws) - shift, np.concatenate(diags, axis=1)
 
@@ -506,17 +500,19 @@ def gibbs_expectation_truncated(
     of Numerical Algorithms*, 2nd ed., section 4).  They are numpy's sums,
     not a BLAS product whose threads could split a long sum by core count.
 
-    A spectral miss reads each sector's eigensystem ``(w, v)`` from a second
-    memo, ``_eigensystem_memo``, keyed by ``(spec, n_max, n_total,
-    hamiltonian)``, and solves only the sectors it lacks: a held sector
-    builds its observables but no Hamiltonian.  A held eigensystem is the
-    array pair ``linalg.eigh`` returned, read-only, so the diagonals have
-    the bits of a cold trace.  The trace stores its eigensystems, after its
-    last sector, only if all of them fit that memo's ``cap`` of ``2^18``
-    floats, decided from the sector dimensions before any solve; that memo
-    drops its least recently used sectors first and never touches the
-    spectra.  ``observables=None`` neither reads nor fills it, since
-    ``eigvalsh`` rounds apart from ``eigh``.
+    A spectral miss reads the sectors' eigensystems ``(w, v)`` from a
+    second memo, ``_eigensystem_memo``, keyed by ``(spec, n_max, top
+    sector, hamiltonian)``: a held trace builds its observables but no
+    Hamiltonian and runs no eigensolve.  A held eigensystem is the array
+    pair ``linalg.eigh`` returned, read-only, so the diagonals have the bits
+    of a cold trace.  A trace not held solves every sector and stores its
+    eigensystems as one entry after its last sector, if they fit that
+    memo's ``cap`` of ``2^18`` floats.  It drops those it collected before
+    the first sector that would not fit is solved, so it never holds more
+    than ``cap`` floats of them.  That memo drops its least recently used trace first, is left
+    as it was by a trace that raises, and never touches the spectra.
+    ``observables=None`` neither reads nor fills it, since ``eigvalsh``
+    rounds apart from ``eigh``.
 
     The sector bases, each with its cached hop table, are shared by every
     spectral pass of the same ``(spec, n_max)`` box: the spin-ED trace and

@@ -5,10 +5,11 @@ dimension cap keeps accidental exponential-size requests from thrashing the
 machine.  Thermal traces are sector-blocked: every Hamiltonian traced in
 this package conserves the total boson number (total ``S^3``), so
 ``fock.gibbs_expectation_truncated`` calls ``eigh`` once per sector of a
-trace it has not seen before, at any temperature, unless that sector's
-eigensystem under the same Hamiltonian is held in its float-bounded
-eigensystem memo; it shifts the spectra by the lowest eigenvalue of all its
-sectors, so nothing overflows no matter how large ``beta`` is.  A trace
+trace it has not seen before, at any temperature, unless the eigensystems
+of all the trace's sectors under the same Hamiltonian are held, as one
+entry, in its float-bounded eigensystem memo; it shifts the spectra by
+the lowest eigenvalue of all its sectors, so nothing overflows no matter
+how large ``beta`` is.  A trace
 that needs only ``log Z`` (the spin free energy) calls ``eigvalsh`` instead,
 which runs the same checks and skips the eigenvectors; it never uses the
 eigensystem memo, because the two LAPACK paths round differently.  Both

@@ -262,7 +262,9 @@ def sector_spectra(spec, n_max: int, top: int, hamiltonian: tuple, observables):
     spectra of a trace before they are packed, with the same bits.
     """
     return [
-        fock._sector_spectrum(fock.SectorBasis(spec, n_max, n), hamiltonian, observables, None)
+        fock._sector_spectrum(
+            fock.SectorBasis(spec, n_max, n), hamiltonian, observables, None, None
+        )
         for n in range(top + 1)
     ]
 

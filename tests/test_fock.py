@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import time
+import weakref
 
 import dense_oracles
 import numpy as np
@@ -635,20 +636,28 @@ def test_each_memo_carries_its_own_budget(eigensolves, monkeypatch):
     fock.gibbs_expectation_truncated(chain(3), 2, 1.0, (quartic_of, 1))
     diagrams.cancellation_scan(3, 2, [1.0])
     assert [m.cap for m in memos] == [2**17, 2**20, 2**18, 2**20]
-    assert [len(m) for m in memos] == [1, 1, 7, 1]
+    assert [len(m) for m in memos] == [1, 1, 1, 1]
     assert all(m.floats > 1 for m in memos)
     with pytest.raises(CapacityError):
         fock.FockBasis(chain(1), 1)
+
+
+def _eigensystem_floats(spec, n_max, top):
+    """Floats of ``(w, v)`` over the sectors ``0..top``: the sum of ``dim (dim + 1)``."""
+    dims = [fock.SectorBasis(spec, n_max, n).dim for n in range(top + 1)]
+    return sum(n * (n + 1) for n in dims)
 
 
 def test_held_eigensystems_are_read_only_and_counted(eigensolves):
     spec = chain(3)
     fock.gibbs_expectation_truncated(spec, 3, 1.0, (quartic_of, 1))
     memo = fock._eigensystem_memo
-    assert list(memo) == [(spec, 3, n, (fock.kinetic_dirichlet,)) for n in range(10)]
-    dims = [fock.SectorBasis(spec, 3, n).dim for n in range(10)]
-    assert memo.floats == fock._eigensystem_floats(spec, 3, 9) == sum(n * (n + 1) for n in dims)
-    for w, v in memo.values():
+    assert list(memo) == [(spec, 3, 9, (fock.kinetic_dirichlet,))]
+    (held,) = memo.values()
+    assert [w.size for w, _ in held] == [fock.SectorBasis(spec, 3, n).dim for n in range(10)]
+    assert memo.floats == _eigensystem_floats(spec, 3, 9)
+    for w, v in held:
+        assert v.shape == (w.size, w.size)
         assert not w.flags.writeable and not v.flags.writeable
 
 
@@ -656,10 +665,10 @@ def test_a_trace_over_the_budget_stores_no_eigensystem_and_drops_no_spectra(
     eigensolves, monkeypatch
 ):
     spec = chain(3)
-    monkeypatch.setattr(fock._eigensystem_memo, "cap", fock._eigensystem_floats(spec, 2, 6))
+    monkeypatch.setattr(fock._eigensystem_memo, "cap", _eigensystem_floats(spec, 2, 6))
     fock.gibbs_expectation_truncated(spec, 2, 1.0, (quartic_of, 1))
     held = dict(fock._eigensystem_memo)
-    assert len(held) == 7 and fock._eigensystem_memo.floats == fock._eigensystem_memo.cap
+    assert len(held) == 1 and fock._eigensystem_memo.floats == fock._eigensystem_memo.cap
     # the n_max = 3 trace needs more than the budget: it solves every sector
     # and stores none of them, and both spectra stay
     solves = len(eigensolves)
@@ -841,6 +850,50 @@ def test_a_trace_that_raises_leaves_no_spectra(eigensolves):
         fock.gibbs_expectation_truncated(chain(20), 1, 1.0, None)
     assert len(eigensolves) == 4
     assert fock._spectra_memo == {}
+    # on a held Hamiltonian, the pass reads its eigensystems, raises at the
+    # first sector, and leaves both memos as they were
+    spec = chain(2)
+    fock.gibbs_expectation_truncated(spec, 2, 1.0, (quartic_of, 1))
+    assert list(fock._eigensystem_memo) == [(spec, 2, 4, (fock.kinetic_dirichlet,))]
+    memos = (fock._eigensystem_memo, fock._spectra_memo)
+    before = [(list(m.items()), m.floats) for m in memos]
+    solves = len(eigensolves)
+    with pytest.raises(ValidationError, match="wrong sector dimension"):
+        fock.gibbs_expectation_truncated(spec, 2, 1.0, (lambda sb: [np.zeros(sb.dim + 1)],))
+    assert len(eigensolves) == solves
+    for m, (items, floats) in zip(memos, before):
+        assert m.floats == floats
+        assert list(m) == [k for k, _ in items]
+        assert all(m[k] is value for k, value in items)
+
+
+@pytest.mark.parametrize("top_kept", [None, 2], ids=["cap-0", "cap-of-3-sectors"])
+def test_the_spectral_pass_frees_each_eigenvector_it_cannot_store(top_kept, monkeypatch):
+    """No ``v`` outlives its sector, except in a list that fits the cap with the next solve.
+
+    At a cap of 0 every ``v`` is freed before the next ``eigh``; at a cap
+    that fits the first three sectors, those are kept until the fourth
+    sector's solve would overflow it, and freed before that solve.
+    """
+    spec = chain(3)
+    cold_memos(monkeypatch)
+    cap = 0 if top_kept is None else _eigensystem_floats(spec, 3, top_kept)
+    monkeypatch.setattr(fock, "_eigensystem_memo", lattice._Memo(cap))
+    eigh, live, solves = linalg.eigh, {}, []
+
+    def watched(m):
+        n = m.shape[0]
+        assert not live or sum(live.values()) + n * (n + 1) <= cap, sorted(live)
+        w, v = eigh(m)
+        solves.append(n)
+        live[len(solves)] = n * (n + 1)
+        weakref.finalize(v, live.pop, len(solves))
+        return w, v
+
+    monkeypatch.setattr(linalg, "eigh", watched)
+    fock.gibbs_expectation_truncated(spec, 3, 1.0, (_two_observables, 2))
+    assert len(solves) == 10 and not live
+    assert fock._eigensystem_memo == {}
 
 
 def test_a_hit_runs_every_check(eigensolves):

@@ -121,6 +121,7 @@ _CUTOFF_ENTRIES = {
     "FockBasis": lambda n: fock.FockBasis(_BOX, n),
     "SectorBasis": lambda n: fock.SectorBasis(_BOX, n, 1),
     "gibbs_expectation_truncated": lambda n: fock.gibbs_expectation_truncated(_BOX, n, 2.0, None),
+    "cross_term_check": lambda n: wick.cross_term_check(_BOX, 2, 1.0, n),
 }
 
 

@@ -13,8 +13,11 @@ they solve.  ``magnon.fock.SectorBasis`` and ``magnon.fock._hop_table`` are
 wrapped to count the sector bases built and the hop tables built new (a
 table already cached on its basis is not counted).  One JSON line is printed
 per task kind (the subcommand, or the ``wick`` function of an API task),
-then one with the totals.  The ``perfbench/`` next to this script is only
-imported.
+then one with the totals.  Then one line per memo (``MEMOS``), as it stands
+after the task list: its entries, the floats it holds and its ``cap``, and
+over the list the most floats it held, its stores, the stores it refused
+(an entry over ``cap``) and the entries it dropped to make room.  The
+``perfbench/`` next to this script is only imported.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOLVERS = ("eigh", "eigvalsh")
+MEMOS = ("fock._sector_memo", "fock._spectra_memo", "fock._eigensystem_memo", "diagrams._tori")
 
 
 def main(argv=None) -> int:
@@ -68,6 +72,26 @@ def main(argv=None) -> int:
     magnon.fock.SectorBasis.__init__ = counting_init
     magnon.fock._hop_table = counting_hops
 
+    memos = {}
+    for name in MEMOS:
+        module, attr = name.split(".")
+        memos[name] = getattr(getattr(magnon, module), attr)
+    names = {id(memo): name for name, memo in memos.items()}
+    traffic = collections.defaultdict(collections.Counter)
+    put = magnon.lattice._Memo.put
+
+    def counting_put(self, key, value, floats):
+        before = set(self)
+        put(self, key, value, floats)
+        if id(self) in names:
+            seen = traffic[names[id(self)]]
+            seen["stores"] += 1
+            seen["refused"] += floats > self.cap
+            seen["evicted"] += len(before - set(self))
+            seen["peak_floats"] = max(seen["peak_floats"], self.floats)
+
+    magnon.lattice._Memo.put = counting_put
+
     for task in tasks:
         kind = task["argv"][0] if task["kind"] == "cli" else f"wick.{task['fn']}"
         counts[kind]["tasks"] += 1
@@ -80,6 +104,12 @@ def main(argv=None) -> int:
         total.update(counts[kind])
         print(json.dumps({"kind": kind, **{f: counts[kind][f] for f in fields}}))
     print(json.dumps({"kind": "all", **{f: total[f] for f in fields}}))
+    for name, memo in memos.items():
+        seen = traffic[name]
+        print(json.dumps({
+            "memo": name, "entries": len(memo), "floats": memo.floats, "cap": memo.cap,
+            **{f: seen[f] for f in ("peak_floats", "stores", "refused", "evicted")},
+        }))
     return 0
 
 
