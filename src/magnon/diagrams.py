@@ -399,7 +399,7 @@ def _grid_floats(grid: PeriodicGrid) -> int:
     return sum(a.size for a in arrays)
 
 
-# ``{ell: PeriodicGrid}`` of the tori scanned, least recently used first
+# ``{ell: PeriodicGrid}`` of the tori scanned
 _tori = lattice._Memo(2**20)
 
 
@@ -414,13 +414,13 @@ def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = Fal
     is the grid's ``k3_residual``, a bound over every nonzero momentum pair.
 
     Everything a scan reads of the torus is free of the temperature, so the
-    ``PeriodicGrid`` is kept per ``ell`` in a memo of at most ``2^20``
-    floats, least recently used dropped first.  The inputs are checked
-    before it is read, so a warm memo refuses whatever a cold one refuses.
-    Each temperature is then one thermal pass, the same for a hit as for a
-    miss, so a row's bits do not depend on the other temperatures of the
-    scan or on the scans before it.  A row value that is not finite (a temperature
-    so high that the Bose factors overflow) raises ``NumericalError``.
+    ``PeriodicGrid`` is kept per ``ell`` in ``_tori`` (``lattice._Memo``,
+    ``2^20`` floats).  The inputs are checked before it is read, so a warm
+    memo refuses whatever a cold one refuses.  Each temperature is then one
+    thermal pass, the same for a hit as for a miss, so a row's bits do not
+    depend on the other temperatures of the scan or on the scans before it.
+    A row value that is not finite (a temperature so high that the Bose
+    factors overflow) raises ``NumericalError``.
     """
     bts = [inverse_temperature(b) for b in beta_tildes]
     if not bts:
@@ -429,8 +429,10 @@ def cancellation_scan(ell: int, two_s: int, beta_tildes, allow_large: bool = Fal
         raise ValidationError("beta_tildes must be distinct")
     spin(two_s)
     _check_ell(ell, allow_large)
-    grid = _tori.take(ell) or PeriodicGrid(ell, allow_large=allow_large)
-    _tori.put(ell, grid, _grid_floats(grid))
+    grid = _tori.get(ell)
+    if grid is None:
+        grid = PeriodicGrid(ell, allow_large=allow_large)
+        _tori.put(ell, grid, _grid_floats(grid))
     rows = []
     for bt in bts:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below

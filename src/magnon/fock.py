@@ -19,37 +19,41 @@ table.  All dense matrices respect the global dimension cap.  Every thermal
 trace in the package is sector-blocked: the Hamiltonians it traces conserve
 the total number, so ``gibbs_expectation_truncated`` diagonalizes one
 fixed-total sector (``SectorBasis``) at a time, which also reaches capped
-spaces far beyond the cap.  The sector bases and their hop tables are kept
-in one table per box and cutoff, held in ``_sector_memo`` (``2^17`` entries
-of rows and hop tables) for several boxes at once: the traces of a box share
-them, also when traces of other boxes come in between, and a table larger
-than the cap is not kept.  The remainder ``R`` beyond the quartic is built
+spaces far beyond the cap.  The remainder ``R`` beyond the quartic is built
 on the traced sector itself, on its rows with occupations at most ``2S``
 (``remainder``), so it needs no basis of its own.
 
 A trace takes its Hamiltonian and its observables in one shape, a tuple
 ``(fn, *params)`` with ``fn(sb, *params)`` called on each sector basis.  A
 sector's eigenvalues and its observables' eigenbasis diagonals do not
-depend on the temperature, so each trace keeps them in ``_spectra_memo``
-(``2^20`` floats): tracing the same Hamiltonian and observables of a box at
-another temperature skips every eigensolve and gives the same bits.  It
-keeps them packed, every sector's eigenvalues less the lowest in one array
-and the diagonals in another, so a hit costs one ``exp`` over the whole
-trace and two pairwise sums, with no loop over the sectors.  That
-memo's key holds the observables' parameters, so a trace that should serve
-every spin leaves the spin out of them: the CLI's quartic trace
-(``wick-verify``, ``verify``) is of ``quartic`` at ``2S = 2``, which is
-``S I``, and divides by ``S`` after the thermal pass.  Below it sits
-``_eigensystem_memo`` (``2^18`` floats), of each Hamiltonian trace's
-sector eigensystems ``(w, v)``, keyed by the trace without its
-observables: another observable set on a Hamiltonian held there (the Wick
-checks at each spin) runs no eigensolve and builds no Hamiltonian.  A
-log-Z-only trace (``linalg.eigvalsh``, spin ED) neither reads nor fills it.
+depend on the temperature, so a trace seen before, at any temperature,
+skips every eigensolve and gives the same bits.  The spectra are kept
+packed, every sector's eigenvalues less the lowest in one array and the
+diagonals in another, so a hit costs one ``exp`` over the whole trace and
+two pairwise sums, with no loop over the sectors.  Their key holds the
+observables' parameters, so a trace that should serve every spin leaves
+the spin out of them: the CLI's quartic trace (``wick-verify``,
+``verify``) is of ``quartic`` at ``2S = 2``, which is ``S I``, and divides
+by ``S`` after the thermal pass.  Another observable set on a Hamiltonian
+whose eigensystems are held (the Wick checks at each spin) runs no
+eigensolve and builds no Hamiltonian; a log-Z-only trace
+(``linalg.eigvalsh``, spin ED) neither reads nor fills the eigensystem
+memo.  The traces of a box share its sector bases and hop tables, also
+when traces of other boxes come in between.  Four memos hold what the
+traces and the torus scans reuse, each a ``lattice._Memo``, whose docstring
+states the one rule they all keep (the sector memo's cap counts the
+entries of the bases' rows and hop tables, the others' floats):
 
-Every memo keeps one rule: it stores whole entries, drops the least
-recently used first, and does not store an entry larger than its ``cap``
-(``lattice._Memo``).  ``BASIS_CAP`` caps only the ``FockBasis``
-dimension, no memo.
+===================== =================================== ============================ ====
+memo                  key                                 value                        cap
+===================== =================================== ============================ ====
+``_sector_memo``      ``(spec, n_max)``                   ``{n_total: SectorBasis}``   2^17
+``_eigensystem_memo`` ``(spec, n_max, top, hamiltonian)`` ``(w, v)`` of each sector    2^18
+``_spectra_memo``     that key and ``observables``        ``(shift, gaps, diagonals)`` 2^20
+``diagrams._tori``    ``ell``                             ``PeriodicGrid``             2^20
+===================== =================================== ============================ ====
+
+``BASIS_CAP`` caps only the ``FockBasis`` dimension, no memo.
 """
 
 from __future__ import annotations
@@ -353,16 +357,9 @@ def projector_mask(basis, two_s: int) -> np.ndarray:
     return (basis.occupations <= two_s).all(axis=1)
 
 
-# ``{(spec, n_max): {n_total: SectorBasis}}`` of the boxes traced, least
-# recently used first
+# the memos of the module docstring's table
 _sector_memo = lattice._Memo(2**17)
-
-# ``{key: (shift, gaps, diagonals)}`` of the traces seen, least
-# recently used first (``_spectral_pass``)
 _spectra_memo = lattice._Memo(2**20)
-
-# ``{(spec, n_max, top, hamiltonian): ((w, v) of each sector)}`` of the
-# traces ``eigh`` solved, least recently used first
 _eigensystem_memo = lattice._Memo(2**18)
 
 
@@ -419,16 +416,17 @@ def _spectral_pass(spec, n_max: int, top: int, hamiltonian: tuple, observables: 
     len(gaps))`` array of the ``k`` observables' eigenbasis diagonals in the
     same order.
 
-    The box's sector bases come from ``_sector_memo`` and go back to it at
-    the end, with any the pass built.  The trace's eigensystems come from
-    ``_eigensystem_memo`` if held there (a pass that raises leaves them in
-    place), else from ``eigh``; they are kept only while they and the next
-    sector's fit that memo's ``cap``, and stored, or stored again as the
-    most recent, at the end.
+    The pass works on a copy of its box's table in ``_sector_memo``, and
+    stores the copy, with the sector bases and hop tables it built, at the
+    end.  The trace's eigensystems come from ``_eigensystem_memo`` if held
+    there, else from ``eigh``; a trace not held keeps them only while they
+    and the next sector's fit that memo's ``cap``, and stores them at the
+    end.
     """
-    sectors = _sector_memo.take((spec, n_max)) or {}
+    sectors = dict(_sector_memo.get((spec, n_max)) or {})
     key = (spec, n_max, top, hamiltonian)
-    held, kept = (None, None) if observables is None else (_eigensystem_memo.get(key), [])
+    held = None if observables is None else _eigensystem_memo.get(key)
+    kept = None if observables is None or held else []
     floats = 0
     ws, diags = [], []
     for n_total in range(top + 1):
@@ -482,10 +480,8 @@ def gibbs_expectation_truncated(
     skips every eigensolve.  Each parameter splits the key: an observable
     built at each spin gets one spectral pass per spin, so a caller that can
     scale the spin out after the thermal pass traces the spin-free operator
-    (the CLI's quartic trace is ``S I``, keyed without the spin).  The memo,
-    ``_spectra_memo``, holds at most its ``cap`` of ``2^20`` floats in all
-    and drops the least recently used trace first; a trace that raises
-    leaves nothing in it.  The thermal pass weighs the stored spectra at
+    (the CLI's quartic trace is ``S I``, keyed without the spin).  The
+    spectra are stored in ``_spectra_memo``.  The thermal pass weighs them at
     ``beta_tilde``; a hit runs the same thermal pass over the same arrays as
     a miss, so both give the same bits.
 
@@ -500,29 +496,22 @@ def gibbs_expectation_truncated(
     of Numerical Algorithms*, 2nd ed., section 4).  They are numpy's sums,
     not a BLAS product whose threads could split a long sum by core count.
 
-    A spectral miss reads the sectors' eigensystems ``(w, v)`` from a
-    second memo, ``_eigensystem_memo``, keyed by ``(spec, n_max, top
-    sector, hamiltonian)``: a held trace builds its observables but no
-    Hamiltonian and runs no eigensolve.  A held eigensystem is the array
-    pair ``linalg.eigh`` returned, read-only, so the diagonals have the bits
-    of a cold trace.  A trace not held solves every sector and stores its
-    eigensystems as one entry after its last sector, if they fit that
-    memo's ``cap`` of ``2^18`` floats.  It drops those it collected before
-    the first sector that would not fit is solved, so it never holds more
-    than ``cap`` floats of them.  That memo drops its least recently used trace first, is left
-    as it was by a trace that raises, and never touches the spectra.
-    ``observables=None`` neither reads nor fills it, since ``eigvalsh``
-    rounds apart from ``eigh``.
+    A spectral miss reads the sectors' eigensystems ``(w, v)`` from
+    ``_eigensystem_memo``, keyed by the trace without its observables: a
+    held trace builds its observables but no Hamiltonian and runs no
+    eigensolve.  A held eigensystem is the array pair ``linalg.eigh``
+    returned, read-only, so the diagonals have the bits of a cold trace.  A
+    trace not held solves every sector and stores its eigensystems as one
+    entry after its last sector, if they fit that memo's ``cap``.  It drops
+    those it collected before the first sector that would not fit is
+    solved, so it never holds more than ``cap`` floats of them.
+    ``observables=None`` neither reads nor fills that memo, since
+    ``eigvalsh`` rounds apart from ``eigh``.
 
     The sector bases, each with its cached hop table, are shared by every
-    spectral pass of the same ``(spec, n_max)`` box: the spin-ED trace and
-    the box bound build them once.  A third memo, ``_sector_memo``, holds
-    the table ``{n_total: SectorBasis}`` of each box traced, least recently
-    used first, up to ``2^17`` entries of rows and hop tables in all, so
-    traces of several boxes in turn keep theirs.  A spectral pass takes its
-    box's table at the start and stores it, with the sectors it added, at
-    the end; a table larger than that cap is not kept.  Callers must not
-    write into a sector basis.
+    spectral pass of the same ``(spec, n_max)`` box, through
+    ``_sector_memo``: the spin-ED trace and the box bound build them once.
+    Callers must not write into a sector basis.
 
     Boltzmann weights are taken relative to the lowest eigenvalue of all
     the stored spectra, so each is at most 1 and nothing overflows however
@@ -541,12 +530,12 @@ def gibbs_expectation_truncated(
             raise ValidationError("hamiltonian and observables are (function, *params) tuples")
     top = spec.n_sites * n_max if max_total is None else min(max_total, spec.n_sites * n_max)
     key = (spec, n_max, top, ham, observables)
-    spectra = _spectra_memo.take(key)
+    spectra = _spectra_memo.get(key)
     if spectra is None:
         spectra = _spectral_pass(spec, n_max, top, ham, observables)
+        _spectra_memo.put(key, spectra, _spectra_floats(spectra))
     shift, gaps, diagonals = spectra
     boltz = np.exp(-beta_tilde * gaps)
     z = float(boltz.sum())
     values = (diagonals * boltz).sum(axis=1) / z
-    _spectra_memo.put(key, spectra, _spectra_floats(spectra))
     return values.tolist(), float(np.log(z)) - beta_tilde * shift

@@ -110,10 +110,14 @@ def _memoized(fn):
 class _Memo(dict):
     """``{key: value}`` kept least recently used first, holding at most ``cap`` floats.
 
-    Change it only through ``take``, which removes an entry and returns it,
-    and ``put``, which stores one as the most recent.  Each entry's float
-    count is kept beside it, so a store costs only the entries it drops.  An
-    entry larger than ``cap`` alone is never stored and drops nothing.
+    Every memo of the package keeps this one rule.  It holds whole entries,
+    stored by ``put`` as the most recent; past ``cap`` it drops the least
+    recently used first, and an entry larger than ``cap`` alone is never
+    stored and drops nothing.  ``get`` marks the entry it finds as the most
+    recent and changes nothing else, so a caller calls ``put`` only for what
+    it has just computed, and a caller that raises leaves the memo as it
+    was.  Each entry's float count is kept beside it, so a store costs only
+    the entries it drops.
     """
 
     def __init__(self, cap: int):
@@ -122,26 +126,25 @@ class _Memo(dict):
         self._sizes = {}
         self.floats = 0  # held in all
 
-    def take(self, key):
-        """Remove and return the value under ``key``, or ``None``."""
+    def get(self, key):
+        """The value under ``key``, now the most recent, or ``None``."""
         if key not in self:
             return None
-        self.floats -= self._sizes.pop(key)
-        return self.pop(key)
+        value = self[key] = self.pop(key)
+        return value
 
     def put(self, key, value, floats: int) -> None:
-        """Store ``value``, which holds ``floats`` floats, dropping the oldest past ``cap``.
-
-        A ``value`` over ``cap`` is not stored, and the memo is left as it was.
-        """
+        """Store ``value``, which holds ``floats`` floats, as the most recent."""
         if floats > self.cap:
             return
-        self.take(key)
+        self.pop(key, None)
+        self.floats += floats - self._sizes.pop(key, 0)
         self[key] = value
         self._sizes[key] = floats
-        self.floats += floats
         while self.floats > self.cap:
-            self.take(next(iter(self)))
+            oldest = next(iter(self))
+            self.floats -= self._sizes.pop(oldest)
+            del self[oldest]
 
 
 @_memoized

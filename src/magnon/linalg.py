@@ -5,17 +5,15 @@ dimension cap keeps accidental exponential-size requests from thrashing the
 machine.  Thermal traces are sector-blocked: every Hamiltonian traced in
 this package conserves the total boson number (total ``S^3``), so
 ``fock.gibbs_expectation_truncated`` calls ``eigh`` once per sector of a
-trace it has not seen before, at any temperature, unless the eigensystems
-of all the trace's sectors under the same Hamiltonian are held, as one
-entry, in its float-bounded eigensystem memo; it shifts the spectra by
-the lowest eigenvalue of all its sectors, so nothing overflows no matter
-how large ``beta`` is.  A trace
-that needs only ``log Z`` (the spin free energy) calls ``eigvalsh`` instead,
-which runs the same checks and skips the eigenvectors; it never uses the
-eigensystem memo, because the two LAPACK paths round differently.  Both
-check the cap, finiteness and symmetry of their input: they solve it as
-given when it equals its transpose (every hop-table operator does: a move
-and its reverse take their amplitude from the same integers), and its
+trace it has not seen before, at any temperature, unless its memos hold
+the trace's eigensystems; it shifts the spectra by the lowest eigenvalue of
+all its sectors, so nothing overflows no matter how large ``beta`` is.  A
+trace that needs only ``log Z`` (the spin free energy) calls ``eigvalsh``
+instead, which runs the same checks and skips the eigenvectors; it never
+uses the eigensystem memo, because the two LAPACK paths round differently.
+Both check the cap, finiteness and symmetry of their input: they solve it
+as given when it equals its transpose (every hop-table operator does: a
+move and its reverse take their amplitude from the same integers), and its
 symmetrized copy when it is symmetric only to rounding.
 """
 

@@ -867,6 +867,53 @@ def test_a_trace_that_raises_leaves_no_spectra(eigensolves):
         assert all(m[k] is value for k, value in items)
 
 
+def test_a_trace_that_raises_keeps_its_box_sector_table(eigensolves):
+    spec = lattice.LatticeSpec(1, 3)
+    fock.gibbs_expectation_truncated(spec, 2, 1.0, None, max_total=2)
+    (table,) = fock._sector_memo.values()
+    floats = fock._sector_memo.floats
+    assert sorted(table) == [0, 1, 2]
+    # sectors 3 and 4 are built before the observable of sector 4 raises
+    with pytest.raises(ValidationError, match="wrong sector dimension"):
+        fock.gibbs_expectation_truncated(
+            spec, 2, 1.0, (lambda sb: [np.zeros(sb.dim + (sb.n_total == 4))],)
+        )
+    assert list(fock._sector_memo) == [(spec, 2)]
+    assert fock._sector_memo[spec, 2] is table and sorted(table) == [0, 1, 2]
+    assert fock._sector_memo.floats == floats == fock._sector_floats(table)
+
+
+def test_a_hit_stores_nothing(eigensolves, monkeypatch):
+    monkeypatch.setattr(diagrams, "_tori", lattice._Memo(diagrams._tori.cap))
+    memos = {"sectors": fock._sector_memo, "spectra": fock._spectra_memo,
+             "eigensystems": fock._eigensystem_memo, "tori": diagrams._tori}
+    names = {id(memo): name for name, memo in memos.items()}
+    put, stores = lattice._Memo.put, []
+
+    def counting_put(memo, *args):
+        stores.append(names[id(memo)])
+        put(memo, *args)
+
+    monkeypatch.setattr(lattice._Memo, "put", counting_put)
+    spec = chain(3)
+    fock.gibbs_expectation_truncated(spec, 2, 1.0, (quartic_of, 1))
+    assert stores == ["sectors", "eigensystems", "spectra"]
+    # the same trace again, at another temperature: a spectra hit
+    del stores[:]
+    fock.gibbs_expectation_truncated(spec, 2, 2.0, (quartic_of, 1))
+    assert stores == []
+    # other observables on the held Hamiltonian: a spectra miss that reads
+    # the eigensystems and stores none
+    fock.gibbs_expectation_truncated(spec, 2, 1.0, (quartic_of, 2))
+    assert stores == ["sectors", "spectra"]
+    del stores[:]
+    diagrams.cancellation_scan(3, 2, [1.0])
+    assert stores == ["tori"]
+    diagrams.cancellation_scan(3, 2, [1.0, 2.0])
+    assert stores == ["tori"]
+    assert [len(m) for m in memos.values()] == [1, 2, 1, 1]
+
+
 @pytest.mark.parametrize("top_kept", [None, 2], ids=["cap-0", "cap-of-3-sectors"])
 def test_the_spectral_pass_frees_each_eigenvector_it_cannot_store(top_kept, monkeypatch):
     """No ``v`` outlives its sector, except in a list that fits the cap with the next solve.

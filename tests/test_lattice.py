@@ -188,9 +188,20 @@ def test_memo_drops_its_oldest_entries_past_its_cap():
     assert list(memo) == ["b", "a"] and memo.floats == 8
     memo.put("c", "C", 4)
     assert list(memo) == ["a", "c"] and memo.floats == 8
-    assert memo.take("a") == "A" and memo.take("a") is None
     memo.put("d", "D", 11)  # larger than the whole budget: not kept
-    assert memo == {"c": "C"} and memo.floats == 4
+    assert memo == {"a": "A", "c": "C"} and memo.floats == 8
+
+
+def test_memo_get_keeps_the_entry_and_marks_it_the_latest():
+    memo = lattice._Memo(9)
+    for key in "abc":
+        memo.put(key, key.upper(), 3)
+    assert memo.get("a") == "A" and memo.get("a") == "A"
+    assert memo.get("z") is None
+    assert list(memo) == ["b", "c", "a"] and memo.floats == 9
+    assert memo._sizes == {"a": 3, "b": 3, "c": 3}
+    memo.put("d", "D", 3)  # drops "b", now the least recently used, not "a"
+    assert list(memo) == ["c", "a", "d"] and memo.floats == 9
 
 
 def test_an_entry_over_the_cap_is_not_kept_and_drops_nothing():

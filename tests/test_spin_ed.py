@@ -296,8 +296,7 @@ def test_remainder_check_keeps_the_traced_box(monkeypatch):
         monkeypatch.setattr(fock, memo, lattice._Memo(getattr(fock, memo).cap))
     spec = lattice.LatticeSpec(1, 3)
     wick.remainder_check(spec, 2, 2.0, 4)
-    table = fock._sector_memo[spec, 4]
-    kept = dict(table)
+    kept = dict(fock._sector_memo[spec, 4])
     assert sorted(kept) == list(range(spec.n_sites * 4 + 1))
     built = []
     init = fock.SectorBasis.__init__
@@ -315,5 +314,6 @@ def test_remainder_check_keeps_the_traced_box(monkeypatch):
     # still holds the traced box
     wick.remainder_check(spec, 3, 3.0, 4)
     assert built == []
-    assert list(fock._sector_memo) == [(spec, 4)] and fock._sector_memo[spec, 4] is table
-    assert all(table[n] is sb for n, sb in kept.items())
+    assert list(fock._sector_memo) == [(spec, 4)]
+    table = fock._sector_memo[spec, 4]
+    assert table == kept and all(table[n] is sb for n, sb in kept.items())

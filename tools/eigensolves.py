@@ -10,14 +10,16 @@ order in this one interpreter through ``workloads.execute``, with every memo
 filling as it does in the benchmark.  ``magnon.linalg.eigh`` and ``eigvalsh``
 are wrapped to count their calls and the sum of ``n^3`` over the matrices
 they solve.  ``magnon.fock.SectorBasis`` and ``magnon.fock._hop_table`` are
-wrapped to count the sector bases built and the hop tables built new (a
-table already cached on its basis is not counted).  One JSON line is printed
-per task kind (the subcommand, or the ``wick`` function of an API task),
-then one with the totals.  Then one line per memo (``MEMOS``), as it stands
-after the task list: its entries, the floats it holds and its ``cap``, and
-over the list the most floats it held, its stores, the stores it refused
-(an entry over ``cap``) and the entries it dropped to make room.  The
-``perfbench/`` next to this script is only imported.
+wrapped to count the sector bases built, those of them that rebuild a
+``(spec, n_max, n_total)`` built earlier in the list, and the hop tables
+built new (a table already cached on its basis is not counted).  One JSON
+line is printed per task kind (the subcommand, or the ``wick`` function of
+an API task), then one with the totals.  Then one line per memo (``MEMOS``),
+as it stands after the task list: its entries, the floats it holds and its
+``cap``, and over the list the most floats it held, the reads through
+``get`` that found an entry (hits) and that did not (misses), its stores,
+the stores it refused (an entry over ``cap``) and the entries it dropped to
+make room.  The ``perfbench/`` next to this script is only imported.
 """
 
 from __future__ import annotations
@@ -60,9 +62,12 @@ def main(argv=None) -> int:
         setattr(magnon.linalg, name, counting)
 
     init, hop_table = magnon.fock.SectorBasis.__init__, magnon.fock._hop_table
+    built = set()
 
     def counting_init(self, *args):
         counts[kind]["sector_bases"] += 1
+        counts[kind]["sector_rebuilds"] += args in built
+        built.add(args)
         init(self, *args)
 
     def counting_hops(basis):
@@ -78,7 +83,13 @@ def main(argv=None) -> int:
         memos[name] = getattr(getattr(magnon, module), attr)
     names = {id(memo): name for name, memo in memos.items()}
     traffic = collections.defaultdict(collections.Counter)
-    put = magnon.lattice._Memo.put
+    get, put = magnon.lattice._Memo.get, magnon.lattice._Memo.put
+
+    def counting_get(self, key):
+        value = get(self, key)
+        if id(self) in names:
+            traffic[names[id(self)]]["misses" if value is None else "hits"] += 1
+        return value
 
     def counting_put(self, key, value, floats):
         before = set(self)
@@ -90,7 +101,7 @@ def main(argv=None) -> int:
             seen["evicted"] += len(before - set(self))
             seen["peak_floats"] = max(seen["peak_floats"], self.floats)
 
-    magnon.lattice._Memo.put = counting_put
+    magnon.lattice._Memo.get, magnon.lattice._Memo.put = counting_get, counting_put
 
     for task in tasks:
         kind = task["argv"][0] if task["kind"] == "cli" else f"wick.{task['fn']}"
@@ -98,7 +109,7 @@ def main(argv=None) -> int:
         workloads.execute(task, magnon)
 
     fields = ["tasks"] + [f"{s}_{c}" for s in SOLVERS for c in ("calls", "n3_sum")]
-    fields += ["sector_bases", "hop_tables"]
+    fields += ["sector_bases", "sector_rebuilds", "hop_tables"]
     total = collections.Counter()
     for kind in sorted(counts):
         total.update(counts[kind])
@@ -108,7 +119,8 @@ def main(argv=None) -> int:
         seen = traffic[name]
         print(json.dumps({
             "memo": name, "entries": len(memo), "floats": memo.floats, "cap": memo.cap,
-            **{f: seen[f] for f in ("peak_floats", "stores", "refused", "evicted")},
+            **{f: seen[f] for f in ("peak_floats", "hits", "misses", "stores", "refused",
+                                    "evicted")},
         }))
     return 0
 
