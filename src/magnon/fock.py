@@ -12,10 +12,11 @@ correction of order ``1/S``, and the remainder defined by subtraction, so
 that the pieces resum exactly on the capped space.
 
 Every off-diagonal term of these operators moves one boson along a bond, and
-so does the spin Hamiltonian's ``S^+_x S^-_y``.  A basis therefore carries
-one cached hop table (``_hop_table``) of all such moves, and each operator
-is its diagonal plus one scatter of an amplitude ``amp(n_x, n_y)`` over the
-table.  All dense matrices respect the global dimension cap.  Every thermal
+so does the spin Hamiltonian's ``S^+_x S^-_y``.  A basis is therefore built
+whole: its rows and the hop table ``hops`` of all such moves (``_hop_table``),
+both read-only.  Each operator is its diagonal plus one scatter of an
+amplitude ``amp(n_x, n_y)`` over the table.  All dense matrices, and
+``FockBasis``, respect the global dimension cap.  Every thermal
 trace in the package is sector-blocked: the Hamiltonians it traces conserve
 the total number, so ``gibbs_expectation_truncated`` diagonalizes one
 fixed-total sector (``SectorBasis``) at a time, which also reaches capped
@@ -52,8 +53,6 @@ memo                  key                                 value                 
 ``_spectra_memo``     that key and ``observables``        ``(shift, gaps, diagonals)`` 2^20
 ``diagrams._tori``    ``ell``                             ``PeriodicGrid``             2^20
 ===================== =================================== ============================ ====
-
-``BASIS_CAP`` caps only the ``FockBasis`` dimension, no memo.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from . import lattice, linalg
 from ._errors import CapacityError, ValidationError, cutoff, integer, inverse_temperature, spin
 
 __all__ = [
-    "BASIS_CAP",
     "FockBasis",
     "SectorBasis",
     "kinetic",
@@ -77,8 +75,6 @@ __all__ = [
     "projector_mask",
     "gibbs_expectation_truncated",
 ]
-
-BASIS_CAP = 2**20
 
 
 def _max_sites(radix: int, cap: int) -> int:
@@ -94,20 +90,20 @@ def _max_sites(radix: int, cap: int) -> int:
 
 
 class FockBasis:
-    """Full occupation basis with per-site cap ``n_max``."""
+    """Full occupation basis with per-site cap ``n_max``, within the dense cap."""
 
     def __init__(self, spec: lattice.LatticeSpec, n_max: int):
         self.spec = spec
         self.n_max = cutoff(n_max)
         self.n_sites = spec.n_sites
+        self.dim = dim = _check_dense_space(spec, n_max)
         radix = n_max + 1
-        if self.n_sites > _max_sites(radix, BASIS_CAP):
-            # the power: a large box's dimension has more digits than Python prints
-            raise CapacityError(f"basis dimension {radix}^{self.n_sites} exceeds cap {BASIS_CAP}")
-        self.dim = dim = radix**self.n_sites
         self.strides = radix ** np.arange(self.n_sites, dtype=np.int64)
         idx = np.arange(dim, dtype=np.int64)
-        self.occupations = (idx[:, None] // self.strides[None, :]) % radix
+        rows = (idx[:, None] // self.strides[None, :]) % radix
+        rows.flags.writeable = False
+        self.occupations = rows
+        self.hops = _hop_table(self)
 
     def _locate(self, occs: np.ndarray) -> np.ndarray:
         """Indices of occupation rows; -1 where out of the capped space."""
@@ -129,12 +125,14 @@ class SectorBasis:
         self.n_max = cutoff(n_max)
         self.n_total = integer(n_total, "n_total must be a nonnegative integer", 0)
         self.n_sites = spec.n_sites
-        # counts[m, t]: compositions of t into m parts in [0, n_max]
-        counts = np.zeros((self.n_sites + 1, n_total + 1), dtype=np.int64)
+        # counts[m, t]: compositions of t into m parts in [0, n_max]; every
+        # total past n_sites * n_max has none, so the table stops there
+        top = min(n_total, self.n_sites * n_max)
+        counts = np.zeros((self.n_sites + 1, top + 1), dtype=np.int64)
         counts[0, 0] = 1
         ones = np.ones(n_max + 1, dtype=np.int64)
         for m in range(1, self.n_sites + 1):
-            counts[m] = np.convolve(counts[m - 1], ones)[: n_total + 1]
+            counts[m] = np.convolve(counts[m - 1], ones)[: top + 1]
         # cum[m, t + 1] = sum of counts[m, :t + 1], so cum[m, 0] = 0
         self._cum = np.concatenate(
             [np.zeros((self.n_sites + 1, 1), np.int64), np.cumsum(counts, axis=1)], axis=1
@@ -157,7 +155,8 @@ class SectorBasis:
             node = parents[site][node]
         rows.flags.writeable = False  # shared by every trace of the box
         self.occupations = rows
-        self.dim = int(counts[self.n_sites, n_total])
+        self.dim = len(rows)
+        self.hops = _hop_table(self)
 
     def _locate(self, occs: np.ndarray) -> np.ndarray:
         """Indices of occupation rows.
@@ -212,23 +211,23 @@ def _hop_table(basis):
     ``tgt``, and ``n_x``, ``n_y`` are the occupations of the receiving and
     the giving site in row ``src``.  Each ordered bond shifts a row by its own
     vector, so the ``(tgt, src)`` pairs are distinct and off the diagonal.
-    All moves are located in one batched ``_locate``, and the table is cached
-    on the basis, so every operator of a basis shares it.
+    All moves are located in one batched ``_locate``.  Each basis calls this
+    once, as the last step of its construction, and keeps the read-only
+    arrays as ``hops``, so every operator of a basis shares them.
     """
-    table = getattr(basis, "_hops", None)
-    if table is None:
-        occ = basis.occupations
-        bonds = lattice.nn_pairs(basis.spec)
-        ordered = np.concatenate([bonds, bonds[:, ::-1]])
-        xs, ys = ordered[:, 0], ordered[:, 1]
-        src, b = np.nonzero((occ[:, xs] < basis.n_max) & (occ[:, ys] > 0))
-        x, y = xs[b], ys[b]
-        moved = occ[src]
-        k = np.arange(src.size)
-        moved[k, x] += 1
-        moved[k, y] -= 1
-        table = (src, basis._locate(moved), occ[src, x], occ[src, y])
-        basis._hops = table
+    occ = basis.occupations
+    bonds = lattice.nn_pairs(basis.spec)
+    ordered = np.concatenate([bonds, bonds[:, ::-1]])
+    xs, ys = ordered[:, 0], ordered[:, 1]
+    src, b = np.nonzero((occ[:, xs] < basis.n_max) & (occ[:, ys] > 0))
+    x, y = xs[b], ys[b]
+    moved = occ[src]
+    k = np.arange(src.size)
+    moved[k, x] += 1
+    moved[k, y] -= 1
+    table = (src, basis._locate(moved), occ[src, x], occ[src, y])
+    for a in table:
+        a.flags.writeable = False
     return table
 
 
@@ -241,7 +240,7 @@ def _hop_operator(
     and every other entry is zero; ``amplitude`` then sees only those moves.
     """
     _check_dense(basis.dim)
-    src, tgt, n_x, n_y = _hop_table(basis)
+    src, tgt, n_x, n_y = basis.hops
     if keep is not None:
         inside = keep[src] & keep[tgt]
         src, tgt, n_x, n_y = src[inside], tgt[inside], n_x[inside], n_y[inside]
@@ -371,8 +370,7 @@ def _spectra_floats(spectra) -> int:
 def _sector_floats(sectors: dict) -> int:
     """Entries of the sector bases' rows and of the hop tables they carry."""
     return sum(
-        sb.occupations.size + sum(a.size for a in getattr(sb, "_hops", ()))
-        for sb in sectors.values()
+        sb.occupations.size + sum(a.size for a in sb.hops) for sb in sectors.values()
     )
 
 
@@ -417,13 +415,13 @@ def _spectral_pass(spec, n_max: int, top: int, hamiltonian: tuple, observables: 
     same order.
 
     The pass works on a copy of its box's table in ``_sector_memo``, and
-    stores the copy, with the sector bases and hop tables it built, at the
-    end.  The trace's eigensystems come from ``_eigensystem_memo`` if held
-    there, else from ``eigh``; a trace not held keeps them only while they
-    and the next sector's fit that memo's ``cap``, and stores them at the
-    end.
+    stores the copy at the end only if it built a sector basis there.  The
+    trace's eigensystems come from ``_eigensystem_memo`` if held there, else
+    from ``eigh``; a trace not held keeps them only while they and the next
+    sector's fit that memo's ``cap``, and stores them at the end.
     """
-    sectors = dict(_sector_memo.get((spec, n_max)) or {})
+    held_sectors = _sector_memo.get((spec, n_max)) or {}
+    sectors = dict(held_sectors)
     key = (spec, n_max, top, hamiltonian)
     held = None if observables is None else _eigensystem_memo.get(key)
     kept = None if observables is None or held else []
@@ -439,7 +437,8 @@ def _spectral_pass(spec, n_max: int, top: int, hamiltonian: tuple, observables: 
         w, d = _sector_spectrum(sb, hamiltonian, observables, held and held[n_total], kept)
         ws.append(w)
         diags.append(np.reshape(d, (len(d), w.size)))
-    _sector_memo.put((spec, n_max), sectors, _sector_floats(sectors))
+    if len(sectors) > len(held_sectors):
+        _sector_memo.put((spec, n_max), sectors, _sector_floats(sectors))
     if kept is not None:
         _eigensystem_memo.put(key, tuple(kept), floats)
     shift = min(float(w[0]) for w in ws)
@@ -508,10 +507,9 @@ def gibbs_expectation_truncated(
     ``observables=None`` neither reads nor fills that memo, since
     ``eigvalsh`` rounds apart from ``eigh``.
 
-    The sector bases, each with its cached hop table, are shared by every
+    The sector bases, read-only with their hop tables, are shared by every
     spectral pass of the same ``(spec, n_max)`` box, through
     ``_sector_memo``: the spin-ED trace and the box bound build them once.
-    Callers must not write into a sector basis.
 
     Boltzmann weights are taken relative to the lowest eigenvalue of all
     the stored spectra, so each is at most 1 and nothing overflows however

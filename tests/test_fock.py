@@ -73,7 +73,7 @@ def test_a_huge_box_is_refused_at_once():
     # 3^27000000 states: a power whose digits take seconds to form, so the cap counts digits
     spec = lattice.LatticeSpec(3, 300)
     start = time.perf_counter()
-    with pytest.raises(CapacityError, match=r"3\^27000000 exceeds cap"):
+    with pytest.raises(CapacityError, match=r"3\^27000000 exceeds dense cap"):
         fock.FockBasis(spec, 2)
     with pytest.raises(CapacityError, match=r"3\^27000000 exceeds dense cap"):
         fock._check_dense_space(spec, 2)
@@ -324,8 +324,7 @@ def _hop_bases(spec, n_max, dim_max=1024):
 @pytest.mark.parametrize("spec", HOP_BOXES, ids=lambda s: f"d{s.d}-ell{s.ell}")
 def test_hop_table_moves(spec, n_max):
     for basis in _hop_bases(spec, n_max):
-        src, tgt, n_x, n_y = fock._hop_table(basis)
-        assert fock._hop_table(basis)[0] is src  # cached on the basis
+        src, tgt, n_x, n_y = basis.hops
         rows = [tuple(int(v) for v in r) for r in basis.occupations]
         index = {r: k for k, r in enumerate(rows)}
         # brute force: every row, every ordered bond along which it can move a boson
@@ -441,10 +440,21 @@ def test_bond_diagonals_equal_the_per_bond_loop_bit_for_bit(spec, two_s):
             assert np.array_equal(got[name], want[name]), name
 
 
-def test_sector_rows_are_read_only():
-    sb = fock.SectorBasis(chain(3), 2, 2)
-    with pytest.raises(ValueError):
-        sb.occupations[0, 0] = 1
+def test_bases_are_read_only():
+    for basis in (fock.SectorBasis(chain(3), 2, 2), fock.FockBasis(chain(3), 2)):
+        for a in (basis.occupations, *basis.hops):
+            assert a.size
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+
+def test_a_sector_past_every_total_is_empty_at_once():
+    start = time.perf_counter()
+    sb = fock.SectorBasis(chain(3), 2, 10**12)
+    assert time.perf_counter() - start < 0.5
+    assert sb.dim == 0 and sb.occupations.shape == (0, 3)
+    assert all(a.size == 0 for a in sb.hops)
+    assert sb._locate(np.array([[2, 2, 2], [0, 0, 0]])).tolist() == [-1, -1]
 
 
 @pytest.mark.parametrize(
@@ -631,15 +641,14 @@ def test_each_memo_carries_its_own_budget(eigensolves, monkeypatch):
     monkeypatch.setattr(diagrams, "_tori", lattice._Memo(diagrams._tori.cap))
     memos = (fock._sector_memo, fock._spectra_memo, fock._eigensystem_memo, diagrams._tori)
     assert [m.cap for m in memos] == [2**17, 2**20, 2**18, 2**20]
-    # the Fock-basis cap is no memo's budget: every memo still stores
-    monkeypatch.setattr(fock, "BASIS_CAP", 1)
     fock.gibbs_expectation_truncated(chain(3), 2, 1.0, (quartic_of, 1))
     diagrams.cancellation_scan(3, 2, [1.0])
     assert [m.cap for m in memos] == [2**17, 2**20, 2**18, 2**20]
     assert [len(m) for m in memos] == [1, 1, 1, 1]
     assert all(m.floats > 1 for m in memos)
-    with pytest.raises(CapacityError):
-        fock.FockBasis(chain(1), 1)
+    # the Fock basis takes the dense cap, no memo's budget
+    with pytest.raises(CapacityError, match="exceeds dense cap"):
+        fock.FockBasis(chain(13), 1)
 
 
 def _eigensystem_floats(spec, n_max, top):
@@ -793,7 +802,7 @@ def counted_builds(monkeypatch):
         init(self, *args)
 
     def counting_hops(basis):
-        counts["hops"] += getattr(basis, "_hops", None) is None
+        counts["hops"] += 1
         return hop_table(basis)
 
     monkeypatch.setattr(fock.SectorBasis, "__init__", counting_init)
@@ -883,6 +892,24 @@ def test_a_trace_that_raises_keeps_its_box_sector_table(eigensolves):
     assert fock._sector_memo.floats == floats == fock._sector_floats(table)
 
 
+def _occupation_energy(sb):
+    return np.diag(sb.occupations.sum(axis=1).astype(np.float64))
+
+
+def test_a_trace_that_raises_keeps_the_memo_count_of_its_table(eigensolves):
+    spec = lattice.LatticeSpec(1, 3)
+    # a diagonal Hamiltonian, which scatters over no hop table
+    fock.gibbs_expectation_truncated(spec, 2, 1.0, None, hamiltonian=(_occupation_energy,))
+    (table,) = fock._sector_memo.values()
+    # the kinetic trace reads every held sector, then its observable raises at the last
+    with pytest.raises(ValidationError, match="wrong sector dimension"):
+        fock.gibbs_expectation_truncated(
+            spec, 2, 1.0, (lambda sb: [np.zeros(sb.dim + (sb.n_total == 6))],)
+        )
+    assert fock._sector_memo[spec, 2] is table
+    assert fock._sector_memo.floats == fock._sector_floats(table) == 273
+
+
 def test_a_hit_stores_nothing(eigensolves, monkeypatch):
     monkeypatch.setattr(diagrams, "_tori", lattice._Memo(diagrams._tori.cap))
     memos = {"sectors": fock._sector_memo, "spectra": fock._spectra_memo,
@@ -903,9 +930,9 @@ def test_a_hit_stores_nothing(eigensolves, monkeypatch):
     fock.gibbs_expectation_truncated(spec, 2, 2.0, (quartic_of, 1))
     assert stores == []
     # other observables on the held Hamiltonian: a spectra miss that reads
-    # the eigensystems and stores none
+    # the eigensystems and the sector bases, and stores neither
     fock.gibbs_expectation_truncated(spec, 2, 1.0, (quartic_of, 2))
-    assert stores == ["sectors", "spectra"]
+    assert stores == ["spectra"]
     del stores[:]
     diagrams.cancellation_scan(3, 2, [1.0])
     assert stores == ["tori"]

@@ -12,10 +12,11 @@ are wrapped to count their calls and the sum of ``n^3`` over the matrices
 they solve.  ``magnon.fock.SectorBasis`` and ``magnon.fock._hop_table`` are
 wrapped to count the sector bases built, those of them that rebuild a
 ``(spec, n_max, n_total)`` built earlier in the list, and the hop tables
-built new (a table already cached on its basis is not counted).  One JSON
-line is printed per task kind (the subcommand, or the ``wick`` function of
-an API task), then one with the totals.  Then one line per memo (``MEMOS``),
-as it stands after the task list: its entries, the floats it holds and its
+built, one per ``_hop_table`` call (each ``SectorBasis`` and ``FockBasis``
+builds its own as it is constructed).  One JSON line is printed per task
+kind (the subcommand, or the ``wick`` function of an API task), then one
+with the totals.  Then one line per memo (``MEMOS``), as it stands after
+the task list: its entries, the floats it holds and its
 ``cap``, and over the list the most floats it held, the reads through
 ``get`` that found an entry (hits) and that did not (misses), its stores,
 the stores it refused (an entry over ``cap``) and the entries it dropped to
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
         init(self, *args)
 
     def counting_hops(basis):
-        counts[kind]["hop_tables"] += getattr(basis, "_hops", None) is None
+        counts[kind]["hop_tables"] += 1
         return hop_table(basis)
 
     magnon.fock.SectorBasis.__init__ = counting_init
